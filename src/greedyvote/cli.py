@@ -3,8 +3,9 @@
 Subcommands: exact | sample | power | gain | sweep | kde | qq | fpc | tau.
 Every option can also come from a JSON config file (--config); explicit flags
 override file values.  Runs that write an output file also write a sidecar
-`<output>.config.json` with the fully resolved configuration, so any result
-can be reproduced byte for byte from its sidecar.
+`<output>.config.json` with the fully resolved configuration, the package
+version and the stream layout version, so any result can be reproduced byte
+for byte from its sidecar by a version with the same stream layout.
 
 Exit codes: 0 success, 1 runtime sampling error, 2 validation failure,
 3 exact-computation resource limit.
@@ -14,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import exact, fairness, fpc, sampler, weights
+from . import __version__, exact, fairness, fpc, sampler, weights
 from .errors import (
     GreedyVoteError,
     InvalidParameterError,
@@ -29,8 +29,6 @@ from .errors import (
 )
 
 SUBCOMMANDS = ("exact", "sample", "power", "gain", "sweep", "kde", "qq", "fpc", "tau")
-
-THREADS_ENV = "GREEDYVOTE_THREADS"
 
 
 class ConfigError(InvalidParameterError):
@@ -65,6 +63,18 @@ _SOURCE_KEYS = {
     "f": (str, "identity"),
 }
 
+# keys of the subcommands that run a split-gain estimate (gain, kde, qq)
+_GAIN_KEYS = {
+    **_SOURCE_KEYS,
+    "k": (int, 20),
+    "node": (int, 1),
+    "fractions": (str, "0.5,0.5"),
+    "n_runs": (int, 10_000),
+    "seed": (int, 0),
+    "coupled": (_parse_bool, True),
+    "output": (str, None),
+}
+
 _SCHEMAS = {
     "tau": {
         "output": (str, None),
@@ -92,20 +102,9 @@ _SCHEMAS = {
         "n_runs": (int, 10_000),
         "seed": (int, 0),
         "epsilon": (float, None),
-        "threads": (int, None),
         "output": (str, None),
     },
-    "gain": {
-        **_SOURCE_KEYS,
-        "k": (int, 20),
-        "node": (int, 1),
-        "fractions": (str, "0.5,0.5"),
-        "n_runs": (int, 10_000),
-        "seed": (int, 0),
-        "coupled": (_parse_bool, True),
-        "threads": (int, None),
-        "output": (str, None),
-    },
+    "gain": _GAIN_KEYS,
     "sweep": {
         "s": (float, 1.0),
         "n": (int, 1000),
@@ -118,33 +117,14 @@ _SCHEMAS = {
         "n_runs": (int, 10_000),
         "seed": (int, 0),
         "coupled": (_parse_bool, True),
-        "threads": (int, None),
         "output": (str, None),
     },
     "kde": {
-        **_SOURCE_KEYS,
-        "k": (int, 20),
-        "node": (int, 1),
-        "fractions": (str, "0.5,0.5"),
-        "n_runs": (int, 10_000),
-        "seed": (int, 0),
-        "coupled": (_parse_bool, True),
-        "threads": (int, None),
+        **_GAIN_KEYS,
         "bandwidth": (float, None),
         "grid_points": (int, 512),
-        "output": (str, None),
     },
-    "qq": {
-        **_SOURCE_KEYS,
-        "k": (int, 20),
-        "node": (int, 1),
-        "fractions": (str, "0.5,0.5"),
-        "n_runs": (int, 10_000),
-        "seed": (int, 0),
-        "coupled": (_parse_bool, True),
-        "threads": (int, None),
-        "output": (str, None),
-    },
+    "qq": _GAIN_KEYS,
     "fpc": {
         **_SOURCE_KEYS,
         "g": (str, "constant-one"),
@@ -194,6 +174,13 @@ class ExperimentConfig:
                             f"config file is for subcommand {value!r}, not {subcommand!r}"
                         )
                     continue
+                if key == "stream_layout" and value != sampler.STREAM_LAYOUT:
+                    raise ConfigError(
+                        f"config file was written with stream layout {value!r}; this "
+                        f"version uses layout {sampler.STREAM_LAYOUT} and cannot reproduce it"
+                    )
+                if key in ("stream_layout", "greedyvote_version"):
+                    continue
                 if key not in schema:
                     raise ConfigError(f"unknown config key {key!r} for {subcommand}")
                 resolved[key] = value
@@ -215,6 +202,8 @@ class ExperimentConfig:
     def provenance(self) -> dict:
         doc = dict(sorted(self.values.items()))
         doc["subcommand"] = self.subcommand
+        doc["stream_layout"] = sampler.STREAM_LAYOUT
+        doc["greedyvote_version"] = __version__
         return doc
 
 
@@ -246,15 +235,6 @@ def _write_sidecar(output, config: ExperimentConfig):
     with open(path, "w", newline="") as fh:
         json.dump(config.provenance(), fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _resolve_threads(cfg_threads):
-    if cfg_threads is not None:
-        return max(1, int(cfg_threads))
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +276,7 @@ def _gain_estimate(cfg: ExperimentConfig):
     split = _split_from_config(cfg, node0)
     return fairness.estimate_split_gain(
         w, f, cfg["k"], split, cfg["n_runs"], cfg["seed"],
-        coupled=cfg["coupled"], threads=_resolve_threads(cfg["threads"]),
+        coupled=cfg["coupled"],
     ), w
 
 
@@ -327,24 +307,21 @@ def _cmd_exact(cfg: ExperimentConfig) -> int:
     dist = cfg["dist"]
     if dist == "v":
         d = exact.exact_v_distribution(p, cfg["k"], cfg["v_max"])
-        rows = [(v, d.probs[v]) for v in sorted(d.probs)]
-        _emit_csv(cfg["output"], ("v", "prob"), rows, cfg)
-        if cfg["output"] is not None:
-            print(f"residual={d.residual:.17g}")
+        header, rows = ("v", "prob"), [(v, d.probs[v]) for v in sorted(d.probs)]
     elif dist == "joint":
         node0 = _node_index(cfg, w.size)
         d = exact.exact_joint_distribution(p, cfg["k"], node0, cfg["v_max"])
+        header = ("ell", "v", "prob")
         rows = [(ell, v, d.probs[(ell, v)])
                 for (ell, v) in sorted(d.probs, key=lambda key: (key[1], key[0]))]
-        _emit_csv(cfg["output"], ("ell", "v", "prob"), rows, cfg)
-        if cfg["output"] is not None:
-            print(f"residual={d.residual:.17g}")
     elif dist == "u":
         d = exact.exact_u_distribution(p, cfg["k"])
-        rows = [(u + 1, d.probs[u]) for u in range(d.probs.size)]
-        _emit_csv(cfg["output"], ("u", "prob"), rows, cfg)
+        header, rows = ("u", "prob"), [(u + 1, d.probs[u]) for u in range(d.probs.size)]
     else:
         raise ConfigError(f"unknown dist {dist!r}; expected v, joint or u")
+    _emit_csv(cfg["output"], header, rows, cfg)
+    if cfg["output"] is not None and dist != "u":
+        print(f"residual={d.residual:.17g}")
     return 0
 
 
@@ -352,11 +329,9 @@ def _cmd_sample(cfg: ExperimentConfig) -> int:
     w = _weights_from_config(cfg)
     p = weights.sampling_distribution(w, weights.WeightFunction.parse(cfg["f"]))
     node0 = _node_index(cfg, w.size)
-    rng = sampler.RngStream(cfg["seed"], 0)
-    rows = []
-    for run in range(cfg["n_runs"]):
-        s = sampler.greedy_sample(p, cfg["k"], rng)
-        rows.append((run, s.total_draws, s.counts.get(node0, 0)))
+    runs = sampler.greedy_runs(p, cfg["k"], sampler.RngStream(cfg["seed"], 0),
+                               cfg["n_runs"], track=node0)
+    rows = zip(range(cfg["n_runs"]), runs.v.tolist(), runs.y.tolist())
     _emit_csv(cfg["output"], ("run", "v", "count"), rows, cfg)
     return 0
 
@@ -373,10 +348,7 @@ def _cmd_power(cfg: ExperimentConfig) -> int:
         _emit_csv(cfg["output"], ("node", "value", "error_bound"),
                   [(cfg["node"], value, error_bound)], cfg)
         return 0
-    est = fairness.estimate_voting_power(
-        p, cfg["k"], node0, cfg["n_runs"], cfg["seed"],
-        threads=_resolve_threads(cfg["threads"]),
-    )
+    est = fairness.estimate_voting_power(p, cfg["k"], node0, cfg["n_runs"], cfg["seed"])
     _emit_csv(cfg["output"], _GAIN_HEADER, [_row_for(est, w.size)], cfg)
     return 0
 
@@ -399,8 +371,7 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
         n_runs=cfg["n_runs"], coupled=cfg["coupled"],
         f=weights.WeightFunction.parse(cfg["f"]),
     )
-    result = fairness.sweep_gain(base, axis, values, cfg["seed"],
-                                 threads=_resolve_threads(cfg["threads"]))
+    result = fairness.sweep_gain(base, axis, values, cfg["seed"])
     rows = [_row_for(est, value) for value, est in result.points]
     _emit_csv(cfg["output"], _GAIN_HEADER, rows, cfg)
     return 0
@@ -408,15 +379,8 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
 
 def _cmd_kde(cfg: ExperimentConfig) -> int:
     est, _ = _gain_estimate(cfg)
-    samples = est.retained_samples
-    h = cfg["bandwidth"]
-    if h is None:
-        h = fairness.silverman_bandwidth(samples)
-    grid = None
-    if h > 0:
-        grid = np.linspace(float(samples.min()) - 5 * h,
-                           float(samples.max()) + 5 * h, cfg["grid_points"])
-    points = fairness.kde_density(samples, bandwidth=cfg["bandwidth"], grid=grid)
+    points = fairness.kde_density(est.retained_samples, bandwidth=cfg["bandwidth"],
+                                  points=cfg["grid_points"])
     _emit_csv(cfg["output"], ("x", "density"), [tuple(row) for row in points], cfg)
     return 0
 

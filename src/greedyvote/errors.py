@@ -24,3 +24,7 @@ class UnsupportedConfigurationError(GreedyVoteError):
 
 class DegenerateSampleError(GreedyVoteError):
     """A sampled quorum carries no usable opinion mass (zero denominator)."""
+
+
+class SamplingError(GreedyVoteError):
+    """A sampler produced runs that break one of its own invariants."""

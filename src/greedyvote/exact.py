@@ -39,8 +39,20 @@ ORACLE_MAX_VMAX = 10
 # ---------------------------------------------------------------------------
 
 
+class _TruncatedLaw:
+    """Probabilities over a truncated support plus the tail mass beyond it."""
+
+    def __post_init__(self):
+        total = _fsum(list(self.probs.values()))
+        if self.residual < -1e-9:
+            raise AssertionError(f"negative residual {self.residual}")
+        self.residual = max(0.0, self.residual)
+        if abs(total + self.residual - 1.0) > 1e-10:
+            raise AssertionError("probabilities plus residual must be 1")
+
+
 @dataclass(eq=False)
-class VDistribution:
+class VDistribution(_TruncatedLaw):
     """Truncated law of the total number of draws, plus the tail mass."""
 
     probs: dict
@@ -48,21 +60,13 @@ class VDistribution:
     k: int
     v_max: int
 
-    def __post_init__(self):
-        total = _fsum(list(self.probs.values()))
-        if self.residual < -1e-9:
-            raise AssertionError(f"negative residual {self.residual}")
-        self.residual = max(0.0, self.residual)
-        if abs(total + self.residual - 1.0) > 1e-10:
-            raise AssertionError("probabilities plus residual must be 1")
-
     def mean(self) -> float:
         """Expected draw count over the truncated support (lower bound)."""
         return _fsum([v * q for v, q in self.probs.items()])
 
 
 @dataclass(eq=False)
-class JointDistribution:
+class JointDistribution(_TruncatedLaw):
     """Truncated joint law of (occurrences of one node, total draws)."""
 
     probs: dict
@@ -70,14 +74,6 @@ class JointDistribution:
     residual: float
     k: int
     v_max: int
-
-    def __post_init__(self):
-        total = _fsum(list(self.probs.values()))
-        if self.residual < -1e-9:
-            raise AssertionError(f"negative residual {self.residual}")
-        self.residual = max(0.0, self.residual)
-        if abs(total + self.residual - 1.0) > 1e-10:
-            raise AssertionError("probabilities plus residual must be 1")
 
     def marginal_v(self) -> dict:
         out: dict = {}
@@ -196,6 +192,19 @@ def _check_dimensions(n_nodes: int, k: int):
         )
 
 
+def _check_law_args(p: SamplingDistribution, k, v_max) -> tuple:
+    k = int(k)
+    v_max = int(v_max)
+    if k < 1:
+        raise InvalidParameterError("k must be >= 1")
+    if v_max < k:
+        raise InvalidParameterError("v_max must be at least k")
+    _check_dimensions(p.size, k)
+    if k > p.support_size:
+        raise InvalidParameterError(f"k={k} exceeds support size {p.support_size}")
+    return k, v_max
+
+
 def _check_v_budget(cost: int, v_max: int):
     if cost > MAX_ENUMERATED_COMPOSITIONS:
         raise ResourceLimitError(
@@ -212,18 +221,8 @@ def _check_v_budget(cost: int, v_max: int):
 def exact_v_distribution(p: SamplingDistribution, k: int, v_max: int) -> VDistribution:
     """P(total draws = v) for v = k..v_max, summing over which node ends the
     run, which k-1 other nodes precede it, and how often each appears."""
-    k = int(k)
-    v_max = int(v_max)
-    if k < 1:
-        raise InvalidParameterError("k must be >= 1")
-    if v_max < k:
-        raise InvalidParameterError("v_max must be at least k")
+    k, v_max = _check_law_args(p, k, v_max)
     n = p.size
-    _check_dimensions(n, k)
-    if k > p.support_size:
-        raise InvalidParameterError(
-            f"k={k} exceeds support size {p.support_size}"
-        )
     _check_v_budget(sum(_n_compositions(v - 1, k - 1) for v in range(k, v_max + 1)),
                     v_max)
 
@@ -262,19 +261,11 @@ def exact_joint_distribution(p: SamplingDistribution, k: int, i: int,
     (either somewhere before the final draw or as the final draw itself);
     drawn two or more times (necessarily before the final draw).
     """
-    k = int(k)
+    k, v_max = _check_law_args(p, k, v_max)
     i = int(i)
-    v_max = int(v_max)
-    if k < 1:
-        raise InvalidParameterError("k must be >= 1")
-    if v_max < k:
-        raise InvalidParameterError("v_max must be at least k")
     n = p.size
     if not (0 <= i < n):
         raise InvalidParameterError(f"node {i} out of range for {n} nodes")
-    _check_dimensions(n, k)
-    if k > p.support_size:
-        raise InvalidParameterError(f"k={k} exceeds support size {p.support_size}")
 
     probs_list = p.probs.tolist()
     p_i = probs_list[i]
@@ -371,12 +362,7 @@ def enumeration_oracle(p: SamplingDistribution, k: int, v_max: int):
     (occurrences, draw count).  Kept deliberately independent of the formula
     implementations above.
     """
-    k = int(k)
-    v_max = int(v_max)
-    if k < 1:
-        raise InvalidParameterError("k must be >= 1")
-    if v_max < k:
-        raise InvalidParameterError("v_max must be at least k")
+    k, v_max = _check_law_args(p, k, v_max)
     n = p.size
     if n > ORACLE_MAX_NODES:
         raise ResourceLimitError(
@@ -386,8 +372,6 @@ def enumeration_oracle(p: SamplingDistribution, k: int, v_max: int):
         raise ResourceLimitError(
             f"v_max={v_max} exceeds the oracle limit v_max <= {ORACLE_MAX_VMAX}"
         )
-    if k > p.support_size:
-        raise InvalidParameterError(f"k={k} exceeds support size {p.support_size}")
 
     probs_list = p.probs.tolist()
     support = [u for u in range(n) if probs_list[u] > 0.0]

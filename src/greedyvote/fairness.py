@@ -2,19 +2,19 @@
 distributional diagnostics (KDE, QQ).
 
 Runs are partitioned into fixed-size chunks, each driven by its own derived
-random stream; chunk results are merged in chunk order, so estimates are
-bit-identical no matter how many worker threads execute them.
+random stream and sampled by the block kernel `sampler.greedy_runs`; chunk
+results are merged in chunk order, so a seed reproduces an estimate bit for
+bit within one stream layout (`sampler.STREAM_LAYOUT`).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import InvalidParameterError, UnsupportedConfigurationError
+from .errors import InvalidParameterError
 from .weights import (
     IDENTITY,
     SamplingDistribution,
@@ -26,7 +26,7 @@ from .weights import (
     sampling_distribution,
     zipf_weights,
 )
-from .sampler import RngStream, coupled_greedy_sample, greedy_sample
+from .sampler import RngStream, as_stream, greedy_runs
 
 CHUNK_RUNS = 10_000
 RETAINED_CAP = 1_000_000
@@ -53,30 +53,14 @@ class SweepResult:
     points: list  # [(axis_value, GainEstimate), ...]
 
 
-def _as_stream(seed) -> RngStream:
-    if isinstance(seed, RngStream):
-        return seed
-    return RngStream(int(seed), 0)
-
-
-def _run_chunks(n_runs: int, rng: RngStream, worker, threads=None) -> np.ndarray:
+def _run_chunks(n_runs: int, rng: RngStream, worker) -> np.ndarray:
     """Run `worker(chunk_rng, count) -> ndarray` over fixed chunks, in order."""
     if n_runs < 1:
         raise InvalidParameterError("n_runs must be >= 1")
-    sizes = []
-    left = n_runs
-    while left > 0:
-        take = min(CHUNK_RUNS, left)
-        sizes.append(take)
-        left -= take
-    jobs = [(rng.child(ci), count) for ci, count in enumerate(sizes)]
-    threads = 1 if threads is None else max(1, int(threads))
-    if threads == 1 or len(jobs) == 1:
-        parts = [worker(r, c) for r, c in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda job: worker(*job), jobs))
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+    return np.concatenate([
+        worker(rng.child(ci), min(CHUNK_RUNS, n_runs - start))
+        for ci, start in enumerate(range(0, n_runs, CHUNK_RUNS))
+    ])
 
 
 def _summarize(values: np.ndarray, rng: RngStream) -> GainEstimate:
@@ -107,27 +91,24 @@ def _summarize(values: np.ndarray, rng: RngStream) -> GainEstimate:
 
 
 def estimate_voting_power(p: SamplingDistribution, k: int, i: int, n_runs: int,
-                          seed, threads=None) -> GainEstimate:
+                          seed) -> GainEstimate:
     """Average occupancy share of node i over independent greedy samples."""
     i = int(i)
     if not (0 <= i < p.size):
         raise InvalidParameterError(f"node {i} out of range for {p.size} nodes")
-    rng = _as_stream(seed)
+    rng = as_stream(seed)
 
     def worker(chunk_rng: RngStream, count: int) -> np.ndarray:
-        out = np.empty(count)
-        for r in range(count):
-            s = greedy_sample(p, k, chunk_rng)
-            out[r] = s.counts.get(i, 0) / s.total_draws
-        return out
+        runs = greedy_runs(p, k, chunk_rng, count, track=i)
+        return runs.y / runs.v
 
-    values = _run_chunks(n_runs, rng, worker, threads)
+    values = _run_chunks(n_runs, rng, worker)
     return _summarize(values, rng)
 
 
 def estimate_split_gain(w: WeightDistribution, f: WeightFunction, k: int,
-                        split: SplitSpec, n_runs: int, seed, coupled: bool = True,
-                        threads=None) -> GainEstimate:
+                        split: SplitSpec, n_runs: int, seed, coupled: bool = True
+                        ) -> GainEstimate:
     """Estimate the voting power gained by splitting one node.
 
     Coupled mode drives the pre- and post-split runs from a shared draw
@@ -138,42 +119,20 @@ def estimate_split_gain(w: WeightDistribution, f: WeightFunction, k: int,
     p = sampling_distribution(w, f)
     node = split.node
     if coupled:
-        if f.name != "identity":
-            raise UnsupportedConfigurationError(
-                "coupled gain estimation requires the identity weight function; "
-                "rerun with coupled=False"
-            )
-        parts = tuple(range(node, node + split.r))
-
+        # greedy_runs refuses a split under any weight function but identity
         def worker(chunk_rng: RngStream, count: int) -> np.ndarray:
-            out = np.empty(count)
-            for r in range(count):
-                cs = coupled_greedy_sample(p, split, k, chunk_rng)
-                y_pre = cs.pre.counts.get(node, 0)
-                y_post = 0
-                for j in parts:
-                    y_post += cs.post.counts.get(j, 0)
-                out[r] = y_post / cs.post.total_draws - y_pre / cs.pre.total_draws
-            return out
+            runs = greedy_runs(p, k, chunk_rng, count, track=node, split=split)
+            return runs.y_post / runs.v_post - runs.y / runs.v
     else:
-        w_hat, index_map = apply_split(w, split)
-        p_hat = sampling_distribution(w_hat, f)
-        parts = index_map.part_indices
+        p_hat = sampling_distribution(apply_split(w, split)[0], f)
 
         def worker(chunk_rng: RngStream, count: int) -> np.ndarray:
-            out = np.empty(count)
-            for r in range(count):
-                pre = greedy_sample(p, k, chunk_rng)
-                post = greedy_sample(p_hat, k, chunk_rng)
-                y_post = 0
-                for j in parts:
-                    y_post += post.counts.get(j, 0)
-                out[r] = (y_post / post.total_draws
-                          - pre.counts.get(node, 0) / pre.total_draws)
-            return out
+            pre = greedy_runs(p, k, chunk_rng, count, track=node)
+            post = greedy_runs(p_hat, k, chunk_rng, count, track=range(node, node + split.r))
+            return post.y / post.v - pre.y / pre.v
 
-    rng = _as_stream(seed)
-    values = _run_chunks(n_runs, rng, worker, threads)
+    rng = as_stream(seed)
+    values = _run_chunks(n_runs, rng, worker)
     return _summarize(values, rng)
 
 
@@ -219,7 +178,7 @@ def _apply_axis(base: GainExperiment, axis: str, value) -> GainExperiment:
 
 
 def sweep_gain(base: GainExperiment, axis: str, values, seed,
-               n_runs=None, threads=None) -> SweepResult:
+               n_runs=None) -> SweepResult:
     """One gain estimate per axis value, all derived from a single master seed.
 
     Point j runs on stream id offset j, so a one-point sweep reproduces a
@@ -230,7 +189,7 @@ def sweep_gain(base: GainExperiment, axis: str, values, seed,
         raise InvalidParameterError("sweep needs at least one axis value")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise InvalidParameterError("axis values must be strictly increasing")
-    master = _as_stream(seed)
+    master = as_stream(seed)
     points = []
     for j, value in enumerate(vals):
         cfg = _apply_axis(base, axis, value)
@@ -238,7 +197,7 @@ def sweep_gain(base: GainExperiment, axis: str, values, seed,
         point_rng = RngStream(master.seed, master.stream_id + j)
         est = estimate_split_gain(
             cfg.weight_distribution(), cfg.f, cfg.k, cfg.split_spec(),
-            runs, point_rng, coupled=cfg.coupled, threads=threads,
+            runs, point_rng, coupled=cfg.coupled,
         )
         points.append((value, est))
     return SweepResult(axis=axis, points=points)
@@ -258,12 +217,12 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     return 1.06 * sd * n ** (-0.2)
 
 
-def kde_density(samples, bandwidth=None, grid=None) -> np.ndarray:
+def kde_density(samples, bandwidth=None, grid=None, points: int = 512) -> np.ndarray:
     """Gaussian kernel density estimate, returned as (x, density) rows.
 
-    Without an explicit grid, evaluates on 512 points spanning the sample
-    range widened by five bandwidths on each side, which keeps the trapezoid
-    integral within about 1e-3 of 1.
+    Without an explicit grid, evaluates on `points` points spanning the
+    sample range widened by five bandwidths on each side, which keeps the
+    trapezoid integral within about 1e-3 of 1.
     """
     x = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples,
                    dtype=float)
@@ -282,7 +241,7 @@ def kde_density(samples, bandwidth=None, grid=None) -> np.ndarray:
     if grid is None:
         lo = float(x.min()) - 5.0 * h
         hi = float(x.max()) + 5.0 * h
-        grid = np.linspace(lo, hi, 512)
+        grid = np.linspace(lo, hi, points)
     else:
         grid = np.asarray(list(grid) if not isinstance(grid, np.ndarray) else grid,
                           dtype=float)

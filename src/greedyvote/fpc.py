@@ -6,7 +6,8 @@ weights (counting multiplicity).  Round one compares the average against a
 fixed threshold; later rounds compare against a uniform random threshold on
 [beta, 1 - beta] that is shared by all nodes in that round, which is what
 blunts adversarial threshold-gaming.  Rounds are synchronous: all updates in
-a round read the previous round's opinions.
+a round read the previous round's opinions.  Round t samples all N quorums
+as N runs of `sampler.greedy_runs` on the round's own substream.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateSampleError, InvalidParameterError
 from .weights import CONSTANT_ONE, IDENTITY, WeightDistribution, WeightFunction, sampling_distribution
-from .sampler import GreedySample, RngStream, greedy_sample
+from .sampler import GreedySample, as_stream, greedy_runs
 
 _THRESHOLD_TAG = 0x7EED  # substream tag for the shared per-round threshold
 
@@ -94,11 +95,8 @@ def run_fpc(config: FpcConfig, weights: WeightDistribution, initial_opinions,
     if not np.isin(opinions, (0, 1)).all():
         raise InvalidParameterError("opinions must be 0 or 1")
     p = sampling_distribution(weights, config.scheme_f)
-    if config.k > p.support_size:
-        raise InvalidParameterError(
-            f"k={config.k} exceeds the sampleable support ({p.support_size} nodes)"
-        )
-    rng = _as_stream(seed)
+    rng = as_stream(seed)
+    g_weights = config.scheme_g.apply(weights.weights)
 
     rows = [opinions.copy()]
     thresholds = []
@@ -114,25 +112,23 @@ def run_fpc(config: FpcConfig, weights: WeightDistribution, initial_opinions,
             u = rng.child(_THRESHOLD_TAG, t).generator.random()
             u_t = config.beta + (1.0 - 2.0 * config.beta) * u
             thresholds.append(u_t)
-        new_opinions = np.empty(n, dtype=np.int8)
-        round_draws = np.empty(n, dtype=np.int64) if record_draws else None
-        for i in range(n):
-            sample = greedy_sample(p, config.k, rng.child(t, i))
-            if record_draws:
-                round_draws[i] = sample.total_draws
-            eta = mean_opinion(sample, opinions, config.scheme_g, weights)
-            if t == 1:
-                new_opinions[i] = 1 if eta >= config.theta else 0
-            elif eta > u_t:
-                new_opinions[i] = 1
-            elif eta < u_t:
-                new_opinions[i] = 0
-            else:
-                new_opinions[i] = opinions[i]
-        opinions = new_opinions
-        rows.append(opinions.copy())
+        # multiplicity-weighted mean opinion of every node's quorum, as in
+        # mean_opinion: sums of g(weight) * opinion and of g(weight) per run
+        runs = greedy_runs(p, config.k, rng.child(t), n,
+                           totals=(g_weights * opinions, g_weights))
+        num, den = runs.totals
+        if not (den > 0.0).all():
+            raise DegenerateSampleError(
+                "averaging weight function vanishes on every sampled node"
+            )
+        eta = num / den
+        if t == 1:
+            opinions = (eta >= config.theta).astype(np.int8)
+        else:
+            opinions = np.where(eta > u_t, 1, np.where(eta < u_t, 0, opinions)).astype(np.int8)
+        rows.append(opinions)
         if record_draws:
-            draw_counts.append(round_draws)
+            draw_counts.append(runs.v)
 
         first = int(opinions[0])
         unanimous = bool((opinions == first).all())
@@ -158,12 +154,6 @@ def run_fpc(config: FpcConfig, weights: WeightDistribution, initial_opinions,
         final_agreement=final_agreement,
         draw_counts=np.vstack(draw_counts) if record_draws and draw_counts else None,
     )
-
-
-def _as_stream(seed) -> RngStream:
-    if isinstance(seed, RngStream):
-        return seed
-    return RngStream(int(seed), 0)
 
 
 def majority_initial_opinions(n: int, ones_fraction: float) -> np.ndarray:

@@ -3,8 +3,10 @@ pre/post-split variant.
 
 Draws come from an alias table (O(1) per draw after an O(N) build, cached per
 distribution) fed by counter-based Philox streams, so identical
-(seed, stream_id) inputs replay bit-identical sequences regardless of thread
-scheduling.
+(seed, stream_id) inputs replay bit-identical sequences.  `greedy_runs` is
+the block-vectorized kernel behind every Monte Carlo path; `greedy_sample`
+and `coupled_greedy_sample` run one sample at a time and serve as the
+single-run API and as the kernel's independent reference.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnsupportedConfigurationError
-from .weights import SamplingDistribution, SplitSpec
+from .errors import InvalidParameterError, SamplingError, UnsupportedConfigurationError
+from .weights import IndexMap, SamplingDistribution, SplitSpec, WeightDistribution, apply_split
 
 _MASK64 = (1 << 64) - 1
 
@@ -34,9 +36,9 @@ class RngStream:
     """A named, reproducible random stream.
 
     The (seed, stream_id) pair keys a Philox counter-based generator, so the
-    stream replays exactly across processes and is independent of how many
-    worker threads consume sibling streams.  The stream is stateful: repeated
-    draws continue the same sequence.
+    stream replays exactly across processes and does not depend on what
+    sibling streams consume.  The stream is stateful: repeated draws continue
+    the same sequence.
     """
 
     seed: int
@@ -85,6 +87,14 @@ class AliasTable:
         idx = gen.integers(0, self.size, n)
         accept = gen.random(n) < self.prob[idx]
         return np.where(accept, idx, self.alias[idx]).tolist()
+
+    def draw(self, gen: np.random.Generator, shape) -> np.ndarray:
+        """Array of draws using one uniform each: its integer part picks the
+        column and its fraction the accept test.  (1 - 2**-53) * size rounds
+        below size, so the column index stays in range."""
+        u = gen.random(shape) * self.size
+        idx = u.astype(np.int64)
+        return np.where(u - idx < self.prob[idx], idx, self.alias[idx])
 
 
 def _alias_table(p: SamplingDistribution) -> AliasTable:
@@ -150,10 +160,6 @@ class CoupledSample:
     def L(self) -> int:
         return self.extra_split_hits
 
-    def _post_index(self, pre_index: int) -> int:
-        r = len(self.part_indices)
-        return pre_index if pre_index < self.split_node else pre_index + r - 1
-
     def validate(self):
         self.pre.validate()
         self.post.validate()
@@ -165,10 +171,11 @@ class CoupledSample:
         y_post = sum(self.post.counts.get(j, 0) for j in self.part_indices)
         if y_pre != y_post + self.extra_split_hits:
             raise AssertionError("split-node occurrences must satisfy Y_pre = Y_post + L")
+        index_map = IndexMap(self.split_node, self.part_indices)
         for u, c in self.pre.counts.items():
             if u == self.split_node:
                 continue
-            if c < self.post.counts.get(self._post_index(u), 0):
+            if c < self.post.counts.get(index_map.map_node(u), 0):
                 raise AssertionError(f"non-split node {u} gained occurrences post-split")
 
 
@@ -177,18 +184,7 @@ class CoupledSample:
 # ---------------------------------------------------------------------------
 
 
-def draw_one(p: SamplingDistribution, rng: RngStream) -> int:
-    """Draw a single node index with probability p_i."""
-    table = _alias_table(p)
-    gen = rng.generator
-    i = int(gen.integers(0, table.size))
-    if gen.random() < table.prob[i]:
-        return i
-    return int(table.alias[i])
-
-
-def greedy_sample(p: SamplingDistribution, k: int, rng: RngStream) -> GreedySample:
-    """Sample with replacement until k distinct nodes have been seen."""
+def _check_k(p: SamplingDistribution, k) -> int:
     k = int(k)
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
@@ -196,6 +192,31 @@ def greedy_sample(p: SamplingDistribution, k: int, rng: RngStream) -> GreedySamp
         raise InvalidParameterError(
             f"k={k} exceeds support size {p.support_size}; sampling would never terminate"
         )
+    return k
+
+
+def _check_split(p: SamplingDistribution, split: SplitSpec):
+    if p.source_f != "identity":
+        raise UnsupportedConfigurationError(
+            "coupled sampling requires the identity weight function "
+            f"(got {p.source_f}); use independent estimation instead"
+        )
+    if not (0 <= split.node < p.size):
+        raise InvalidParameterError(
+            f"split node {split.node} out of range for {p.size} nodes"
+        )
+    if float(p.probs[split.node]) <= 0.0:
+        raise InvalidParameterError("cannot split a zero-probability node")
+
+
+def draw_one(p: SamplingDistribution, rng: RngStream) -> int:
+    """Draw a single node index with probability p_i."""
+    return int(_alias_table(p).draw(rng.generator, 1)[0])
+
+
+def greedy_sample(p: SamplingDistribution, k: int, rng: RngStream) -> GreedySample:
+    """Sample with replacement until k distinct nodes have been seen."""
+    k = _check_k(p, k)
     table = _alias_table(p)
     gen = rng.generator
     counts: dict = {}
@@ -234,16 +255,8 @@ def split_probs(p: SamplingDistribution, split: SplitSpec) -> SamplingDistributi
             "splitting sampling probabilities in place requires the identity "
             f"weight function, got {p.source_f}"
         )
-    if not (0 <= split.node < p.size):
-        raise InvalidParameterError(
-            f"split node {split.node} out of range for {p.size} nodes"
-        )
-    p_i = float(p.probs[split.node])
-    if p_i <= 0.0:
-        raise InvalidParameterError("cannot split a zero-probability node")
-    parts = p_i * split.fractions
-    post = np.concatenate([p.probs[:split.node], parts, p.probs[split.node + 1:]])
-    return SamplingDistribution(post, source_f="identity")
+    post, _ = apply_split(WeightDistribution(p.probs), split)
+    return SamplingDistribution(post.weights, source_f="identity")
 
 
 def coupled_greedy_sample(p: SamplingDistribution, split: SplitSpec, k: int,
@@ -256,27 +269,9 @@ def coupled_greedy_sample(p: SamplingDistribution, split: SplitSpec, k: int,
     it stops first and the remaining draws are tallied as extra_draws /
     extra_split_hits.
     """
-    if p.source_f != "identity":
-        raise UnsupportedConfigurationError(
-            "coupled sampling requires the identity weight function "
-            f"(got {p.source_f}); use independent estimation instead"
-        )
-    k = int(k)
-    if k < 1:
-        raise InvalidParameterError("k must be >= 1")
-    if k > p.support_size:
-        raise InvalidParameterError(
-            f"k={k} exceeds the pre-split support size {p.support_size}; "
-            "the pre-split run would never terminate"
-        )
-    if not (0 <= split.node < p.size):
-        raise InvalidParameterError(
-            f"split node {split.node} out of range for {p.size} nodes"
-        )
+    _check_split(p, split)
+    k = _check_k(p, k)
     node = split.node
-    if float(p.probs[node]) <= 0.0:
-        raise InvalidParameterError("cannot split a zero-probability node")
-
     r = split.r
     cum = np.cumsum(split.fractions).tolist()
     cum[-1] = 1.0  # guard against rounding shortfall on the last part
@@ -337,7 +332,8 @@ def coupled_greedy_sample(p: SamplingDistribution, split: SplitSpec, k: int,
 
     # the post-split prefix always holds at least as many distinct nodes,
     # so it must have finished by the time the pre-split run does
-    assert post_done
+    if not post_done:
+        raise SamplingError("the post-split run outlasted the pre-split run")
     pre = GreedySample(counts=pre_counts, total_draws=v_pre, distinct=k, last_node=a)
     post = GreedySample(counts=post_counts, total_draws=v_post, distinct=k,
                         last_node=post_last)
@@ -346,3 +342,156 @@ def coupled_greedy_sample(p: SamplingDistribution, split: SplitSpec, k: int,
         extra_draws=extra_draws, extra_split_hits=extra_hits,
         split_node=node, part_indices=tuple(range(node, node + r)),
     )
+
+
+# ---------------------------------------------------------------------------
+# block-vectorized kernel
+# ---------------------------------------------------------------------------
+
+STREAM_LAYOUT = 2  # version of the seed -> draws layout that greedy_runs defines
+BLOCK_ROWS = 512  # runs per block
+BLOCK_CELLS = 1 << 19  # draws per matrix; bounds a block's memory when runs are long
+
+
+def as_stream(seed) -> RngStream:
+    """An RngStream as is, or stream 0 of an integer seed."""
+    return seed if isinstance(seed, RngStream) else RngStream(int(seed), 0)
+
+
+@dataclass(eq=False)
+class GreedyRuns:
+    """Outcomes of many greedy runs, one array entry per run.
+
+    v is the draw count and y the number of draws of the tracked nodes.
+    Coupled runs add the post-split run on the same draws (v_post; y_post
+    counts draws of any part) and the pre-split run's extra draws K and
+    extra split-node hits L after the post-split run stopped.  totals[j]
+    sums the j-th per-node value vector over each run's draws.
+    """
+
+    v: np.ndarray
+    y: np.ndarray
+    v_post: np.ndarray | None = None
+    y_post: np.ndarray | None = None
+    K: np.ndarray | None = None
+    L: np.ndarray | None = None
+    totals: np.ndarray | None = None
+
+
+def greedy_runs(p: SamplingDistribution, k: int, rng: RngStream, n_runs: int,
+                track=0, split: SplitSpec | None = None, totals=()) -> GreedyRuns:
+    """n_runs greedy samples off one stream, in blocks of consecutive runs.
+
+    A block draws a (rows x width) matrix; row r holds run r's draws in
+    order.  Rows short of k distinct nodes are extended with further draws
+    from the same stream, never redrawn, so every run sees an i.i.d.
+    sequence whatever the width, which follows the previous block's 90th
+    percentile draw count.  Blocks hold up to BLOCK_ROWS rows and, like the
+    groups of rows extended together, at most BLOCK_CELLS draws unless a
+    single row needs more.
+
+    `track` is a node index or range counted into y.  With a split, the
+    post-split run of a finished row is its pre-split run with each
+    split-node draw replaced by a part chosen with its own uniform.
+    `totals` holds per-node value vectors to sum over each run's draws.
+    """
+    k = _check_k(p, k)
+    if split is not None:
+        _check_split(p, split)
+    n_runs = int(n_runs)
+    if n_runs < 0:
+        raise InvalidParameterError("n_runs must be >= 0")
+    if not isinstance(track, range):
+        track = range(int(track), int(track) + 1)
+    values = [np.asarray(t, dtype=float) for t in totals]
+    counts = [np.empty(n_runs, dtype=np.int64) for _ in range(2 if split is None else 6)]
+    out = GreedyRuns(*counts, totals=np.empty((len(values), n_runs)))
+    blocks = _Blocks(_alias_table(p), k, rng.generator, track, split, values, out)
+    width = k + k // 2 + 8
+    start = 0
+    while start < n_runs:
+        size = max(1, min(BLOCK_ROWS, BLOCK_CELLS // width))
+        rows = np.arange(start, min(start + size, n_runs))
+        blocks.finish(rows, blocks.table.draw(blocks.gen, (rows.size, width)))
+        width = int(np.quantile(out.v[rows], 0.9))
+        start += rows.size
+    return out
+
+
+class _Blocks:
+    """What the blocks of one greedy_runs call share: table, stream, options
+    and the output arrays their rows are recorded into."""
+
+    def __init__(self, table, k, gen, track, split, values, out):
+        self.table, self.k, self.gen = table, k, gen
+        self.track, self.split, self.values, self.out = track, split, values, out
+        if split is not None:
+            self.cum = np.cumsum(split.fractions)
+            self.cum[-1] = 1.0  # guard against rounding shortfall on the last part
+
+    def finish(self, rows, draws):
+        """Record every row once it has k distinct nodes, doubling the width
+        of the others; a group too wide for BLOCK_CELLS goes on in parts."""
+        while True:
+            v = _stop_points(draws, self.k)
+            done = v > 0
+            self.record(rows[done], v[done], draws[done])
+            if done.all():
+                return
+            rows, draws = rows[~done], draws[~done]
+            group = max(1, BLOCK_CELLS // (2 * draws.shape[1]))
+            if group < rows.size:
+                for i in range(0, rows.size, group):
+                    self.finish(rows[i:i + group], draws[i:i + group])
+                return
+            more = self.table.draw(self.gen, draws.shape)
+            draws = np.concatenate([draws, more], axis=1)
+
+    def record(self, rows, v, draws):
+        """Store finished rows' outcomes, checking the coupling on the way."""
+        out, split = self.out, self.split
+        cols = np.arange(draws.shape[1])
+        in_run = cols < v[:, None]
+        out.v[rows] = v
+        out.y[rows] = np.count_nonzero(
+            in_run & (draws >= self.track.start) & (draws < self.track.stop), axis=1)
+        for j, value in enumerate(self.values):
+            out.totals[j, rows] = np.where(in_run, value[draws], 0.0).sum(axis=1)
+        if split is None:
+            return
+        # post-split image of the run: later nodes shift by r - 1, and each
+        # split-node draw becomes the part that its own uniform selects
+        node = split.node
+        hit = in_run & (draws == node)
+        post = np.where(draws > node, draws + (split.r - 1), draws)
+        post[hit] = node + np.searchsorted(self.cum, self.gen.random(int(hit.sum())),
+                                           side="right")
+        v_post = _stop_points(post, self.k)
+        if not ((v_post > 0) & (v_post <= v)).all():
+            raise SamplingError(
+                "a post-split run outlasted its pre-split run (need v_post <= v_pre)")
+        in_post = cols < v_post[:, None]
+        extra = in_run & ~in_post
+        out.K[rows] = K = np.count_nonzero(extra, axis=1)
+        out.L[rows] = L = np.count_nonzero(extra & hit, axis=1)
+        if not ((L >= 0) & (L <= K)).all():
+            raise SamplingError("coupled runs broke 0 <= L <= K")
+        out.v_post[rows] = v_post
+        out.y_post[rows] = np.count_nonzero(
+            in_post & (post >= node) & (post < node + split.r), axis=1)
+
+
+def _stop_points(draws: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the draw count at which k distinct nodes are reached, or 0.
+
+    A stable argsort lines up each node's draws in draw order, so the head
+    of each run of equal values marks that node's first occurrence.
+    """
+    order = np.argsort(draws, axis=1, kind="stable")
+    ordered = np.take_along_axis(draws, order, axis=1)
+    head = np.ones(draws.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=head[:, 1:])
+    first = np.empty_like(head)
+    np.put_along_axis(first, order, head, axis=1)
+    reached = np.cumsum(first, axis=1) >= k
+    return np.where(reached[:, -1], np.argmax(reached, axis=1) + 1, 0)

@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from greedyvote import __version__
 from greedyvote.cli import ExperimentConfig, main
 from greedyvote.errors import InvalidParameterError
+from greedyvote.sampler import STREAM_LAYOUT
 
 
 def _read_rows(path):
@@ -89,6 +91,27 @@ class TestGain:
         assert sidecar["subcommand"] == "gain"
         assert sidecar["s"] == 0.9
         assert sidecar["n"] == 40
+        assert sidecar["stream_layout"] == STREAM_LAYOUT
+        assert sidecar["greedyvote_version"] == __version__
+
+    def test_sidecar_reproduces_output(self, tmp_path):
+        out = tmp_path / "gain.csv"
+        assert main(["gain", "--s", "1.0", "--n", "50", "--k", "3",
+                     "--n-runs", "3000", "--seed", "9", "-o", str(out)]) == 0
+        again = tmp_path / "again.csv"
+        assert main(["gain", "--config", f"{out}.config.json", "-o", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
+
+    def test_sidecar_of_other_stream_layout_rejected(self, tmp_path, capsys):
+        out = tmp_path / "gain.csv"
+        assert main(["gain", "--n", "20", "--k", "2", "--n-runs", "100",
+                     "-o", str(out)]) == 0
+        sidecar = tmp_path / "gain.csv.config.json"
+        doc = json.loads(sidecar.read_text())
+        doc["stream_layout"] = STREAM_LAYOUT - 1
+        sidecar.write_text(json.dumps(doc))
+        assert main(["gain", "--config", str(sidecar)]) == 2
+        assert "stream layout" in capsys.readouterr().err
 
     def test_weights_csv_generator(self, tmp_path):
         wfile = tmp_path / "w.csv"
@@ -167,6 +190,16 @@ class TestSampleAndPower:
         assert lines[0] == "run,v,count"
         assert len(lines) == 6
 
+    def test_sample_rows_are_consistent_runs(self, capsys):
+        # one run per row, numbered in order; the node's count never exceeds
+        # v - (k - 1), since the other k - 1 distinct nodes take a draw each
+        assert main(["sample", "--weights", "0.6,0.3,0.1", "--k", "2", "--node", "1",
+                     "--n-runs", "1500", "--seed", "2"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()[1:]
+        rows = [tuple(int(x) for x in line.split(",")) for line in lines]
+        assert [r[0] for r in rows] == list(range(1500))
+        assert all(v >= 2 and 0 <= c <= v - 1 for _, v, c in rows)
+
     def test_power_row(self, tmp_path):
         out = tmp_path / "power.csv"
         rc = main(["power", "--weights", "0.75,0.25", "--k", "2", "--node", "1",
@@ -199,17 +232,6 @@ class TestFpc:
         assert summary["final_agreement"] == 1.0
         sidecar = json.loads((tmp_path / "fpc.csv.config.json").read_text())
         assert sidecar["ones_fraction"] == 0.9
-
-    def test_threads_env_does_not_change_output(self, tmp_path, monkeypatch):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        args = ["power", "--weights", "0.6,0.4", "--k", "2",
-                "--n-runs", "15000", "--seed", "8"]
-        monkeypatch.setenv("GREEDYVOTE_THREADS", "1")
-        assert main(args + ["-o", str(a)]) == 0
-        monkeypatch.setenv("GREEDYVOTE_THREADS", "4")
-        assert main(args + ["-o", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
 
 
 class TestConsoleScript:

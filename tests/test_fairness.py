@@ -112,11 +112,11 @@ class TestEstimateSplitGain:
                                   20_000, seed=4, coupled=False)
         assert est.mean - 4 * est.std_error > 0
 
-    def test_thread_count_does_not_change_results(self):
+    def test_rerun_is_bit_identical(self):
         w = zipf_weights(ZipfParams(1.0, 50))
         split = SplitSpec.equal(0, 2)
-        a = estimate_split_gain(w, IDENTITY, 3, split, 25_000, seed=5, threads=1)
-        b = estimate_split_gain(w, IDENTITY, 3, split, 25_000, seed=5, threads=4)
+        a = estimate_split_gain(w, IDENTITY, 3, split, 25_000, seed=5)
+        b = estimate_split_gain(w, IDENTITY, 3, split, 25_000, seed=5)
         assert a.mean == b.mean and a.std_error == b.std_error
         assert np.array_equal(a.retained_samples, b.retained_samples)
 
@@ -156,8 +156,8 @@ class TestSweepGain:
 
     def test_rerun_is_bit_identical(self):
         base = GainExperiment(zipf_s=1.0, n_nodes=60, k=3, n_runs=4_000)
-        a = sweep_gain(base, "sample_k", [2, 4], seed=12, threads=1)
-        b = sweep_gain(base, "sample_k", [2, 4], seed=12, threads=3)
+        a = sweep_gain(base, "sample_k", [2, 4], seed=12)
+        b = sweep_gain(base, "sample_k", [2, 4], seed=12)
         assert [e.mean for _, e in a.points] == [e.mean for _, e in b.points]
 
 

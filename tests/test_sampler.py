@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import chisquare_gof_pvalue, chisquare_two_sample_pvalue, counts_of
+from greedyvote import sampler
 from greedyvote.errors import InvalidParameterError, UnsupportedConfigurationError
 from greedyvote.exact import exact_joint_distribution, exact_v_distribution
 from greedyvote.sampler import (
     RngStream,
     coupled_greedy_sample,
     draw_one,
+    greedy_runs,
     greedy_sample,
     split_probs,
 )
 from greedyvote.weights import SamplingDistribution, SplitSpec, sampling_distribution
-from greedyvote.weights import CONSTANT_ONE, WeightDistribution
+from greedyvote.weights import CONSTANT_ONE, WeightDistribution, ZipfParams, zipf_weights
 
 
 class TestRngStream:
@@ -241,3 +243,142 @@ class TestCoupledGreedySample:
             assert ca.pre.counts == cb.pre.counts
             assert ca.post.counts == cb.post.counts
             assert (ca.K, ca.L) == (cb.K, cb.L)
+
+
+class TestGreedyRuns:
+    """The block kernel, checked against exact laws and the scalar samplers."""
+
+    def test_coupling_invariants_on_a_million_runs(self):
+        # the five configurations of acceptance criterion 4, 200k runs each
+        configs = [
+            (SamplingDistribution.from_probs([0.25] * 4), SplitSpec.equal(0, 2), 2),
+            (SamplingDistribution.from_probs([0.9, 0.1]),
+             SplitSpec(0, np.array([0.3, 0.7])), 2),
+            (sampling_distribution(zipf_weights(ZipfParams(1.1, 100))),
+             SplitSpec(0, np.array([0.2, 0.3, 0.5])), 5),
+            (sampling_distribution(zipf_weights(ZipfParams(0.8, 1000))),
+             SplitSpec.equal(0, 2), 20),
+            (sampling_distribution(zipf_weights(ZipfParams(2.0, 50))),
+             SplitSpec.equal(2, 4), 10),
+        ]
+        for idx, (p, split, k) in enumerate(configs):
+            runs = greedy_runs(p, k, RngStream(405, idx), 200_000,
+                               track=split.node, split=split)
+            assert np.array_equal(runs.v, runs.v_post + runs.K)
+            assert np.array_equal(runs.y, runs.y_post + runs.L)
+            assert ((runs.L >= 0) & (runs.L <= runs.K)).all()
+            assert (runs.v_post >= k).all()
+
+    def test_draw_count_law_matches_exact_distribution(self):
+        p = SamplingDistribution.from_probs([0.9, 0.1])
+        d = exact_v_distribution(p, 2, 120)
+        runs = greedy_runs(p, 2, RngStream(31338), 100_000)
+        pval = chisquare_gof_pvalue(counts_of(runs.v.tolist()), d.probs, 100_000,
+                                    residual=d.residual)
+        assert pval > 0.01
+
+    def test_joint_law_matches_exact_distribution(self):
+        p = SamplingDistribution.from_probs([0.4, 0.3, 0.2, 0.1])
+        law = exact_joint_distribution(p, 3, 0, 24)
+        runs = greedy_runs(p, 3, RngStream(90211), 100_000, track=0)
+        pairs = zip(runs.y.tolist(), runs.v.tolist())
+        pval = chisquare_gof_pvalue(counts_of(pairs), law.probs, 100_000,
+                                    residual=law.residual)
+        assert pval > 0.01
+
+    def test_coupled_runs_follow_the_exact_laws(self):
+        # each side of a coupled pair is a plain greedy run: the pre-split run
+        # on the original network jointly in (split-node hits, draws), the
+        # post-split run on the split network in its draw count
+        p = SamplingDistribution.from_probs([0.4, 0.35, 0.25])
+        split = SplitSpec(0, np.array([0.3, 0.7]))
+        runs = greedy_runs(p, 3, RngStream(4242), 100_000, track=0, split=split)
+        joint = exact_joint_distribution(p, 3, 0, 24)
+        pairs = zip(runs.y.tolist(), runs.v.tolist())
+        assert chisquare_gof_pvalue(counts_of(pairs), joint.probs, 100_000,
+                                    residual=joint.residual) > 0.01
+        post_law = exact_v_distribution(split_probs(p, split), 3, 24)
+        assert chisquare_gof_pvalue(counts_of(runs.v_post.tolist()), post_law.probs,
+                                    100_000, residual=post_law.residual) > 0.01
+
+    def test_matches_scalar_coupled_reference(self):
+        # two-sample test of the kernel's (K, L) and draw-count laws against
+        # the one-run-at-a-time coupled sampler
+        p = SamplingDistribution.from_probs([0.4, 0.35, 0.25])
+        split = SplitSpec.equal(0, 2)
+        n = 50_000
+        runs = greedy_runs(p, 3, RngStream(606), n, track=0, split=split)
+        rng = RngStream(607)
+        ref = [coupled_greedy_sample(p, split, 3, rng) for _ in range(n)]
+        kernel_kl = counts_of(zip(runs.K.tolist(), runs.L.tolist()))
+        scalar_kl = counts_of((cs.K, cs.L) for cs in ref)
+        assert chisquare_two_sample_pvalue(kernel_kl, scalar_kl) > 0.01
+        kernel_v = counts_of(zip(runs.v_post.tolist(), runs.v.tolist()))
+        scalar_v = counts_of((cs.post.total_draws, cs.pre.total_draws) for cs in ref)
+        assert chisquare_two_sample_pvalue(kernel_v, scalar_v) > 0.01
+
+    def test_short_rows_are_extended_not_redrawn(self):
+        # a uniform coupon collector over 30 nodes needs 30 * H_30 ~ 120 draws
+        # on average, far past the first block width, so nearly every row is
+        # extended; redrawing short rows would drag the mean far below
+        p = SamplingDistribution.from_probs([1.0 / 30] * 30)
+        runs = greedy_runs(p, 30, RngStream(3030), 20_000)
+        expected = 30 * sum(1.0 / j for j in range(1, 31))
+        se = runs.v.std(ddof=1) / np.sqrt(runs.v.size)
+        assert abs(runs.v.mean() - expected) <= 4 * se
+
+    def test_cell_budget_splits_blocks_without_changing_the_law(self, monkeypatch):
+        # a 200-draw budget forces blocks of a few rows and extension in
+        # groups of one row; the coupon-collector mean and the coupling
+        # identities must survive it
+        monkeypatch.setattr(sampler, "BLOCK_CELLS", 200)
+        p = SamplingDistribution.from_probs([1.0 / 30] * 30)
+        runs = greedy_runs(p, 30, RngStream(3031), 4_000)
+        expected = 30 * sum(1.0 / j for j in range(1, 31))
+        se = runs.v.std(ddof=1) / np.sqrt(runs.v.size)
+        assert abs(runs.v.mean() - expected) <= 4 * se
+        q = sampling_distribution(zipf_weights(ZipfParams(2.0, 50)))
+        split = SplitSpec.equal(2, 4)
+        runs = greedy_runs(q, 10, RngStream(3032), 4_000, track=2, split=split)
+        assert np.array_equal(runs.v, runs.v_post + runs.K)
+        assert np.array_equal(runs.y, runs.y_post + runs.L)
+        assert (runs.v_post >= 10).all()
+
+    def test_totals_sum_values_over_each_run(self):
+        p = SamplingDistribution.from_probs([0.5, 0.3, 0.2])
+        indicator = np.array([0.0, 1.0, 0.0])
+        runs = greedy_runs(p, 2, RngStream(11), 3_000, track=1,
+                           totals=(np.ones(3), indicator))
+        assert np.array_equal(runs.totals[0], runs.v)
+        assert np.array_equal(runs.totals[1], runs.y)
+
+    def test_stream_layout_is_pinned(self):
+        # these runs belong to stream layout 2; a change that moves them must
+        # raise sampler.STREAM_LAYOUT and update the pin
+        p = SamplingDistribution.from_probs([0.6, 0.25, 0.15])
+        runs = greedy_runs(p, 3, RngStream(2021), 10, track=0,
+                           split=SplitSpec(0, np.array([0.4, 0.6])))
+        assert sampler.STREAM_LAYOUT == 2
+        assert runs.v.tolist() == [40, 5, 16, 6, 4, 11, 6, 9, 5, 3]
+        assert runs.v_post.tolist() == [11, 4, 4, 4, 4, 3, 4, 3, 4, 3]
+        assert runs.y.tolist() == [22, 3, 9, 4, 2, 6, 4, 7, 3, 1]
+        assert runs.L.tolist() == [18, 0, 7, 1, 0, 4, 1, 5, 0, 0]
+
+    def test_determinism(self):
+        p = SamplingDistribution.from_probs([0.5, 0.3, 0.2])
+        split = SplitSpec(1, np.array([0.7, 0.3]))
+        a = greedy_runs(p, 3, RngStream(55, 2), 2_000, track=1, split=split)
+        b = greedy_runs(p, 3, RngStream(55, 2), 2_000, track=1, split=split)
+        for name in ("v", "y", "v_post", "y_post", "K", "L"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_invalid_arguments_rejected(self):
+        p = SamplingDistribution.from_probs([0.5, 0.5, 0.0])
+        with pytest.raises(InvalidParameterError):
+            greedy_runs(p, 3, RngStream(0), 10)
+        with pytest.raises(InvalidParameterError):
+            greedy_runs(p, 2, RngStream(0), 10, split=SplitSpec.equal(2, 2))
+        w = WeightDistribution.from_raw([0.6, 0.4])
+        q = sampling_distribution(w, CONSTANT_ONE)
+        with pytest.raises(UnsupportedConfigurationError):
+            greedy_runs(q, 2, RngStream(0), 10, split=SplitSpec.equal(0, 2))
