@@ -341,8 +341,9 @@ def _cmd_power(cfg: ExperimentConfig) -> int:
     p = weights.sampling_distribution(w, weights.WeightFunction.parse(cfg["f"]))
     node0 = _node_index(cfg, w.size)
     if cfg["epsilon"] is not None:
-        # exact truncated computation instead of Monte Carlo
-        value, error_bound = exact.voting_power_truncated(
+        # exact inclusion–exclusion sum instead of Monte Carlo; the bound is
+        # its float64 rounding error, refused above epsilon
+        value, error_bound = exact.voting_power_exact(
             p, cfg["k"], node0, cfg["epsilon"]
         )
         _emit_csv(cfg["output"], ("node", "value", "error_bound"),

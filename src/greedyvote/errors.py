@@ -10,10 +10,11 @@ class InvalidParameterError(GreedyVoteError, ValueError):
 
 
 class ResourceLimitError(GreedyVoteError):
-    """An exact computation would exceed its enumeration budget.
+    """An exact computation would exceed its term budget, or could not reach
+    the requested accuracy.
 
-    The message names the offending dimension so callers can tell which
-    input to shrink (or switch to Monte Carlo estimation instead).
+    The message names the count or bound that was exceeded, so callers can
+    tell which input to shrink (or switch to Monte Carlo estimation instead).
     """
 
 

@@ -1,34 +1,38 @@
-"""Exact (enumerative and closed-form) greedy-sampling distributions.
+"""Exact (inclusion–exclusion and closed-form) greedy-sampling distributions.
 
 Everything here is deterministic arithmetic: the distribution of the number
 of draws needed to see k distinct nodes, the joint law of (occurrences of a
 node, number of draws), the distinct-count law for a fixed number of draws,
-plus the k = 2 closed forms for voting power and split gain and their
-equal-split limit curve.
+untruncated voting power for any k, plus the k = 2 closed forms for voting
+power and split gain and their equal-split limit curve.
 
-Enumeration walks integer compositions (how many times each of the other
-distinct nodes appears) and sums over node subsets with a small dynamic
-program, so cost is bounded and checked up front.
+Every law is one sum over the node subsets S of the support with |S| < k,
+from the coupon-collector identity (Flajolet, Gardy & Thimonier 1992)
+
+    P(V > v) = sum_S c_S p_S^v,  c_S = (-1)^(k-1-|S|) C(N-|S|-1, k-1-|S|),
+
+where N counts the nodes of positive probability and p_S is the mass of S.
+The signed terms cancel, so float64 keeps fewer digits than it carries:
+`voting_power_exact` states its rounding bound.  The cost is the subset count
+times the cells each subset is summed into; it is checked against one term
+budget, `MAX_TERMS`, before anything is allocated.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameterError, ResourceLimitError, UnsupportedConfigurationError
 from .weights import SamplingDistribution, SplitSpec, _fsum
 
-MAX_NODES = 14
-MAX_K = 6
-MAX_K_DISTINCT_COUNT = 10
-# enumeration budget: number of compositions a single call may expand.  The
-# worst permitted corner (N=14, k=6, v_max=24) expands ~1e5 compositions and
-# ~5e7 arithmetic terms; anything costlier must go through Monte Carlo.
-MAX_ENUMERATED_COMPOSITIONS = 200_000
+# term budget of one exact call: subsets x cells.  At the limit the power
+# tables take 32 MB of float64; N=60, k=8 (4.4e8 subsets) is refused up front.
+MAX_TERMS = 1 << 22
 
 ORACLE_MAX_NODES = 5
 ORACLE_MAX_VMAX = 10
@@ -96,121 +100,75 @@ class UDistribution:
 
 
 # ---------------------------------------------------------------------------
-# composition and subset-sum machinery
+# the subset table
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _compositions(total: int, parts: int) -> tuple:
-    """All ordered tuples of `parts` positive integers summing to `total`."""
-    if parts == 0:
-        return ((),) if total == 0 else ()
-    if parts == 1:
-        return ((total,),) if total >= 1 else ()
-    out = []
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return tuple(out)
+class _Subsets(NamedTuple):
+    """Every subset S of the support with |S| <= some size, one entry each."""
+
+    size: np.ndarray  # |S|
+    rest: np.ndarray  # mass of S without the tracked node
+    comp: np.ndarray  # 1 - p_S, summed over the complement
+    has: np.ndarray   # whether S holds the tracked node
+    n: int            # support size
 
 
-def _n_compositions(total: int, parts: int) -> int:
-    if parts == 0:
-        return 1 if total == 0 else 0
-    if total < parts:
-        return 0
-    return math.comb(total - 1, parts - 1)
+def _subsets(p: SamplingDistribution, max_size: int, cells: int,
+             node: int = -1) -> _Subsets:
+    """The subset table, after checking subsets x cells against MAX_TERMS.
 
-
-def _multinomial(n: int, parts) -> int:
-    """Exact multinomial coefficient n! / prod(parts!) with sum(parts) = n."""
-    res = 1
-    rem = n
-    for x in parts:
-        res *= math.comb(rem, x)
-        rem -= x
-    return res
-
-
-def _power_table(probs, max_exp: int) -> list:
-    """pows[u][e] = probs[u] ** e for e = 0..max_exp, as plain float lists."""
-    base = np.asarray(probs, dtype=float)
-    with np.errstate(under="ignore"):
-        table = np.power(base[:, None], np.arange(max_exp + 1)[None, :])
-    return [row.tolist() for row in table]
-
-
-def _ordered_subset_sum(nodes, exponents, pows) -> float:
-    """Sum over ascending subsets A of `nodes` with |A| = len(exponents) of
-    prod(p[a_r] ** exponents[r]), positions following the subset order."""
-    m = len(exponents)
-    dp = [0.0] * (m + 1)
-    dp[0] = 1.0
-    for u in nodes:
-        pu = pows[u]
-        for s in range(m, 0, -1):
-            prev = dp[s - 1]
-            if prev != 0.0:
-                dp[s] += prev * pu[exponents[s - 1]]
-    return dp[m]
-
-
-def _ordered_subset_sum_with_last(nodes, exponents, pows, probs) -> float:
-    """Like _ordered_subset_sum but additionally picks one node outside the
-    subset (the run's final node) contributing a plain probability factor."""
-    m = len(exponents)
-    dp0 = [0.0] * (m + 1)  # final node not chosen yet
-    dp1 = [0.0] * (m + 1)  # final node chosen
-    dp0[0] = 1.0
-    for u in nodes:
-        pu = pows[u]
-        p_u = probs[u]
-        for s in range(m, -1, -1):
-            base = dp0[s]
-            if base != 0.0 and p_u != 0.0:
-                dp1[s] += base * p_u
-            if s > 0:
-                w = pu[exponents[s - 1]]
-                if w != 0.0:
-                    prev1 = dp1[s - 1]
-                    if prev1 != 0.0:
-                        dp1[s] += prev1 * w
-                    prev0 = dp0[s - 1]
-                    if prev0 != 0.0:
-                        dp0[s] += prev0 * w
-    return dp1[m]
-
-
-def _check_dimensions(n_nodes: int, k: int):
-    if n_nodes > MAX_NODES:
+    Masses are sums of positive probabilities, the complement's included, so
+    neither loses digits when p_S is close to 0 or to 1.
+    """
+    n = p.support_size
+    subsets = sum(math.comb(n, j) for j in range(min(max_size, n) + 1))
+    if subsets * cells > MAX_TERMS:
         raise ResourceLimitError(
-            f"N={n_nodes} exceeds the exact-computation limit N <= {MAX_NODES}"
+            f"{subsets} subsets (N={n}, up to {max_size} nodes) x {cells} cells = "
+            f"{subsets * cells} terms exceeds the exact budget of {MAX_TERMS} terms"
         )
-    if k > MAX_K:
-        raise ResourceLimitError(
-            f"k={k} exceeds the exact-computation limit k <= {MAX_K}"
-        )
+    size = np.zeros(1, dtype=np.int8)  # the budget keeps |S| below 23
+    rest, comp = np.zeros(1), np.zeros(1)
+    has = np.zeros(1, dtype=bool)
+    for j in np.flatnonzero(p.probs).tolist():
+        p_j = float(p.probs[j])
+        grow = size < max_size
+        size = np.concatenate([size, size[grow] + 1])
+        rest = np.concatenate([rest, rest[grow] + (0.0 if j == node else p_j)])
+        comp = np.concatenate([comp + p_j, comp[grow]])
+        has = np.concatenate([has, has[grow] | (j == node)])
+    return _Subsets(size, rest, comp, has, n)
+
+
+def _coef(k: int, t: _Subsets) -> np.ndarray:
+    """c_S = (-1)^(k-1-|S|) C(N-|S|-1, k-1-|S|) for every subset, |S| < k."""
+    table = [(-1) ** (k - 1 - s) * math.comb(t.n - s - 1, k - 1 - s) for s in range(k)]
+    return np.array(table, dtype=float)[t.size]
+
+
+def _check_k(p: SamplingDistribution, k) -> int:
+    k = int(k)
+    if k < 1:
+        raise InvalidParameterError("k must be >= 1")
+    if k > p.support_size:
+        raise InvalidParameterError(f"k={k} exceeds support size {p.support_size}")
+    return k
 
 
 def _check_law_args(p: SamplingDistribution, k, v_max) -> tuple:
-    k = int(k)
+    k = _check_k(p, k)
     v_max = int(v_max)
-    if k < 1:
-        raise InvalidParameterError("k must be >= 1")
     if v_max < k:
         raise InvalidParameterError("v_max must be at least k")
-    _check_dimensions(p.size, k)
-    if k > p.support_size:
-        raise InvalidParameterError(f"k={k} exceeds support size {p.support_size}")
     return k, v_max
 
 
-def _check_v_budget(cost: int, v_max: int):
-    if cost > MAX_ENUMERATED_COMPOSITIONS:
-        raise ResourceLimitError(
-            f"v_max={v_max} would expand {cost} compositions "
-            f"(budget {MAX_ENUMERATED_COMPOSITIONS}); lower v_max"
-        )
+def _check_node(p: SamplingDistribution, i) -> int:
+    i = int(i)
+    if not (0 <= i < p.size):
+        raise InvalidParameterError(f"node {i} out of range for {p.size} nodes")
+    return i
 
 
 # ---------------------------------------------------------------------------
@@ -219,139 +177,147 @@ def _check_v_budget(cost: int, v_max: int):
 
 
 def exact_v_distribution(p: SamplingDistribution, k: int, v_max: int) -> VDistribution:
-    """P(total draws = v) for v = k..v_max, summing over which node ends the
-    run, which k-1 other nodes precede it, and how often each appears."""
+    """P(total draws = v) for v = k..v_max: sum_S c_S p_S^(v-1) (1 - p_S)."""
     k, v_max = _check_law_args(p, k, v_max)
-    n = p.size
-    _check_v_budget(sum(_n_compositions(v - 1, k - 1) for v in range(k, v_max + 1)),
-                    v_max)
-
-    probs_list = p.probs.tolist()
-    pows = _power_table(probs_list, max(v_max - 1, 1))
-    nodes = list(range(n))
-    out: dict = {}
-    for v in range(k, v_max + 1):
-        acc = 0.0
-        for x in _compositions(v - 1, k - 1):
-            coef = float(_multinomial(v - 1, x))
-            acc += coef * _ordered_subset_sum_with_last(nodes, x, pows, probs_list)
-        out[v] = acc
+    t = _subsets(p, k - 1, v_max - k + 1)
+    with np.errstate(under="ignore"):
+        probs = (_coef(k, t) * t.comp) @ np.power(t.rest[:, None], np.arange(k - 1, v_max))
+    out = dict(zip(range(k, v_max + 1), np.maximum(probs, 0.0).tolist()))
     residual = 1.0 - _fsum(list(out.values()))
     return VDistribution(probs=out, residual=residual, k=k, v_max=v_max)
 
 
-def _joint_cost(k: int, v_max: int) -> int:
-    cost = 0
-    for v in range(k, v_max + 1):
-        cost += 2 * _n_compositions(v - 1, k - 1)  # no-occurrence + ends-the-run cases
-        cost += _n_compositions(v - 2, k - 2)      # single occurrence, not last
-        if k >= 3:
-            if v >= k + 1:
-                cost += math.comb(v - 3, k - 2)    # all multi-occurrence cases
-        elif k == 2 and v >= 3:
-            cost += 1
-    return cost
-
-
 def exact_joint_distribution(p: SamplingDistribution, k: int, i: int,
                              v_max: int) -> JointDistribution:
-    """Joint law of (occurrences of node i, total draws), truncated at v_max.
+    """Joint law of (occurrences ell of node i, total draws v), truncated at v_max.
 
-    Three families of outcomes: node i never drawn; drawn exactly once
-    (either somewhere before the final draw or as the final draw itself);
-    drawn two or more times (necessarily before the final draw).
+    G(v, ell) = P(no stop within v draws, ell of them hit i) = sum_S c_S F_S,
+    with F_S = C(v, ell) p_i^ell (p_S - p_i)^(v-ell) if i is in S and
+    F_S = [ell = 0] p_S^v otherwise.  A run stops at draw v with ell hits iff
+    it had not stopped at draw v - 1, so
+
+        P(ell, v) = (1 - p_i) G(v-1, ell) + p_i G(v-1, ell-1) - G(v, ell).
+
+    Cells are formed only where a run can stop (ell <= v - k + 1, for k = 2
+    only ell in {0, 1, v - 1}, and ell >= 1 when every node must be drawn),
+    so cancellation noise never lands on an infeasible cell; exact zeros
+    (every ell > 0 when p_i = 0) are dropped.
     """
     k, v_max = _check_law_args(p, k, v_max)
-    i = int(i)
-    n = p.size
-    if not (0 <= i < n):
-        raise InvalidParameterError(f"node {i} out of range for {n} nodes")
+    i = _check_node(p, i)
+    p_i = float(p.probs[i])
+    # G(v, ell) = D(v, j) H(j) + [ell = 0] K(v) with j = v - ell, where
+    # D(v, j) = C(v, j) p_i^ell s^j, H(j) = sum_{S∋i} c_S (p_{S-i} / s)^j and
+    # K(v) = sum_{S∌i} c_S p_S^v.  Scaling by s = max p_{S-i} keeps
+    # sum_j D(v, j) <= 1, so nothing overflows.  For k <= 2 the only S holding
+    # i is {i}, so H(j) = [j = 0] and D needs one column.
+    j_max = v_max if k > 2 else 0
+    v_top = 1 if k == 1 else v_max  # a k = 1 run stops at draw 1
+    t = _subsets(p, k - 1, (v_max + 1) * (j_max + 1), node=i)
+    c = _coef(k, t)
+    y = t.rest[t.has]
+    s = float(y.max(initial=0.0)) or 1.0
+    with np.errstate(under="ignore"):
+        h = c[t.has] @ np.power(y[:, None] / s, np.arange(j_max + 1))
+        kv = c[~t.has] @ np.power(t.rest[~t.has][:, None], np.arange(v_max + 1))
+        d = np.zeros((v_top + 1, j_max + 1))
+        d[0, 0] = 1.0
+        for v in range(1, v_top + 1):
+            d[v] = p_i * d[v - 1]
+            d[v, 1:] += s * d[v - 1, :-1]
 
-    probs_list = p.probs.tolist()
-    p_i = probs_list[i]
+    def g(v, ell):  # D is zero above its diagonal, which covers ell = -1
+        j = v - ell
+        inside = (j >= 0) & (j <= j_max)
+        j = np.clip(j, 0, j_max)
+        return np.where(inside, d[v, j] * h[j], 0.0) + (ell == 0) * kv[v]
 
-    if k == 1:
-        out = {(0, 1): 1.0 - p_i, (1, 1): p_i}
-        if p_i == 0.0:
-            out = {(0, 1): 1.0}
-        elif p_i == 1.0:
-            out = {(1, 1): 1.0}
-        return JointDistribution(probs=out, node=i, residual=0.0, k=1, v_max=v_max)
-
-    _check_v_budget(_joint_cost(k, v_max), v_max)
-
-    pows = _power_table(probs_list, max(v_max - 1, 1))
-    others = [u for u in range(n) if u != i]
-    out = {}
-    for v in range(k, v_max + 1):
-        # never drawn: the whole run happens on the other nodes
-        acc = 0.0
-        for x in _compositions(v - 1, k - 1):
-            coef = float(_multinomial(v - 1, x))
-            acc += coef * _ordered_subset_sum_with_last(others, x, pows, probs_list)
-        if acc != 0.0:
-            out[(0, v)] = acc
-
-        # drawn exactly once
-        acc = 0.0
-        if p_i != 0.0:
-            for x in _compositions(v - 2, k - 2):  # once, before some other final node
-                coef = float(_multinomial(v - 1, x + (1,)))
-                acc += coef * p_i * _ordered_subset_sum_with_last(others, x, pows,
-                                                                 probs_list)
-            for x in _compositions(v - 1, k - 1):  # node i is the final draw
-                coef = float(_multinomial(v - 1, x))
-                acc += coef * p_i * _ordered_subset_sum(others, x, pows)
-        if acc != 0.0:
-            out[(1, v)] = acc
-
-        # drawn ell >= 2 times (never the final draw then)
-        if p_i != 0.0:
-            if k == 2:
-                ell = v - 1
-                if ell >= 2:
-                    val = pows[i][ell] * _ordered_subset_sum_with_last(
-                        others, (), pows, probs_list)
-                    if val != 0.0:
-                        out[(ell, v)] = val
-            else:
-                for ell in range(2, v - k + 2):
-                    acc = 0.0
-                    for x in _compositions(v - ell - 1, k - 2):
-                        coef = float(_multinomial(v - 1, x + (ell,)))
-                        acc += coef * pows[i][ell] * _ordered_subset_sum_with_last(
-                            others, x, pows, probs_list)
-                    if acc != 0.0:
-                        out[(ell, v)] = acc
-
+    every_node = k == t.n and p_i > 0.0  # i is drawn, so ell >= 1
+    cells = [(ell, v) for v in range(k, v_top + 1)
+             for ell in (sorted({0, 1, v - 1}) if k == 2 else range(v - k + 2))
+             if ell or not every_node]
+    ell, v = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+    probs = (1.0 - p_i) * g(v - 1, ell) + p_i * g(v - 1, ell - 1) - g(v, ell)
+    out = {cell: q for cell, q in zip(cells, np.maximum(probs, 0.0).tolist()) if q != 0.0}
     residual = 1.0 - _fsum(list(out.values()))
     return JointDistribution(probs=out, node=i, residual=residual, k=k, v_max=v_max)
 
 
 def exact_u_distribution(p: SamplingDistribution, k: int) -> UDistribution:
-    """P(u distinct nodes in exactly k draws with replacement), u = 1..k."""
+    """P(u distinct nodes in exactly k draws with replacement), u = 1..k:
+    sum_{|S| <= u} (-1)^(u-|S|) C(N-|S|, u-|S|) p_S^k."""
     k = int(k)
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
-    n = p.size
-    if n > MAX_NODES:
-        raise ResourceLimitError(
-            f"N={n} exceeds the exact-computation limit N <= {MAX_NODES}"
-        )
-    if k > MAX_K_DISTINCT_COUNT:
-        raise ResourceLimitError(
-            f"k={k} exceeds the distinct-count limit k <= {MAX_K_DISTINCT_COUNT}"
-        )
-    probs_list = p.probs.tolist()
-    pows = _power_table(probs_list, k)
-    nodes = list(range(n))
+    t = _subsets(p, k, k)
+    with np.errstate(under="ignore"):
+        powers = t.rest ** k
+    by_size = [_fsum(powers[t.size == s]) for s in range(min(k, t.n) + 1)]
     out = np.zeros(k)
-    for u in range(1, k + 1):
-        acc = 0.0
-        for x in _compositions(k, u):
-            acc += float(_multinomial(k, x)) * _ordered_subset_sum(nodes, x, pows)
-        out[u - 1] = acc
+    for u in range(1, len(by_size)):
+        out[u - 1] = max(0.0, _fsum([(-1) ** (u - s) * math.comb(t.n - s, u - s) * e
+                                     for s, e in enumerate(by_size[:u + 1])]))
     return UDistribution(probs=out)
+
+
+def _log_kernels(x: np.ndarray, comp: np.ndarray):
+    """L(x) = -log(1 - x) / x and M(x) = (L(x) - 1) / x, with 1 - x given as comp.
+
+    Below x = 1/2, M is its series sum_m x^m / (m + 2) (the quotient would
+    cancel) and L = 1 + x M; from 1/2 up, the complement keeps log(1 - x)
+    accurate as x nears 1.
+    """
+    small = x < 0.5
+    xs = x[small]
+    series = np.zeros_like(xs)
+    for m in range(55, -1, -1):  # the tail after 56 terms is below 2^-56
+        series = series * xs + 1.0 / (m + 2)
+    L, M = np.empty_like(x), np.empty_like(x)
+    M[small] = series
+    L[small] = 1.0 + xs * series
+    xb = x[~small]
+    L[~small] = -np.log(comp[~small]) / xb
+    M[~small] = (L[~small] - 1.0) / xb
+    return L, M
+
+
+# relative rounding error of one voting-power term, in units of float64's eps,
+# on top of N eps for each of the masses p_S and 1 - p_S
+_TERM_ULPS = 16
+
+
+def voting_power_exact(p: SamplingDistribution, k: int, i: int, epsilon: float):
+    """Voting power E[A_i / V] of node i, exact and untruncated.
+
+    Summing (ell / v) P(ell, v) over the joint law's G in closed form gives
+
+        p_i [sum_S c_S L(p_S) - sum_{S∋i} c_S M(p_S)],  |S| < k.
+
+    The terms cancel, so the result carries a rounding error of at most
+    error_bound = (2N + 16) eps p_i sum|terms| + eps |value|, taking each
+    term's relative error as 2N eps (p_S and 1 - p_S are sums of up to N
+    probabilities) plus 16 eps (logarithm, series, products); the sum itself
+    is exactly rounded.  Returns (value, error_bound); raises
+    ResourceLimitError when error_bound exceeds epsilon.
+    """
+    if not (epsilon > 0.0):
+        raise InvalidParameterError("epsilon must be > 0")
+    k = _check_k(p, k)
+    i = _check_node(p, i)
+    p_i = float(p.probs[i])
+    t = _subsets(p, k - 1, 1, node=i)
+    L, M = _log_kernels(t.rest + t.has * p_i, t.comp)
+    M[~t.has] = 0.0
+    terms = _coef(k, t) * (L - M)
+    value = p_i * math.fsum(terms)
+    error_bound = ((2 * t.n + _TERM_ULPS) * p_i * math.fsum(np.abs(terms))
+                   + abs(value)) * sys.float_info.epsilon
+    if error_bound > epsilon:
+        raise ResourceLimitError(
+            f"float64 rounding bound {error_bound:.3e} of the exact voting power "
+            f"exceeds epsilon={epsilon:.3e}"
+        )
+    return value, error_bound
 
 
 def enumeration_oracle(p: SamplingDistribution, k: int, v_max: int):
@@ -519,32 +485,3 @@ def tau_argmax(lo: float = 0.01, hi: float = 0.99, tol: float = 1e-8):
             fd = tau_limit(d)
     m_star = 0.5 * (a + b)
     return m_star, tau_limit(m_star)
-
-
-def voting_power_truncated(p: SamplingDistribution, k: int, i: int,
-                           epsilon: float):
-    """Voting power of node i from the truncated joint law.
-
-    Doubles the truncation point until the tail mass drops below epsilon; the
-    tail bounds the error directly because each run's occupancy share lies in
-    [0, 1].  Returns (value, error_bound).
-    """
-    if not (epsilon > 0.0):
-        raise InvalidParameterError("epsilon must be > 0")
-    k = int(k)
-    v_max = max(4 * k, k)
-    last_residual = None
-    while True:
-        try:
-            joint = exact_joint_distribution(p, k, i, v_max)
-        except ResourceLimitError as exc:
-            achieved = "none computed" if last_residual is None else f"{last_residual:.3e}"
-            raise ResourceLimitError(
-                f"could not push the tail mass below {epsilon:.3e} "
-                f"(best residual: {achieved}); {exc}"
-            ) from exc
-        last_residual = joint.residual
-        if joint.residual < epsilon:
-            value = _fsum([(ell / v) * q for (ell, v), q in joint.probs.items()])
-            return value, joint.residual
-        v_max *= 2

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidParameterError
 from .weights import (
@@ -261,6 +260,8 @@ def qq_points(samples) -> np.ndarray:
     Samples are standardized first, so any affine rescaling of the input
     leaves the points unchanged.
     """
+    from scipy.special import ndtri  # deferred: importing it dominates CLI start-up
+
     x = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples,
                    dtype=float)
     if x.size < 2:

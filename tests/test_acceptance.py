@@ -19,7 +19,7 @@ from greedyvote.exact import (
     tau_argmax,
     tau_limit,
     tau_r_value,
-    voting_power_truncated,
+    voting_power_exact,
 )
 from greedyvote.fairness import estimate_split_gain, sweep_gain, GainExperiment
 from greedyvote.fpc import FpcConfig, majority_initial_opinions, run_fpc
@@ -230,7 +230,7 @@ def test_10_voting_power_normalization():
     for probs, k in (([0.25] * 4, 2), ([0.4, 0.3, 0.2, 0.05, 0.05], 3)):
         q = SamplingDistribution.from_probs(probs)
         eps = 1e-6
-        total = math.fsum(voting_power_truncated(q, k, i, eps)[0]
+        total = math.fsum(voting_power_exact(q, k, i, eps)[0]
                           for i in range(q.size))
         if not (1.0 - q.size * eps <= total <= 1.0 + 1e-12):
             trunc_ok = False

@@ -56,9 +56,11 @@ class TestExact:
         assert lines == ["u,prob", "1,0.5", "2,0.5"]
 
     def test_resource_limit_exit_code(self, capsys):
-        weights = ",".join(["1"] * 15)
-        assert main(["exact", "--weights", weights, "--k", "2", "--v-max", "8"]) == 3
-        assert "resource limit" in capsys.readouterr().err
+        # subsets of up to 7 of 60 nodes: 4.4e8, over the term budget
+        weights = ",".join(["1"] * 60)
+        assert main(["exact", "--weights", weights, "--k", "8", "--v-max", "8"]) == 3
+        err = capsys.readouterr().err
+        assert "resource limit" in err and "442255978 subsets" in err
 
 
 class TestGain:
@@ -242,6 +244,16 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "m_star" in proc.stdout
+
+    def test_import_leaves_scipy_special_unloaded(self):
+        # conftest imports scipy.stats, so only a fresh interpreter can tell
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, greedyvote.cli; print('scipy.special' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
 
     def test_invalid_flag_exit_code(self):
         proc = subprocess.run(

@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from greedyvote.errors import (
     UnsupportedConfigurationError,
 )
 from greedyvote.exact import (
+    ORACLE_MAX_NODES,
+    ORACLE_MAX_VMAX,
     enumeration_oracle,
     exact_joint_distribution,
     exact_u_distribution,
@@ -20,7 +25,7 @@ from greedyvote.exact import (
     tau_limit,
     tau_r_value,
     voting_power_k2,
-    voting_power_truncated,
+    voting_power_exact,
 )
 from greedyvote.sampler import split_probs
 from greedyvote.weights import (
@@ -59,14 +64,26 @@ class TestVDistribution:
             assert d.probs[v] == pytest.approx(oracle_v.probs.get(v, 0.0), abs=1e-12)
 
     def test_dimension_guards_name_offender(self):
-        uniform15 = SamplingDistribution.from_probs([1.0 / 15] * 15)
-        with pytest.raises(ResourceLimitError, match="N=15"):
-            exact_v_distribution(uniform15, 2, 8)
-        p = SamplingDistribution.from_probs([1.0 / 8] * 8)
-        with pytest.raises(ResourceLimitError, match="k=7"):
-            exact_v_distribution(p, 7, 10)
-        with pytest.raises(ResourceLimitError, match="v_max"):
-            exact_v_distribution(p, 5, 2000)
+        # N=60, k=8 sums over 4.4e8 subsets: refused before any allocation
+        uniform60 = SamplingDistribution.from_probs([1.0 / 60] * 60)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="442255978 subsets"):
+                exact_v_distribution(uniform60, 8, 8)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        # the cell count grows with v_max: 3473 subsets x 1995 draw counts
+        p = SamplingDistribution.from_probs(1.0 / np.arange(1, 15))
+        with pytest.raises(ResourceLimitError, match="3473 subsets .* 1995 cells"):
+            exact_v_distribution(p, 6, 2000)
+
+    def test_formerly_refused_shapes_run(self):
+        p = SamplingDistribution.from_probs(1.0 / np.arange(1, 9))
+        d = exact_v_distribution(p, 5, 2000)
+        assert d.residual == pytest.approx(0.0, abs=1e-14)
+        q = SamplingDistribution.from_probs([1.0 / 8] * 8)
+        assert exact_v_distribution(q, 7, 10).probs[7] > 0.0
 
     def test_k_beyond_support_rejected(self):
         p = SamplingDistribution.from_probs([1.0, 0.0])
@@ -129,6 +146,20 @@ class TestJointDistribution:
                     assert v >= ell + k - 1
                 assert q >= 0.0
 
+    def test_emits_exactly_the_feasible_support(self):
+        # the oracle walks every sequence, so its keys are the cells of positive mass
+        for probs in ([0.5, 0.5], [0.6, 0.3, 0.1], [0.4, 0.3, 0.2, 0.1], [0.5, 0.0, 0.3, 0.2]):
+            p = SamplingDistribution.from_probs(probs)
+            for k in range(1, p.support_size + 1):
+                _, oracle_joint = enumeration_oracle(p, k, 9)
+                for i in range(p.size):
+                    joint = exact_joint_distribution(p, k, i, 9)
+                    assert set(joint.probs) == set(oracle_joint[i].probs)
+        # with k = N every node is drawn; cancellation must not put mass on ell = 0
+        p = SamplingDistribution.from_probs(1.0 / np.arange(1, 6))
+        for i in range(5):
+            assert all(ell >= 1 for ell, _ in exact_joint_distribution(p, 5, i, 20).probs)
+
     def test_k1_joint(self):
         p = SamplingDistribution.from_probs([0.3, 0.7])
         joint = exact_joint_distribution(p, 1, 0, 4)
@@ -176,19 +207,18 @@ class TestUDistribution:
 
     def test_normalization_random(self):
         gen = np.random.Generator(np.random.Philox(key=[21, 0]))
-        for n, k in ((3, 4), (5, 6), (8, 10)):
+        for n, k in ((3, 4), (5, 6), (8, 10), (14, 10)):
             p = _random_distribution(gen, n)
             u = exact_u_distribution(p, k)
             assert math.fsum(u.probs.tolist()) == pytest.approx(1.0, abs=1e-12)
             assert (u.probs >= 0).all()
 
     def test_guards(self):
-        p = SamplingDistribution.from_probs([1.0 / 15] * 15)
-        with pytest.raises(ResourceLimitError, match="N=15"):
-            exact_u_distribution(p, 2)
-        q = SamplingDistribution.from_probs([0.5, 0.5])
-        with pytest.raises(ResourceLimitError, match="k=11"):
-            exact_u_distribution(q, 11)
+        # subsets of up to 8 of 60 nodes, one cell per u = 1..8
+        p = SamplingDistribution.from_probs([1.0 / 60] * 60)
+        subsets = sum(math.comb(60, j) for j in range(9))
+        with pytest.raises(ResourceLimitError, match=f"{subsets} subsets .* 8 cells"):
+            exact_u_distribution(p, 8)
 
 
 class TestEnumerationOracle:
@@ -218,7 +248,7 @@ class TestVotingPowerK2:
 
     def test_matches_truncated_expectation(self):
         p = SamplingDistribution.from_probs([0.75, 0.25])
-        value, err = voting_power_truncated(p, 2, 0, 1e-8)
+        value, err = voting_power_exact(p, 2, 0, 1e-8)
         assert abs(voting_power_k2(p, 0) - value) <= 1e-6 + err
 
     def test_powers_sum_to_one(self):
@@ -327,12 +357,12 @@ class TestVotingPowerTruncated:
     def test_uniform_symmetry(self):
         p = SamplingDistribution.from_probs([0.25] * 4)
         for i in range(4):
-            value, err = voting_power_truncated(p, 2, i, 1e-6)
+            value, err = voting_power_exact(p, 2, i, 1e-6)
             assert abs(value - 0.25) <= 1e-6
 
     def test_matches_closed_form(self):
         p = SamplingDistribution.from_probs([0.75, 0.25])
-        value, err = voting_power_truncated(p, 2, 0, 1e-6)
+        value, err = voting_power_exact(p, 2, 0, 1e-6)
         assert abs(value - voting_power_k2(p, 0)) <= 1e-6 + err
 
     def test_total_power_in_unit_band(self):
@@ -341,17 +371,83 @@ class TestVotingPowerTruncated:
             p = _random_distribution(gen, n)
             eps = 1e-6
             total = math.fsum(
-                voting_power_truncated(p, k, i, eps)[0] for i in range(n)
+                voting_power_exact(p, k, i, eps)[0] for i in range(n)
             )
             assert 1.0 - n * eps <= total <= 1.0 + 1e-12
 
     def test_unreachable_epsilon_reports_residual(self):
-        # a near-degenerate node keeps the tail heavy far beyond the budget
+        # float64 cannot get within 1e-20 of a value near 1
         p = SamplingDistribution.from_probs([0.99999, 0.00001])
-        with pytest.raises(ResourceLimitError, match="residual"):
-            voting_power_truncated(p, 2, 0, 1e-12)
+        _, bound = voting_power_exact(p, 2, 0, 1e-12)
+        assert 1e-20 < bound <= 1e-12
+        with pytest.raises(ResourceLimitError, match=f"rounding bound {bound:.3e}"):
+            voting_power_exact(p, 2, 0, 1e-20)
 
     def test_epsilon_must_be_positive(self):
         p = SamplingDistribution.from_probs([0.5, 0.5])
         with pytest.raises(InvalidParameterError):
-            voting_power_truncated(p, 2, 0, 0.0)
+            voting_power_exact(p, 2, 0, 0.0)
+
+    @given(n=st.integers(2, 6), seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_random_networks_match_closed_form_and_oracle(self, n, seed):
+        gen = np.random.Generator(np.random.Philox(key=[seed, 77]))
+        p = _random_distribution(gen, n)
+        for i in range(n):
+            value, bound = voting_power_exact(p, 2, i, 1e-9)
+            # the closed form rounds too, by a few ulps of its O(1) terms
+            assert abs(value - voting_power_k2(p, i)) <= bound + 4 * sys.float_info.epsilon
+        if n > ORACLE_MAX_NODES:
+            return
+        # each run's share lies in [0, 1], so the oracle's truncated sum
+        # undershoots the exact power by at most its residual
+        for k in range(1, min(n, 3) + 1):
+            _, joints = enumeration_oracle(p, k, ORACLE_MAX_VMAX)
+            for i in range(n):
+                value, bound = voting_power_exact(p, k, i, 1e-9)
+                joint = joints[i]
+                truncated = math.fsum((ell / v) * q for (ell, v), q in joint.probs.items())
+                assert -bound - 1e-12 <= value - truncated <= joint.residual + bound + 1e-12
+
+
+def _mp_subsets(mpmath, p, k):
+    """The probabilities, and (|S|, p_S, S) for every subset S with |S| < k,
+    in 50-digit arithmetic."""
+    probs = [mpmath.mpf(float(x)) for x in p.probs]
+    total = mpmath.fsum(probs)
+    probs = [x / total for x in probs]
+    return probs, [(size, mpmath.fsum([probs[j] for j in subset]), subset)
+                   for size in range(k)
+                   for subset in itertools.combinations(range(p.size), size)]
+
+
+class TestPrecision:
+    """N=14, k=6 against the same sums taken in 50-digit arithmetic."""
+
+    N, K = 14, 6
+
+    def _setup(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        p = SamplingDistribution.from_probs(1.0 / np.arange(1, self.N + 1))
+        coef = [(-1) ** (self.K - 1 - s) * math.comb(self.N - s - 1, self.K - 1 - s)
+                for s in range(self.K)]
+        return (mpmath, p, coef) + _mp_subsets(mpmath, p, self.K)
+
+    def test_voting_power_within_stated_bound(self):
+        mpmath, p, coef, probs, subsets = self._setup()
+        for i in (0, 1, 13):
+            total = mpmath.mpf(0)
+            for size, x, subset in subsets:
+                big_l = -mpmath.log(1 - x) / x if x else mpmath.mpf(1)
+                big_m = (big_l - 1) / x if x else mpmath.mpf(1) / 2
+                total += coef[size] * (big_l - (big_m if i in subset else 0))
+            value, bound = voting_power_exact(p, self.K, i, 1e-9)
+            assert abs(value - float(total * probs[i])) <= bound <= 1e-9
+
+    def test_v_law_cells(self):
+        mpmath, p, coef, _, subsets = self._setup()
+        d = exact_v_distribution(p, self.K, 24)
+        for v in (6, 7, 12, 24):
+            ref = mpmath.fsum([coef[size] * x ** (v - 1) * (1 - x) for size, x, _ in subsets])
+            assert abs(d.probs[v] - float(ref)) <= 1e-13

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from greedyvote.errors import InvalidParameterError, UnsupportedConfigurationError
-from greedyvote.exact import split_gain_k2, voting_power_k2
+from greedyvote.exact import split_gain_k2, voting_power_exact, voting_power_k2
 from greedyvote.fairness import (
     GainExperiment,
     estimate_split_gain,
@@ -15,7 +15,7 @@ from greedyvote.fairness import (
     silverman_bandwidth,
     sweep_gain,
 )
-from greedyvote.sampler import RngStream, greedy_sample
+from greedyvote.sampler import RngStream, greedy_sample, split_probs
 from greedyvote.weights import (
     CONSTANT_ONE,
     IDENTITY,
@@ -87,6 +87,17 @@ class TestEstimateSplitGain:
                                           coupled=False)
         assert abs(coupled.mean - exact) <= 4 * coupled.std_error
         assert abs(independent.mean - exact) <= 4 * independent.std_error
+
+    def test_coupled_matches_exact_gain_above_k2(self):
+        w = WeightDistribution.from_raw([0.4, 0.25, 0.2, 0.1, 0.05])
+        split = SplitSpec.equal(0, 2)
+        p = sampling_distribution(w, IDENTITY)
+        p_hat = split_probs(p, split)
+        for k, seed in ((3, 12), (4, 13)):
+            exact = (sum(voting_power_exact(p_hat, k, j, 1e-9)[0] for j in range(2))
+                     - voting_power_exact(p, k, 0, 1e-9)[0])
+            est = estimate_split_gain(w, IDENTITY, k, split, 100_000, seed=seed)
+            assert abs(est.mean - exact) <= 4 * est.std_error
 
     def test_coupling_reduces_variance(self):
         w = zipf_weights(ZipfParams(1.1, 200))
