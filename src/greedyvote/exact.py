@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, ResourceLimitError, UnsupportedConfigurationError
-from .weights import SamplingDistribution, SplitSpec, _fsum
+from .errors import InvalidParameterError, ResourceLimitError
+from .weights import SamplingDistribution, SplitSpec, _check_k, _check_node, _fsum
 
 # term budget of one exact call: subsets x cells.  At the limit the power
 # tables take 32 MB of float64; N=60, k=8 (4.4e8 subsets) is refused up front.
@@ -147,28 +147,12 @@ def _coef(k: int, t: _Subsets) -> np.ndarray:
     return np.array(table, dtype=float)[t.size]
 
 
-def _check_k(p: SamplingDistribution, k) -> int:
-    k = int(k)
-    if k < 1:
-        raise InvalidParameterError("k must be >= 1")
-    if k > p.support_size:
-        raise InvalidParameterError(f"k={k} exceeds support size {p.support_size}")
-    return k
-
-
 def _check_law_args(p: SamplingDistribution, k, v_max) -> tuple:
     k = _check_k(p, k)
     v_max = int(v_max)
     if v_max < k:
         raise InvalidParameterError("v_max must be at least k")
     return k, v_max
-
-
-def _check_node(p: SamplingDistribution, i) -> int:
-    i = int(i)
-    if not (0 <= i < p.size):
-        raise InvalidParameterError(f"node {i} out of range for {p.size} nodes")
-    return i
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +232,7 @@ def exact_u_distribution(p: SamplingDistribution, k: int) -> UDistribution:
     sum_{|S| <= u} (-1)^(u-|S|) C(N-|S|, u-|S|) p_S^k."""
     k = int(k)
     if k < 1:
-        raise InvalidParameterError("k must be >= 1")
+        raise InvalidParameterError(f"k={k} must be >= 1")
     t = _subsets(p, k, k)
     with np.errstate(under="ignore"):
         powers = t.rest ** k
@@ -399,11 +383,8 @@ def voting_power_k2(p: SamplingDistribution, i: int) -> float:
     Closed form obtained by summing the geometric runs that precede the second
     distinct node; needs every probability strictly below 1 to terminate.
     """
-    n = p.size
-    i = int(i)
-    if not (0 <= i < n):
-        raise InvalidParameterError(f"node {i} out of range for {n} nodes")
-    if n < 2 or p.support_size < 2:
+    i = _check_node(p, i)
+    if p.support_size < 2:
         raise InvalidParameterError("need at least two sampleable nodes for k=2")
     probs = p.probs.tolist()
     if any(q >= 1.0 for q in probs):
@@ -423,17 +404,7 @@ def split_gain_k2(p: SamplingDistribution, split: SplitSpec) -> float:
     Positive for every genuine split (r >= 2): the scheme is robust to
     merging but not to splitting.
     """
-    if p.source_f != "identity":
-        raise UnsupportedConfigurationError(
-            "the closed-form split gain assumes the identity weight function, "
-            f"got {p.source_f}"
-        )
-    n = p.size
-    if not (0 <= split.node < n):
-        raise InvalidParameterError(f"node {split.node} out of range for {n} nodes")
-    p_i = float(p.probs[split.node])
-    if p_i <= 0.0:
-        raise InvalidParameterError("cannot split a zero-probability node")
+    p_i = split.check(p.probs, p.source_f)
     if p_i >= 1.0:
         raise InvalidParameterError("split gain needs p_i < 1")
     r = split.r

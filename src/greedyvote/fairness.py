@@ -21,6 +21,7 @@ from .weights import (
     WeightDistribution,
     WeightFunction,
     ZipfParams,
+    _check_node,
     apply_split,
     sampling_distribution,
     zipf_weights,
@@ -92,9 +93,7 @@ def _summarize(values: np.ndarray, rng: RngStream) -> GainEstimate:
 def estimate_voting_power(p: SamplingDistribution, k: int, i: int, n_runs: int,
                           seed) -> GainEstimate:
     """Average occupancy share of node i over independent greedy samples."""
-    i = int(i)
-    if not (0 <= i < p.size):
-        raise InvalidParameterError(f"node {i} out of range for {p.size} nodes")
+    i = _check_node(p, i)
     rng = as_stream(seed)
 
     def worker(chunk_rng: RngStream, count: int) -> np.ndarray:
@@ -127,7 +126,7 @@ def estimate_split_gain(w: WeightDistribution, f: WeightFunction, k: int,
 
         def worker(chunk_rng: RngStream, count: int) -> np.ndarray:
             pre = greedy_runs(p, k, chunk_rng, count, track=node)
-            post = greedy_runs(p_hat, k, chunk_rng, count, track=range(node, node + split.r))
+            post = greedy_runs(p_hat, k, chunk_rng, count, track=split.parts)
             return post.y / post.v - pre.y / pre.v
 
     rng = as_stream(seed)
@@ -150,15 +149,9 @@ class GainExperiment:
     k: int = 20
     node: int = 0
     split_r: int = 2
-    fractions: tuple | None = None  # None means equal parts
     n_runs: int = 100_000
     coupled: bool = True
     f: WeightFunction = IDENTITY
-
-    def split_spec(self) -> SplitSpec:
-        if self.fractions is not None:
-            return SplitSpec(self.node, np.asarray(self.fractions, dtype=float))
-        return SplitSpec.equal(self.node, self.split_r)
 
     def weight_distribution(self) -> WeightDistribution:
         return zipf_weights(ZipfParams(s=self.zipf_s, n=self.n_nodes))
@@ -170,14 +163,13 @@ def _apply_axis(base: GainExperiment, axis: str, value) -> GainExperiment:
     if axis == "sample_k":
         return replace(base, k=int(value))
     if axis == "split_r":
-        return replace(base, split_r=int(value), fractions=None)
+        return replace(base, split_r=int(value))
     if axis == "zipf_s":
         return replace(base, zipf_s=float(value))
     raise InvalidParameterError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
-def sweep_gain(base: GainExperiment, axis: str, values, seed,
-               n_runs=None) -> SweepResult:
+def sweep_gain(base: GainExperiment, axis: str, values, seed) -> SweepResult:
     """One gain estimate per axis value, all derived from a single master seed.
 
     Point j runs on stream id offset j, so a one-point sweep reproduces a
@@ -192,11 +184,10 @@ def sweep_gain(base: GainExperiment, axis: str, values, seed,
     points = []
     for j, value in enumerate(vals):
         cfg = _apply_axis(base, axis, value)
-        runs = cfg.n_runs if n_runs is None else int(n_runs)
         point_rng = RngStream(master.seed, master.stream_id + j)
         est = estimate_split_gain(
-            cfg.weight_distribution(), cfg.f, cfg.k, cfg.split_spec(),
-            runs, point_rng, coupled=cfg.coupled,
+            cfg.weight_distribution(), cfg.f, cfg.k, SplitSpec.equal(cfg.node, cfg.split_r),
+            cfg.n_runs, point_rng, coupled=cfg.coupled,
         )
         points.append((value, est))
     return SweepResult(axis=axis, points=points)

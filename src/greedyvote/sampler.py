@@ -6,7 +6,8 @@ distribution) fed by counter-based Philox streams, so identical
 (seed, stream_id) inputs replay bit-identical sequences.  `greedy_runs` is
 the block-vectorized kernel behind every Monte Carlo path; `greedy_sample`
 and `coupled_greedy_sample` run one sample at a time and serve as the
-single-run API and as the kernel's independent reference.
+single-run API and as the kernel's independent reference.  Where a node
+lands after a split comes from `SplitSpec` (`parts`, `remap`, `check`).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParameterError, SamplingError, UnsupportedConfigurationError
-from .weights import IndexMap, SamplingDistribution, SplitSpec, WeightDistribution, apply_split
+from .errors import InvalidParameterError, SamplingError
+from .weights import SamplingDistribution, SplitSpec, _check_k
 
 _MASK64 = (1 << 64) - 1
 
@@ -149,8 +150,7 @@ class CoupledSample:
     post: GreedySample
     extra_draws: int
     extra_split_hits: int
-    split_node: int
-    part_indices: tuple
+    split: SplitSpec
 
     @property
     def K(self) -> int:
@@ -159,6 +159,14 @@ class CoupledSample:
     @property
     def L(self) -> int:
         return self.extra_split_hits
+
+    @property
+    def split_node(self) -> int:
+        return self.split.node
+
+    @property
+    def part_indices(self) -> range:
+        return self.split.parts
 
     def validate(self):
         self.pre.validate()
@@ -171,47 +179,16 @@ class CoupledSample:
         y_post = sum(self.post.counts.get(j, 0) for j in self.part_indices)
         if y_pre != y_post + self.extra_split_hits:
             raise AssertionError("split-node occurrences must satisfy Y_pre = Y_post + L")
-        index_map = IndexMap(self.split_node, self.part_indices)
-        for u, c in self.pre.counts.items():
-            if u == self.split_node:
-                continue
-            if c < self.post.counts.get(index_map.map_node(u), 0):
+        others = [u for u in self.pre.counts if u != self.split_node]
+        moved = self.split.remap(np.array(others, dtype=np.int64), ()).tolist()
+        for u, b in zip(others, moved):
+            if self.pre.counts[u] < self.post.counts.get(b, 0):
                 raise AssertionError(f"non-split node {u} gained occurrences post-split")
 
 
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def _check_k(p: SamplingDistribution, k) -> int:
-    k = int(k)
-    if k < 1:
-        raise InvalidParameterError("k must be >= 1")
-    if k > p.support_size:
-        raise InvalidParameterError(
-            f"k={k} exceeds support size {p.support_size}; sampling would never terminate"
-        )
-    return k
-
-
-def _check_split(p: SamplingDistribution, split: SplitSpec):
-    if p.source_f != "identity":
-        raise UnsupportedConfigurationError(
-            "coupled sampling requires the identity weight function "
-            f"(got {p.source_f}); use independent estimation instead"
-        )
-    if not (0 <= split.node < p.size):
-        raise InvalidParameterError(
-            f"split node {split.node} out of range for {p.size} nodes"
-        )
-    if float(p.probs[split.node]) <= 0.0:
-        raise InvalidParameterError("cannot split a zero-probability node")
-
-
-def draw_one(p: SamplingDistribution, rng: RngStream) -> int:
-    """Draw a single node index with probability p_i."""
-    return int(_alias_table(p).draw(rng.generator, 1)[0])
 
 
 def greedy_sample(p: SamplingDistribution, k: int, rng: RngStream) -> GreedySample:
@@ -244,21 +221,6 @@ def greedy_sample(p: SamplingDistribution, k: int, rng: RngStream) -> GreedySamp
             counts[a] = c + 1
 
 
-def split_probs(p: SamplingDistribution, split: SplitSpec) -> SamplingDistribution:
-    """Post-split sampling distribution under the identity weight function.
-
-    Only for f = identity do the pre- and post-split normalizers coincide, so
-    the split node's probability simply spreads over the parts as p_i * x_j.
-    """
-    if p.source_f != "identity":
-        raise UnsupportedConfigurationError(
-            "splitting sampling probabilities in place requires the identity "
-            f"weight function, got {p.source_f}"
-        )
-    post, _ = apply_split(WeightDistribution(p.probs), split)
-    return SamplingDistribution(post.weights, source_f="identity")
-
-
 def coupled_greedy_sample(p: SamplingDistribution, split: SplitSpec, k: int,
                           rng: RngStream) -> CoupledSample:
     """Run the pre- and post-split greedy samples off one shared draw stream.
@@ -269,12 +231,11 @@ def coupled_greedy_sample(p: SamplingDistribution, split: SplitSpec, k: int,
     it stops first and the remaining draws are tallied as extra_draws /
     extra_split_hits.
     """
-    _check_split(p, split)
+    split.check(p.probs, p.source_f)
     k = _check_k(p, k)
     node = split.node
     r = split.r
-    cum = np.cumsum(split.fractions).tolist()
-    cum[-1] = 1.0  # guard against rounding shortfall on the last part
+    cum = split.cum.tolist()
     table = _alias_table(p)
     gen = rng.generator
 
@@ -339,8 +300,7 @@ def coupled_greedy_sample(p: SamplingDistribution, split: SplitSpec, k: int,
                         last_node=post_last)
     return CoupledSample(
         pre=pre, post=post,
-        extra_draws=extra_draws, extra_split_hits=extra_hits,
-        split_node=node, part_indices=tuple(range(node, node + r)),
+        extra_draws=extra_draws, extra_split_hits=extra_hits, split=split,
     )
 
 
@@ -397,7 +357,7 @@ def greedy_runs(p: SamplingDistribution, k: int, rng: RngStream, n_runs: int,
     """
     k = _check_k(p, k)
     if split is not None:
-        _check_split(p, split)
+        split.check(p.probs, p.source_f)
     n_runs = int(n_runs)
     if n_runs < 0:
         raise InvalidParameterError("n_runs must be >= 0")
@@ -425,9 +385,6 @@ class _Blocks:
     def __init__(self, table, k, gen, track, split, values, out):
         self.table, self.k, self.gen = table, k, gen
         self.track, self.split, self.values, self.out = track, split, values, out
-        if split is not None:
-            self.cum = np.cumsum(split.fractions)
-            self.cum[-1] = 1.0  # guard against rounding shortfall on the last part
 
     def finish(self, rows, draws):
         """Record every row once it has k distinct nodes, doubling the width
@@ -453,19 +410,15 @@ class _Blocks:
         cols = np.arange(draws.shape[1])
         in_run = cols < v[:, None]
         out.v[rows] = v
-        out.y[rows] = np.count_nonzero(
-            in_run & (draws >= self.track.start) & (draws < self.track.stop), axis=1)
+        out.y[rows] = _count_in(in_run, draws, self.track)
         for j, value in enumerate(self.values):
             out.totals[j, rows] = np.where(in_run, value[draws], 0.0).sum(axis=1)
         if split is None:
             return
-        # post-split image of the run: later nodes shift by r - 1, and each
-        # split-node draw becomes the part that its own uniform selects
-        node = split.node
-        hit = in_run & (draws == node)
-        post = np.where(draws > node, draws + (split.r - 1), draws)
-        post[hit] = node + np.searchsorted(self.cum, self.gen.random(int(hit.sum())),
-                                           side="right")
+        # post-split image of the run, each split-node draw taking its own
+        # uniform; -1 marks the cells past the run, which no stop point reads
+        hit = in_run & (draws == split.node)
+        post = split.remap(np.where(in_run, draws, -1), self.gen.random(int(hit.sum())))
         v_post = _stop_points(post, self.k)
         if not ((v_post > 0) & (v_post <= v)).all():
             raise SamplingError(
@@ -477,8 +430,12 @@ class _Blocks:
         if not ((L >= 0) & (L <= K)).all():
             raise SamplingError("coupled runs broke 0 <= L <= K")
         out.v_post[rows] = v_post
-        out.y_post[rows] = np.count_nonzero(
-            in_post & (post >= node) & (post < node + split.r), axis=1)
+        out.y_post[rows] = _count_in(in_post, post, split.parts)
+
+
+def _count_in(mask: np.ndarray, nodes: np.ndarray, span: range) -> np.ndarray:
+    """Per row, the masked entries whose node lies in span."""
+    return np.count_nonzero(mask & (nodes >= span.start) & (nodes < span.stop), axis=1)
 
 
 def _stop_points(draws: np.ndarray, k: int) -> np.ndarray:

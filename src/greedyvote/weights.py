@@ -3,19 +3,20 @@
 A network of N nodes is described by a normalized stake vector (the node
 weights).  A sampling weight function f maps weights to sampling propensities,
 which after normalization give the probability that a query hits each node.
-Splitting a node replaces it by r positive parts that sum to its weight.
+Splitting a node replaces it by r positive parts that sum to its weight;
+`SplitSpec` holds where every node lands afterwards and when a split is valid.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, UnsupportedConfigurationError
 
 NORM_TOL = 1e-12
 
@@ -177,6 +178,26 @@ class SamplingDistribution:
         return int(np.count_nonzero(self.probs))
 
 
+def _check_k(p: SamplingDistribution, k) -> int:
+    """k as an int, refused unless 1 <= k <= the support size of p."""
+    k = int(k)
+    if k < 1:
+        raise InvalidParameterError(f"k={k} must be >= 1")
+    if k > p.support_size:
+        raise InvalidParameterError(
+            f"k={k} exceeds support size {p.support_size}; sampling would never terminate"
+        )
+    return k
+
+
+def _check_node(p: SamplingDistribution, i) -> int:
+    """i as an int, refused unless it indexes a node of p."""
+    i = int(i)
+    if not (0 <= i < p.size):
+        raise InvalidParameterError(f"node {i} out of range for {p.size} nodes")
+    return i
+
+
 @dataclass(frozen=True, eq=False)
 class SplitSpec:
     """An r-way split of one node into positive fractions of its weight."""
@@ -209,6 +230,52 @@ class SplitSpec:
     def r(self) -> int:
         return int(self.fractions.size)
 
+    @property
+    def parts(self) -> range:
+        """Post-split indices of the parts, which take the node's slot in order."""
+        return range(self.node, self.node + self.r)
+
+    @cached_property
+    def cum(self) -> np.ndarray:
+        """Cumulative fractions: part j owns the uniforms in [cum[j-1], cum[j])."""
+        cum = np.cumsum(self.fractions)
+        cum[-1] = 1.0  # guard against rounding shortfall on the last part
+        return cum
+
+    def remap(self, nodes, u) -> np.ndarray:
+        """Post-split index of every entry of `nodes`.
+
+        Nodes before the split node keep their index and later ones shift by
+        r - 1; each split-node entry becomes the part that its uniform
+        selects.  `u` holds one uniform per split-node entry, in row-major
+        order.
+        """
+        nodes = np.asarray(nodes)
+        out = np.where(nodes > self.node, nodes + (self.r - 1), nodes)
+        out[nodes == self.node] = self.node + np.searchsorted(self.cum, u, side="right")
+        return out
+
+    def check(self, masses: np.ndarray, source_f: str = "identity") -> float:
+        """The split node's mass, refusing a node out of range or of zero mass.
+
+        Sampling probabilities split in place keep the fractions only under
+        the identity weight function (`source_f`), the one f whose pre- and
+        post-split normalizers coincide.
+        """
+        if source_f != "identity":
+            raise UnsupportedConfigurationError(
+                "splitting sampling probabilities in place requires the identity "
+                f"weight function (got {source_f}); use independent estimation instead"
+            )
+        if not (0 <= self.node < masses.size):
+            raise InvalidParameterError(
+                f"split node {self.node} out of range for {masses.size} nodes"
+            )
+        mass = float(masses[self.node])
+        if mass <= 0.0:
+            raise InvalidParameterError(f"cannot split node {self.node}: it has zero mass")
+        return mass
+
 
 @dataclass(frozen=True)
 class ZipfParams:
@@ -222,28 +289,6 @@ class ZipfParams:
             raise InvalidParameterError("Zipf law needs n >= 1 nodes")
         if not (math.isfinite(self.s) and self.s >= 0):
             raise InvalidParameterError("Zipf exponent s must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class IndexMap:
-    """Where each node of a distribution lands after one node is split."""
-
-    split_node: int
-    part_indices: tuple = field(default_factory=tuple)
-
-    @property
-    def r(self) -> int:
-        return len(self.part_indices)
-
-    def map_node(self, old_index: int) -> int:
-        """New index of a non-split node (the split node maps to its parts)."""
-        if old_index == self.split_node:
-            raise InvalidParameterError(
-                "the split node maps to part_indices, not a single index"
-            )
-        if old_index < self.split_node:
-            return old_index
-        return old_index + self.r - 1
 
 
 # ---------------------------------------------------------------------------
@@ -277,24 +322,13 @@ def apply_split(w: WeightDistribution, split: SplitSpec):
     """Replace one node by its split parts; total mass is preserved.
 
     Returns the enlarged distribution (size N + r - 1, parts occupying the
-    split node's slot in order) and an IndexMap locating every node afterwards.
+    split node's slot in order) and the parts' indices, `split.parts`.
     """
-    if not (0 <= split.node < w.size):
-        raise InvalidParameterError(
-            f"split node {split.node} out of range for {w.size} nodes"
-        )
-    m_i = float(w.weights[split.node])
-    if m_i <= 0.0:
-        raise InvalidParameterError("cannot split a zero-weight node")
-    parts = m_i * split.fractions
+    parts = split.check(w.weights) * split.fractions
     new_weights = np.concatenate(
         [w.weights[:split.node], parts, w.weights[split.node + 1:]]
     )
-    index_map = IndexMap(
-        split_node=split.node,
-        part_indices=tuple(range(split.node, split.node + split.r)),
-    )
-    return WeightDistribution(new_weights), index_map
+    return WeightDistribution(new_weights), split.parts
 
 
 def distribution_distance(p: SamplingDistribution, q: SamplingDistribution):

@@ -235,6 +235,13 @@ class TestFpc:
         sidecar = json.loads((tmp_path / "fpc.csv.config.json").read_text())
         assert sidecar["ones_fraction"] == 0.9
 
+    def test_degenerate_quorum_exit_code(self, capsys):
+        weights = ",".join(["1"] + ["0"] * 19)
+        rc = main(["fpc", "--weights", weights, "--f", "constant-one", "--g", "identity",
+                   "--k", "1", "--seed", "1"])
+        assert rc == 1
+        assert "vanishes on every sampled node" in capsys.readouterr().err
+
 
 class TestConsoleScript:
     def test_entry_point_runs(self):

@@ -27,12 +27,12 @@ from greedyvote.exact import (
     voting_power_k2,
     voting_power_exact,
 )
-from greedyvote.sampler import split_probs
 from greedyvote.weights import (
     CONSTANT_ONE,
     SamplingDistribution,
     SplitSpec,
     WeightDistribution,
+    apply_split,
     sampling_distribution,
 )
 
@@ -283,7 +283,7 @@ class TestSplitGainK2:
         p = _random_distribution(gen, 4)
         split = SplitSpec(1, np.array([0.6, 0.4]))
         gain = split_gain_k2(p, split)
-        p_hat = split_probs(p, split)
+        p_hat = sampling_distribution(apply_split(WeightDistribution(p.probs), split)[0])
         before = voting_power_k2(p, 1)
         after = sum(voting_power_k2(p_hat, j) for j in (1, 2))
         assert gain == pytest.approx(after - before, abs=1e-9)

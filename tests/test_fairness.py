@@ -15,7 +15,7 @@ from greedyvote.fairness import (
     silverman_bandwidth,
     sweep_gain,
 )
-from greedyvote.sampler import RngStream, greedy_sample, split_probs
+from greedyvote.sampler import RngStream, greedy_sample
 from greedyvote.weights import (
     CONSTANT_ONE,
     IDENTITY,
@@ -23,6 +23,7 @@ from greedyvote.weights import (
     SplitSpec,
     WeightDistribution,
     ZipfParams,
+    apply_split,
     sampling_distribution,
     zipf_weights,
 )
@@ -92,7 +93,7 @@ class TestEstimateSplitGain:
         w = WeightDistribution.from_raw([0.4, 0.25, 0.2, 0.1, 0.05])
         split = SplitSpec.equal(0, 2)
         p = sampling_distribution(w, IDENTITY)
-        p_hat = split_probs(p, split)
+        p_hat = sampling_distribution(apply_split(w, split)[0])
         for k, seed in ((3, 12), (4, 13)):
             exact = (sum(voting_power_exact(p_hat, k, j, 1e-9)[0] for j in range(2))
                      - voting_power_exact(p, k, 0, 1e-9)[0])

@@ -65,6 +65,14 @@ class TestFpcConfig:
 
 
 class TestRunFpc:
+    def test_degenerate_quorum_raises(self):
+        # uniform sampling reaches the zero-weight nodes, on which identity
+        # averaging has nothing to weigh
+        w = WeightDistribution.from_raw([1.0] + [0.0] * 19)
+        config = FpcConfig(k=1, scheme_f=CONSTANT_ONE, scheme_g=IDENTITY)
+        with pytest.raises(DegenerateSampleError):
+            run_fpc(config, w, majority_initial_opinions(20, 0.5), seed=1)
+
     def test_unanimous_start_finalizes_immediately(self):
         w = zipf_weights(ZipfParams(0.0, 30))
         config = FpcConfig(k=5, finality_l=2)

@@ -6,15 +6,27 @@ from greedyvote import sampler
 from greedyvote.errors import InvalidParameterError, UnsupportedConfigurationError
 from greedyvote.exact import exact_joint_distribution, exact_v_distribution
 from greedyvote.sampler import (
+    AliasTable,
     RngStream,
     coupled_greedy_sample,
-    draw_one,
     greedy_runs,
     greedy_sample,
-    split_probs,
 )
-from greedyvote.weights import SamplingDistribution, SplitSpec, sampling_distribution
-from greedyvote.weights import CONSTANT_ONE, WeightDistribution, ZipfParams, zipf_weights
+from greedyvote.weights import (
+    CONSTANT_ONE,
+    SamplingDistribution,
+    SplitSpec,
+    WeightDistribution,
+    ZipfParams,
+    apply_split,
+    sampling_distribution,
+    zipf_weights,
+)
+
+
+def _post_split(p: SamplingDistribution, split: SplitSpec) -> SamplingDistribution:
+    """The post-split law of identity-weighted probabilities p."""
+    return sampling_distribution(apply_split(WeightDistribution(p.probs), split)[0])
 
 
 class TestRngStream:
@@ -34,31 +46,29 @@ class TestRngStream:
         assert root.child(3, 1).stream_id != root.child(1, 3).stream_id
 
 
-class TestDrawOne:
+class TestAliasDraw:
     def test_point_mass(self):
-        p = SamplingDistribution.from_probs([1.0])
-        rng = RngStream(0)
-        assert all(draw_one(p, rng) == 0 for _ in range(32))
+        table = AliasTable(np.array([1.0]))
+        assert (table.draw(RngStream(0).generator, 32) == 0).all()
 
     def test_zero_probability_node_never_drawn(self):
-        p = SamplingDistribution.from_probs([0.5, 0.0, 0.5])
-        rng = RngStream(9)
-        assert all(draw_one(p, rng) != 1 for _ in range(2000))
+        table = AliasTable(SamplingDistribution.from_probs([0.5, 0.0, 0.5]).probs)
+        assert (table.draw(RngStream(9).generator, 2000) != 1).all()
 
     def test_fair_coin_frequency(self):
         # binomial 99.99% interval around 0.5 at a million draws
-        p = SamplingDistribution.from_probs([0.5, 0.5])
-        rng = RngStream(2024)
+        table = AliasTable(np.array([0.5, 0.5]))
         n = 1_000_000
-        ones = sum(draw_one(p, rng) for _ in range(n))
+        ones = int(table.draw(RngStream(2024).generator, n).sum())
         freq_zero = 1.0 - ones / n
         assert 0.497 <= freq_zero <= 0.503
 
     def test_fixed_stream_reproduces_sequence(self):
-        p = SamplingDistribution.from_probs([0.3, 0.7])
-        a = RngStream(5, 8)
-        b = RngStream(5, 8)
-        assert [draw_one(p, a) for _ in range(50)] == [draw_one(p, b) for _ in range(50)]
+        table = AliasTable(np.array([0.3, 0.7]))
+        a = RngStream(5, 8).generator
+        b = RngStream(5, 8).generator
+        assert [table.draw(a, 1)[0] for _ in range(50)] == [table.draw(b, 1)[0]
+                                                           for _ in range(50)]
 
 
 class TestGreedySample:
@@ -137,14 +147,14 @@ class TestGreedySample:
 class TestSplitProbs:
     def test_probability_space_split(self):
         p = SamplingDistribution.from_probs([0.6, 0.4])
-        post = split_probs(p, SplitSpec(0, np.array([0.25, 0.75])))
+        post = _post_split(p, SplitSpec(0, np.array([0.25, 0.75])))
         assert np.allclose(post.probs, [0.15, 0.45, 0.4], atol=1e-15)
 
     def test_non_identity_rejected(self):
         w = WeightDistribution.from_raw([0.6, 0.4])
         p = sampling_distribution(w, CONSTANT_ONE)
         with pytest.raises(UnsupportedConfigurationError):
-            split_probs(p, SplitSpec.equal(0, 2))
+            SplitSpec.equal(0, 2).check(p.probs, p.source_f)
 
 
 class TestCoupledGreedySample:
@@ -207,7 +217,7 @@ class TestCoupledGreedySample:
         # sampling the split network, both on the draw-count law
         p = SamplingDistribution.from_probs([0.4, 0.35, 0.25])
         split = SplitSpec.equal(0, 2)
-        p_hat = split_probs(p, split)
+        p_hat = _post_split(p, split)
         n = 100_000
         rng = RngStream(2718)
         pre_v, post_v = [], []
@@ -297,7 +307,7 @@ class TestGreedyRuns:
         pairs = zip(runs.y.tolist(), runs.v.tolist())
         assert chisquare_gof_pvalue(counts_of(pairs), joint.probs, 100_000,
                                     residual=joint.residual) > 0.01
-        post_law = exact_v_distribution(split_probs(p, split), 3, 24)
+        post_law = exact_v_distribution(_post_split(p, split), 3, 24)
         assert chisquare_gof_pvalue(counts_of(runs.v_post.tolist()), post_law.probs,
                                     100_000, residual=post_law.residual) > 0.01
 

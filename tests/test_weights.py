@@ -124,24 +124,25 @@ class TestSamplingDistribution:
 class TestApplySplit:
     def test_simple_split(self):
         w = WeightDistribution.from_raw([0.6, 0.4])
-        out, index_map = apply_split(w, SplitSpec(0, np.array([0.5, 0.5])))
+        split = SplitSpec(0, np.array([0.5, 0.5]))
+        out, parts = apply_split(w, split)
         assert np.allclose(out.weights, [0.3, 0.3, 0.4], atol=1e-15)
-        assert index_map.part_indices == (0, 1)
-        assert index_map.map_node(1) == 2
+        assert parts == range(0, 2)
+        assert split.remap(np.array([1]), ()).tolist() == [2]
 
     def test_degenerate_split_is_identity(self):
         w = WeightDistribution.from_raw([0.7, 0.3])
-        out, index_map = apply_split(w, SplitSpec(1, np.array([1.0])))
+        split = SplitSpec(1, np.array([1.0]))
+        out, parts = apply_split(w, split)
         assert np.array_equal(out.weights, w.weights)
-        assert index_map.part_indices == (1,)
-        assert index_map.map_node(0) == 0
+        assert parts == range(1, 2)
+        assert split.remap(np.array([0]), ()).tolist() == [0]
 
     def test_equal_parts(self):
         w = WeightDistribution.from_raw([0.82, 0.18])
         for r in (2, 3, 5):
-            out, index_map = apply_split(w, SplitSpec.equal(0, r))
-            parts = out.weights[list(index_map.part_indices)]
-            assert np.allclose(parts, 0.82 / r, atol=1e-15)
+            out, parts = apply_split(w, SplitSpec.equal(0, r))
+            assert np.allclose(out.weights[parts], 0.82 / r, atol=1e-15)
 
     def test_zero_weight_node_rejected(self):
         w = WeightDistribution(np.array([1.0, 0.0]))
@@ -158,13 +159,13 @@ class TestApplySplit:
         w = WeightDistribution.from_raw(raw)
         node = node % w.size
         split = SplitSpec.equal(node, r)
-        out, index_map = apply_split(w, split)
+        out, parts = apply_split(w, split)
         assert out.size == w.size + r - 1
         assert abs(math.fsum(out.weights.tolist()) - 1.0) <= 1e-12
         # under identity f the parts' probabilities add back to the original
         p = sampling_distribution(w, IDENTITY)
         p_hat = sampling_distribution(out, IDENTITY)
-        recombined = math.fsum(p_hat.probs[list(index_map.part_indices)].tolist())
+        recombined = math.fsum(p_hat.probs[parts].tolist())
         assert recombined == pytest.approx(float(p.probs[node]), abs=1e-12)
 
     def test_fractions_must_be_positive_and_normalized(self):
@@ -172,6 +173,49 @@ class TestApplySplit:
             SplitSpec(0, np.array([0.5, 0.4]))
         with pytest.raises(InvalidParameterError):
             SplitSpec(0, np.array([1.5, -0.5]))
+
+
+class TestSplitSpec:
+    def test_check_refuses_node_out_of_range_or_without_mass(self):
+        masses = np.array([0.5, 0.0, 0.5])
+        assert SplitSpec.equal(2, 2).check(masses) == 0.5
+        for node in (1, 3):
+            with pytest.raises(InvalidParameterError, match=f"node {node}"):
+                SplitSpec.equal(node, 2).check(masses)
+
+    def test_largest_uniform_selects_last_part(self):
+        # ten fractions of 0.1 accumulate to 1 - 2**-53, short of the top uniform
+        split = SplitSpec(3, np.full(10, 0.1))
+        assert split.remap(np.array([3]), [np.nextafter(1.0, 0.0)]).tolist() == [12]
+
+    @given(
+        raw=st.lists(st.one_of(st.just(0.0), st.floats(0.01, 10.0)), min_size=2, max_size=8)
+        .filter(any),
+        pick=st.integers(0, 7),
+        fractions=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_remap_is_the_split_mapping(self, raw, pick, fractions):
+        w = WeightDistribution.from_raw(raw)
+        positive = np.flatnonzero(w.weights)
+        node = int(positive[pick % positive.size])
+        x = np.asarray(fractions)
+        split = SplitSpec(node, x / math.fsum(x.tolist()))
+        p = sampling_distribution(w)
+        p_hat = sampling_distribution(apply_split(w, split)[0])
+        # every other node keeps its probability at its new index
+        others = np.array([u for u in range(w.size) if u != node])
+        moved = split.remap(others, ())
+        assert np.allclose(p_hat.probs[moved], p.probs[others], rtol=1e-12, atol=0.0)
+        # the parts carry the split node's mass
+        total = math.fsum(p_hat.probs[split.parts].tolist())
+        assert total == pytest.approx(float(p.probs[node]), abs=1e-12)
+        # uniforms in [cum[j-1], cum[j]) select part node + j, edges included;
+        # the last part runs up to 1
+        edges = np.concatenate([[0.0], split.cum[:-1], [1.0]])
+        for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            u = [lo, (lo + hi) / 2, np.nextafter(hi, 0.0)]
+            assert split.remap(np.full(3, node), u).tolist() == [node + j] * 3
 
 
 class TestDistributionDistance:
