@@ -128,16 +128,20 @@ def _subsets(p: SamplingDistribution, max_size: int, cells: int,
             f"{subsets} subsets (N={n}, up to {max_size} nodes) x {cells} cells = "
             f"{subsets * cells} terms exceeds the exact budget of {MAX_TERMS} terms"
         )
-    size = np.zeros(1, dtype=np.int8)  # the budget keeps |S| below 23
-    rest, comp = np.zeros(1), np.zeros(1)
-    has = np.zeros(1, dtype=bool)
+    size = np.zeros(subsets, dtype=np.int8)  # the budget keeps |S| below 23
+    rest, comp = np.zeros(subsets), np.zeros(subsets)
+    has = np.zeros(subsets, dtype=bool)
+    filled = 1  # the empty set; node j appends S + {j} for each S filled so far
     for j in np.flatnonzero(p.probs).tolist():
         p_j = float(p.probs[j])
-        grow = size < max_size
-        size = np.concatenate([size, size[grow] + 1])
-        rest = np.concatenate([rest, rest[grow] + (0.0 if j == node else p_j)])
-        comp = np.concatenate([comp + p_j, comp[grow]])
-        has = np.concatenate([has, has[grow] | (j == node)])
+        grow = size[:filled] < max_size
+        end = filled + int(np.count_nonzero(grow))
+        size[filled:end] = size[:filled][grow] + 1
+        rest[filled:end] = rest[:filled][grow] + (0.0 if j == node else p_j)
+        comp[filled:end] = comp[:filled][grow]
+        comp[:filled] += p_j
+        has[filled:end] = has[:filled][grow] | (j == node)
+        filled = end
     return _Subsets(size, rest, comp, has, n)
 
 

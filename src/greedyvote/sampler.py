@@ -1,8 +1,8 @@
 """Greedy sampling (with replacement until k distinct nodes) and its coupled
 pre/post-split variant.
 
-Draws come from an alias table (O(1) per draw after an O(N) build, cached per
-distribution) fed by counter-based Philox streams, so identical
+Draws come from an alias table (O(1) per draw after a loop-free O(N log N)
+build, cached per distribution) fed by counter-based Philox streams, so identical
 (seed, stream_id) inputs replay bit-identical sequences.  `greedy_runs` is
 the block-vectorized kernel behind every Monte Carlo path; `greedy_sample`
 and `coupled_greedy_sample` run one sample at a time and serve as the
@@ -59,30 +59,28 @@ class RngStream:
 
 
 class AliasTable:
-    """Vose alias table over a fixed probability vector."""
+    """Vose alias table over a fixed probability vector, built loop-free."""
 
     def __init__(self, probs: np.ndarray):
         n = int(probs.size)
-        scaled = (np.asarray(probs, dtype=float) * n).tolist()
-        prob = [0.0] * n
-        alias = [0] * n
-        small = [i for i, sp in enumerate(scaled) if sp < 1.0]
-        large = [i for i, sp in enumerate(scaled) if sp >= 1.0]
-        while small and large:
-            l = small.pop()
-            g = large.pop()
-            prob[l] = scaled[l]
-            alias[l] = g
-            scaled[g] = (scaled[g] + scaled[l]) - 1.0
-            (small if scaled[g] < 1.0 else large).append(g)
-        for leftover in (small, large):
-            while leftover:
-                g = leftover.pop()
-                prob[g] = 1.0
-                alias[g] = g
-        self.size = n
-        self.prob = np.asarray(prob)
-        self.alias = np.asarray(alias, dtype=np.int64)
+        scaled = np.asarray(probs, dtype=float) * n
+        light = np.flatnonzero(scaled < 1.0)[::-1]  # Vose's loop pops both lists
+        heavy = np.flatnonzero(scaled >= 1.0)[::-1]  # in descending index order
+        d_hi, d_lo = _prefix_sums(1.0 - scaled[light])  # running deficit D
+        e_hi, e_lo = _prefix_sums(scaled[heavy] - 1.0)  # running excess E
+        d, e = d_hi + d_lo, e_hi + e_lo
+        self.size, self.prob, self.alias = n, np.ones(n), np.arange(n, dtype=np.int64)
+        # light i takes the first heavy j with E_j >= D_(i-1); unfed lights keep 1
+        donor = np.searchsorted(e, np.concatenate(([0.0], d))[:-1], side="left")
+        fed = donor < heavy.size
+        self.prob[light[fed]] = scaled[light[fed]]
+        self.alias[light[fed]] = heavy[donor[fed]]
+        # heavy j but the last: the first light i with D_i > E_j cuts it to 1 - (D_i - E_j)
+        i = np.searchsorted(d, e[:-1], side="right")
+        j = np.flatnonzero(i < light.size)
+        cut = 1.0 - ((d_hi[i[j]] - e_hi[j]) + (d_lo[i[j]] - e_lo[j]))  # hi - hi exact
+        self.prob[heavy[j]] = np.clip(cut, 0.0, 1.0)  # exact ties give about -4e-16
+        self.alias[heavy[j]] = heavy[j + 1]
 
     def draw_batch(self, gen: np.random.Generator, n: int) -> list:
         idx = gen.integers(0, self.size, n)
@@ -96,6 +94,14 @@ class AliasTable:
         u = gen.random(shape) * self.size
         idx = u.astype(np.int64)
         return np.where(u - idx < self.prob[idx], idx, self.alias[idx])
+
+
+def _prefix_sums(x: np.ndarray) -> tuple:
+    """Running sums of x as hi + lo: np.cumsum and its summed TwoSum errors."""
+    hi = np.cumsum(x)
+    prev = np.concatenate(([0.0], hi[:-1]))
+    step = hi - prev
+    return hi, np.cumsum((prev - (hi - step)) + (x - step))
 
 
 def _alias_table(p: SamplingDistribution) -> AliasTable:
@@ -308,7 +314,7 @@ def coupled_greedy_sample(p: SamplingDistribution, split: SplitSpec, k: int,
 # block-vectorized kernel
 # ---------------------------------------------------------------------------
 
-STREAM_LAYOUT = 2  # version of the seed -> draws layout that greedy_runs defines
+STREAM_LAYOUT = 3  # version of the seed -> draws layout that greedy_runs defines
 BLOCK_ROWS = 512  # runs per block
 BLOCK_CELLS = 1 << 19  # draws per matrix; bounds a block's memory when runs are long
 

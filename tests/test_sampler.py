@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chisquare_gof_pvalue, chisquare_two_sample_pvalue, counts_of
 from greedyvote import sampler
@@ -17,6 +19,7 @@ from greedyvote.weights import (
     SamplingDistribution,
     SplitSpec,
     WeightDistribution,
+    WeightFunction,
     ZipfParams,
     apply_split,
     sampling_distribution,
@@ -71,6 +74,45 @@ class TestAliasDraw:
                                                            for _ in range(50)]
 
 
+def _implied_law(table: AliasTable) -> np.ndarray:
+    """Each node's draw probability under the table: its own column's cut
+    point plus the remainder of every column that aliases it, over N."""
+    n = table.size
+    return (table.prob + np.bincount(table.alias, 1.0 - table.prob, minlength=n)) / n
+
+
+class TestAliasBuild:
+    @given(st.one_of(
+        st.lists(st.integers(0, 5), min_size=1, max_size=60),  # stakes with ties
+        st.integers(1, 60).map(lambda n: [1] * n),
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1, max_size=60),
+    ).filter(any))
+    @settings(max_examples=300, deadline=None)
+    def test_table_reproduces_the_law(self, stakes):
+        p = SamplingDistribution.from_probs(stakes).probs
+        table = AliasTable(p)
+        assert ((table.prob >= 0.0) & (table.prob <= 1.0)).all()
+        assert np.abs(_implied_law(table) - p).max() <= 2e-15
+        zero = p == 0.0
+        assert (table.prob[zero] == 0.0).all()
+        assert not zero[table.alias[table.prob < 1.0]].any()
+
+    @staticmethod
+    def _zipf_law_error():
+        w = zipf_weights(ZipfParams(0.8, 1_000_000))
+        p = sampling_distribution(w, WeightFunction.parse("power:0.5")).probs
+        return np.abs(_implied_law(AliasTable(p)) - p).max()
+
+    def test_law_holds_at_a_million_nodes(self):
+        assert self._zipf_law_error() <= 2e-15
+
+    def test_uncompensated_prefix_sums_miss_the_law(self, monkeypatch):
+        # the lo part is what keeps the cut points exact at this size: a
+        # plain cumsum puts them about 1e-8 off
+        monkeypatch.setattr(sampler, "_prefix_sums", lambda x: (np.cumsum(x), np.zeros(x.size)))
+        assert self._zipf_law_error() > 2e-15
+
+
 class TestGreedySample:
     def test_k1_always_one_draw(self):
         p = SamplingDistribution.from_probs([0.2, 0.3, 0.5])
@@ -83,12 +125,8 @@ class TestGreedySample:
     def test_geometric_mean_draw_count(self):
         # waiting time for the second distinct fair-coin value: mean 2 + 1
         p = SamplingDistribution.from_probs([0.5, 0.5])
-        rng = RngStream(77)
-        n = 1_000_000
-        total = 0
-        for _ in range(n):
-            total += greedy_sample(p, 2, rng).total_draws
-        assert total / n == pytest.approx(3.0, abs=0.01)
+        runs = greedy_runs(p, 2, RngStream(77), 1_000_000)
+        assert runs.v.mean() == pytest.approx(3.0, abs=0.01)
 
     def test_draw_count_law_matches_exact_distribution(self):
         p = SamplingDistribution.from_probs([0.9, 0.1])
@@ -363,12 +401,13 @@ class TestGreedyRuns:
         assert np.array_equal(runs.totals[1], runs.y)
 
     def test_stream_layout_is_pinned(self):
-        # these runs belong to stream layout 2; a change that moves them must
-        # raise sampler.STREAM_LAYOUT and update the pin
+        # these runs belong to stream layout 3 (unchanged since layout 2: the
+        # law has no ties); a change that moves them must raise
+        # sampler.STREAM_LAYOUT and update the pin
         p = SamplingDistribution.from_probs([0.6, 0.25, 0.15])
         runs = greedy_runs(p, 3, RngStream(2021), 10, track=0,
                            split=SplitSpec(0, np.array([0.4, 0.6])))
-        assert sampler.STREAM_LAYOUT == 2
+        assert sampler.STREAM_LAYOUT == 3
         assert runs.v.tolist() == [40, 5, 16, 6, 4, 11, 6, 9, 5, 3]
         assert runs.v_post.tolist() == [11, 4, 4, 4, 4, 3, 4, 3, 4, 3]
         assert runs.y.tolist() == [22, 3, 9, 4, 2, 6, 4, 7, 3, 1]
