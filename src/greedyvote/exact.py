@@ -259,7 +259,8 @@ def _log_kernels(x: np.ndarray, comp: np.ndarray):
     xs = x[small]
     series = np.zeros_like(xs)
     for m in range(55, -1, -1):  # the tail after 56 terms is below 2^-56
-        series = series * xs + 1.0 / (m + 2)
+        np.multiply(series, xs, out=series)
+        np.add(series, 1.0 / (m + 2), out=series)
     L, M = np.empty_like(x), np.empty_like(x)
     M[small] = series
     L[small] = 1.0 + xs * series

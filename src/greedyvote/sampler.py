@@ -391,12 +391,13 @@ class _Blocks:
     def __init__(self, table, k, gen, track, split, values, out):
         self.table, self.k, self.gen = table, k, gen
         self.track, self.split, self.values, self.out = track, split, values, out
+        self.n = table.size + (0 if split is None else split.r - 1)  # bounds node ids
 
     def finish(self, rows, draws):
         """Record every row once it has k distinct nodes, doubling the width
         of the others; a group too wide for BLOCK_CELLS goes on in parts."""
         while True:
-            v = _stop_points(draws, self.k)
+            v = _stop_points(draws, self.k, self.n)
             done = v > 0
             self.record(rows[done], v[done], draws[done])
             if done.all():
@@ -425,7 +426,7 @@ class _Blocks:
         # uniform; -1 marks the cells past the run, which no stop point reads
         hit = in_run & (draws == split.node)
         post = split.remap(np.where(in_run, draws, -1), self.gen.random(int(hit.sum())))
-        v_post = _stop_points(post, self.k)
+        v_post = _stop_points(post, self.k, self.n)
         if not ((v_post > 0) & (v_post <= v)).all():
             raise SamplingError(
                 "a post-split run outlasted its pre-split run (need v_post <= v_pre)")
@@ -444,17 +445,23 @@ def _count_in(mask: np.ndarray, nodes: np.ndarray, span: range) -> np.ndarray:
     return np.count_nonzero(mask & (nodes >= span.start) & (nodes < span.stop), axis=1)
 
 
-def _stop_points(draws: np.ndarray, k: int) -> np.ndarray:
+def _stop_points(draws: np.ndarray, k: int, n: int) -> np.ndarray:
     """Per row, the draw count at which k distinct nodes are reached, or 0.
 
-    A stable argsort lines up each node's draws in draw order, so the head
-    of each run of equal values marks that node's first occurrence.
+    Draws are nodes below n, or -1 past a run, in rows at least k wide.  The
+    draw d in column c of a width-w row becomes the key d * w + c; keys are
+    unique within a row, so one plain sort lines them up by node and then by
+    column.  Where the node key // w changes, the key marks that node's first
+    occurrence; the k-th smallest such column, plus 1, is the stop point.
     """
-    order = np.argsort(draws, axis=1, kind="stable")
-    ordered = np.take_along_axis(draws, order, axis=1)
-    head = np.ones(draws.shape, dtype=bool)
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=head[:, 1:])
-    first = np.empty_like(head)
-    np.put_along_axis(first, order, head, axis=1)
-    reached = np.cumsum(first, axis=1) >= k
-    return np.where(reached[:, -1], np.argmax(reached, axis=1) + 1, 0)
+    w = draws.shape[1]
+    keys = draws.astype(np.int32 if (n + 1) * w < 2**31 else np.int64)
+    keys *= w
+    keys += np.arange(w, dtype=keys.dtype)
+    keys.sort(axis=1)
+    node = keys // w
+    head = np.ones(keys.shape, dtype=bool)
+    np.not_equal(node[:, 1:], node[:, :-1], out=head[:, 1:])
+    first = np.where(head, keys - node * w, w)  # w: not a first occurrence
+    kth = np.partition(first, k - 1, axis=1)[:, k - 1]
+    return np.where(kth < w, kth + 1, 0)

@@ -116,7 +116,7 @@ class WeightDistribution:
             raise InvalidParameterError("weights must be a non-empty 1-d vector")
         if not np.isfinite(w).all() or bool((w < 0).any()):
             raise InvalidParameterError("weights must be finite and non-negative")
-        total = _fsum(w)
+        total = float(w.sum())  # only checked: no output depends on its rounding
         if abs(total - 1.0) > NORM_TOL:
             raise InvalidParameterError(
                 f"weights sum to {total!r}, not 1; use WeightDistribution.from_raw"
@@ -155,7 +155,7 @@ class SamplingDistribution:
             raise InvalidParameterError("probs must be a non-empty 1-d vector")
         if not np.isfinite(p).all() or bool((p < 0).any()) or bool((p > 1).any()):
             raise InvalidParameterError("probs must lie in [0, 1]")
-        total = _fsum(p)
+        total = float(p.sum())
         if abs(total - 1.0) > NORM_TOL:
             raise InvalidParameterError(f"probs sum to {total!r}, not 1")
 
@@ -213,7 +213,7 @@ class SplitSpec:
             raise InvalidParameterError("fractions must be a non-empty 1-d vector")
         if not np.isfinite(x).all() or bool((x <= 0).any()):
             raise InvalidParameterError("all split fractions must be > 0")
-        total = _fsum(x)
+        total = float(x.sum())
         if abs(total - 1.0) > NORM_TOL:
             raise InvalidParameterError(f"split fractions sum to {total!r}, not 1")
         if self.node < 0:

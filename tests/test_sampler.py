@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,6 +295,50 @@ class TestCoupledGreedySample:
             assert (ca.K, ca.L) == (cb.K, cb.L)
 
 
+def _first_reach(row, k: int) -> int:
+    """Draw count at which the row first holds k distinct values, or 0."""
+    seen = set()
+    for c, d in enumerate(row):
+        seen.add(d)
+        if len(seen) == k:
+            return c + 1
+    return 0
+
+
+@st.composite
+def _stop_point_cases(draw):
+    """(draws, k, n): rows of nodes below n, each -1 from a random column on
+    (or never), and k from 1 to the width; n picks the key width."""
+    width = draw(st.integers(1, 12))
+    rows = draw(st.integers(0, 6))
+    m = draw(st.integers(1, 6))  # node ids in use: n - m .. n - 1
+    n = draw(st.sampled_from([m, (2**31 - 1) // width - 1, 2**31]))  # int32 edge, int64
+    cells = st.lists(st.integers(n - m, n - 1), min_size=width, max_size=width)
+    draws = np.array(draw(st.lists(cells, min_size=rows, max_size=rows)),
+                     dtype=np.int64).reshape(rows, width)
+    for row in draws:
+        row[draw(st.integers(0, width)):] = -1
+    return draws, draw(st.integers(1, width)), n
+
+
+class TestStopPoints:
+    @given(_stop_point_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_a_set_walk(self, case):
+        draws, k, n = case
+        got = sampler._stop_points(draws, k, n)
+        assert got.shape == (draws.shape[0],)
+        assert got.tolist() == [_first_reach(row.tolist(), k) for row in draws]
+
+    def test_kernel_blocks_match_a_set_walk(self):
+        p = sampling_distribution(zipf_weights(ZipfParams(1.1, 1000)))
+        draws = AliasTable(p.probs).draw(np.random.default_rng(8), (512, 40))
+        draws[::3, 30:] = -1
+        got = sampler._stop_points(draws, 20, p.size)
+        assert got.tolist() == [_first_reach(row.tolist(), 20) for row in draws]
+        assert 0 < np.count_nonzero(got) < got.size
+
+
 class TestGreedyRuns:
     """The block kernel, checked against exact laws and the scalar samplers."""
 
@@ -412,6 +458,43 @@ class TestGreedyRuns:
         assert runs.v_post.tolist() == [11, 4, 4, 4, 4, 3, 4, 3, 4, 3]
         assert runs.y.tolist() == [22, 3, 9, 4, 2, 6, 4, 7, 3, 1]
         assert runs.L.tolist() == [18, 0, 7, 1, 0, 4, 1, 5, 0, 0]
+
+    # sums and sha256 of the int64 bytes of v, v_post, y, y_post, K and L:
+    # 3000 coupled runs, Zipf(1.1, N=1000), k=20, node 1 split 0.5/0.5
+    MULTI_BLOCK_PINS = {
+        None: {  # six blocks, each extending its short rows once
+            "v": (84190, "f2c5e5a57dbdbf68896236b720a4ac3c39bf8e36714a3db88da0e237f0541957"),
+            "v_post": (81704, "152c4846889a65163b55a33578fcaf85cc6192336897f61bbac2f1197a34b323"),
+            "y": (7017, "8d5925c866852c0eda09e545eb1040fc10a4e535a2e2e6606b8bbb019fd4f8d6"),
+            "y_post": (6806, "9dd101a4c9edc8bffb1f4a2c10255f204307505e50f21e4bf58652ac2ad4a26e"),
+            "K": (2486, "2cac6d2757721119100f7b015c8b8235c56d12b583fb18642ba421e8a949115a"),
+            "L": (211, "418f2b8297588d89b5b4126e5d8bb4dd0b723dfd3906d6f3bcc24be413887065"),
+        },
+        100: {  # two-row blocks whose short rows go on in groups of one
+            "v": (84185, "94d34d02a6ebc357d01e9855ce26c580a092d65ceb7ca68b6b3fd182f23635eb"),
+            "v_post": (81763, "1467c801b6a669d34c0c3b26ed4d2f68b50afdb6b0fe8783e58311775441a131"),
+            "y": (7059, "5f170b85dd5cd70e475ccdc53bc149c271b9a375030227e54b38e24b97f3ec83"),
+            "y_post": (6884, "490fb10d9ffdfec7aa8705c8bdf0ee0a1cbb4e710d30ffdedf7ae993bc908d84"),
+            "K": (2422, "537e292a492765fa62d48a169e4a49940c7e8ec0825e38ac0c96dec2331f7877"),
+            "L": (175, "8de97c5342951d46dc9b1e17bfefaeebff5ff90d48be3e363684ef865322b1d8"),
+        },
+    }
+
+    @pytest.mark.parametrize("cells", [None, 100])
+    def test_multi_block_stream_layout_is_pinned(self, cells, monkeypatch):
+        # layout 3 across blocks, row extensions and (with a small cell
+        # budget) groups of extended rows; a change that moves these must
+        # raise sampler.STREAM_LAYOUT and update the pins
+        if cells is not None:
+            monkeypatch.setattr(sampler, "BLOCK_CELLS", cells)
+        p = sampling_distribution(zipf_weights(ZipfParams(1.1, 1000)))
+        runs = greedy_runs(p, 20, RngStream(2026), 3000, track=1,
+                           split=SplitSpec(1, np.array([0.5, 0.5])))
+        got = {}
+        for name in self.MULTI_BLOCK_PINS[cells]:
+            a = getattr(runs, name).astype(np.int64)
+            got[name] = (int(a.sum()), hashlib.sha256(a.tobytes()).hexdigest())
+        assert got == self.MULTI_BLOCK_PINS[cells]
 
     def test_determinism(self):
         p = SamplingDistribution.from_probs([0.5, 0.3, 0.2])
