@@ -7,7 +7,7 @@ build, cached per distribution) fed by counter-based Philox streams, so identica
 the block-vectorized kernel behind every Monte Carlo path; `greedy_sample`
 and `coupled_greedy_sample` run one sample at a time and serve as the
 single-run API and as the kernel's independent reference.  Where a node
-lands after a split comes from `SplitSpec` (`parts`, `remap`, `check`).
+lands after a split comes from `SplitSpec` (`parts`, `part`, `remap`, `check`).
 """
 
 from __future__ import annotations
@@ -86,6 +86,12 @@ class AliasTable:
         idx = gen.integers(0, self.size, n)
         accept = gen.random(n) < self.prob[idx]
         return np.where(accept, idx, self.alias[idx]).tolist()
+
+    def stream(self, gen: np.random.Generator, batch: int):
+        """Draws one at a time, fetched in batches that double up to 4096."""
+        while True:
+            yield from self.draw_batch(gen, batch)
+            batch = min(2 * batch, 4096)
 
     def draw(self, gen: np.random.Generator, shape) -> np.ndarray:
         """Array of draws using one uniform each: its integer part picks the
@@ -205,16 +211,7 @@ def greedy_sample(p: SamplingDistribution, k: int, rng: RngStream) -> GreedySamp
     counts: dict = {}
     seen = 0
     draws = 0
-    batch = k + 16
-    buf: list = []
-    pos = 0
-    while True:
-        if pos == len(buf):
-            buf = table.draw_batch(gen, batch)
-            pos = 0
-            batch = min(2 * batch, 4096)
-        a = buf[pos]
-        pos += 1
+    for a in table.stream(gen, k + 16):
         draws += 1
         c = counts.get(a)
         if c is None:
@@ -249,21 +246,9 @@ def coupled_greedy_sample(p: SamplingDistribution, split: SplitSpec, k: int,
     post_counts: dict = {}
     pre_seen = post_seen = 0
     v_pre = v_post = 0
-    post_done = False
-    post_last = -1
-    extra_draws = 0
-    extra_hits = 0
-    batch = k + 16
-    buf: list = []
-    pos = 0
-    while True:
-        if pos == len(buf):
-            buf = table.draw_batch(gen, batch)
-            pos = 0
-            batch = min(2 * batch, 4096)
-        a = buf[pos]
-        pos += 1
-
+    post_done, post_last = False, -1
+    extra_draws = extra_hits = 0
+    for a in table.stream(gen, k + 16):
         v_pre += 1
         c = pre_counts.get(a)
         if c is None:
@@ -356,9 +341,9 @@ def greedy_runs(p: SamplingDistribution, k: int, rng: RngStream, n_runs: int,
     groups of rows extended together, at most BLOCK_CELLS draws unless a
     single row needs more.
 
-    `track` is a node index or range counted into y.  With a split, the
-    post-split run of a finished row is its pre-split run with each
-    split-node draw replaced by a part chosen with its own uniform.
+    `track` is a node index or range counted into y.  With a split, each
+    in-run split-node draw takes a part by its own uniform, in row-major
+    order; the post-split run is counted from those draws (_post_split).
     `totals` holds per-node value vectors to sum over each run's draws.
     """
     k = _check_k(p, k)
@@ -379,7 +364,7 @@ def greedy_runs(p: SamplingDistribution, k: int, rng: RngStream, n_runs: int,
         size = max(1, min(BLOCK_ROWS, BLOCK_CELLS // width))
         rows = np.arange(start, min(start + size, n_runs))
         blocks.finish(rows, blocks.table.draw(blocks.gen, (rows.size, width)))
-        width = int(np.quantile(out.v[rows], 0.9))
+        width = _p90(out.v[rows])
         start += rows.size
     return out
 
@@ -391,15 +376,15 @@ class _Blocks:
     def __init__(self, table, k, gen, track, split, values, out):
         self.table, self.k, self.gen = table, k, gen
         self.track, self.split, self.values, self.out = track, split, values, out
-        self.n = table.size + (0 if split is None else split.r - 1)  # bounds node ids
 
     def finish(self, rows, draws):
         """Record every row once it has k distinct nodes, doubling the width
         of the others; a group too wide for BLOCK_CELLS goes on in parts."""
         while True:
-            v = _stop_points(draws, self.k, self.n)
+            first = _first_columns(draws, self.table.size)
+            v = _kth_stop(first, self.k)
             done = v > 0
-            self.record(rows[done], v[done], draws[done])
+            self.record(rows[done], v[done], draws[done], first[done])
             if done.all():
                 return
             rows, draws = rows[~done], draws[~done]
@@ -411,49 +396,66 @@ class _Blocks:
             more = self.table.draw(self.gen, draws.shape)
             draws = np.concatenate([draws, more], axis=1)
 
-    def record(self, rows, v, draws):
+    def record(self, rows, v, draws, first):
         """Store finished rows' outcomes, checking the coupling on the way."""
-        out, split = self.out, self.split
-        cols = np.arange(draws.shape[1])
-        in_run = cols < v[:, None]
+        out, split, t = self.out, self.split, self.track
+        in_run = np.arange(draws.shape[1]) < v[:, None]
         out.v[rows] = v
-        out.y[rows] = _count_in(in_run, draws, self.track)
         for j, value in enumerate(self.values):
             out.totals[j, rows] = np.where(in_run, value[draws], 0.0).sum(axis=1)
+        if split is None or t != range(split.node, split.node + 1):
+            out.y[rows] = np.count_nonzero(in_run & (draws >= t.start) & (draws < t.stop), axis=1)
         if split is None:
             return
-        # post-split image of the run, each split-node draw taking its own
-        # uniform; -1 marks the cells past the run, which no stop point reads
-        hit = in_run & (draws == split.node)
-        post = split.remap(np.where(in_run, draws, -1), self.gen.random(int(hit.sum())))
-        v_post = _stop_points(post, self.k, self.n)
+        v_post, hr, hc = _post_split(in_run, draws, first, self.k, split, self.gen)
+        out.v_post[rows] = v_post
         if not ((v_post > 0) & (v_post <= v)).all():
-            raise SamplingError(
-                "a post-split run outlasted its pre-split run (need v_post <= v_pre)")
-        in_post = cols < v_post[:, None]
-        extra = in_run & ~in_post
-        out.K[rows] = K = np.count_nonzero(extra, axis=1)
-        out.L[rows] = L = np.count_nonzero(extra & hit, axis=1)
+            raise SamplingError("a post-split run outlasted its pre-split run")
+        before = hc < v_post[hr]
+        out.K[rows] = K = v - v_post
+        out.L[rows] = L = np.bincount(hr[~before], minlength=rows.size)
         if not ((L >= 0) & (L <= K)).all():
             raise SamplingError("coupled runs broke 0 <= L <= K")
-        out.v_post[rows] = v_post
-        out.y_post[rows] = _count_in(in_post, post, split.parts)
+        out.y_post[rows] = y_post = np.bincount(hr[before], minlength=rows.size)
+        if t == range(split.node, split.node + 1):
+            out.y[rows] = y_post + L  # every in-run draw of the split node
 
 
-def _count_in(mask: np.ndarray, nodes: np.ndarray, span: range) -> np.ndarray:
-    """Per row, the masked entries whose node lies in span."""
-    return np.count_nonzero(mask & (nodes >= span.start) & (nodes < span.stop), axis=1)
+def _post_split(in_run, draws, first, k, split, gen):
+    """Stop points of finished rows' post-split runs, which are never built,
+    and the row and column of each in-run split-node draw.  Each such draw
+    takes a part by its own uniform, in row-major order; the parts' first
+    columns join the rows' first occurrences (`first`), less the earliest of
+    them: the node's own, which `first` holds already."""
+    hr, hc = np.nonzero(in_run & (draws == split.node))
+    n, w = draws.shape
+    parts = np.full((n, split.r), w, dtype=first.dtype)
+    pick = split.part(gen.random(hr.size))
+    np.minimum.at(parts, (hr, pick), hc.astype(parts.dtype))
+    parts[np.arange(n), parts.argmin(axis=1)] = w
+    kth = np.partition(np.concatenate([first, parts], axis=1), k - 1, axis=1)[:, k - 1]
+    return kth + 1, hr, hc
+
+
+def _p90(v: np.ndarray) -> int:
+    """int(np.quantile(v, 0.9)), numpy's linear method, without its per-call overhead."""
+    x = (v.size - 1) * 0.9
+    lo, t = int(x), x - int(x)
+    a, b = np.sort(v)[[lo, min(lo + 1, v.size - 1)]]
+    return int(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
 
 
 def _stop_points(draws: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Per row, the draw count at which k distinct nodes are reached, or 0.
+    """Per row, the draw count at which k distinct nodes are reached, or 0."""
+    return _kth_stop(_first_columns(draws, n), k)
 
-    Draws are nodes below n, or -1 past a run, in rows at least k wide.  The
-    draw d in column c of a width-w row becomes the key d * w + c; keys are
-    unique within a row, so one plain sort lines them up by node and then by
-    column.  Where the node key // w changes, the key marks that node's first
-    occurrence; the k-th smallest such column, plus 1, is the stop point.
-    """
+
+def _first_columns(draws: np.ndarray, n: int) -> np.ndarray:
+    """Per row, each node's first column, and the width w in the other cells.
+
+    Draws are nodes below n, or -1 past a run.  The draw d in column c of a
+    width-w row becomes the key d * w + c: one plain sort lines a row up by
+    node, then column, and a key whose node key // w is new is a first one."""
     w = draws.shape[1]
     keys = draws.astype(np.int32 if (n + 1) * w < 2**31 else np.int64)
     keys *= w
@@ -462,6 +464,10 @@ def _stop_points(draws: np.ndarray, k: int, n: int) -> np.ndarray:
     node = keys // w
     head = np.ones(keys.shape, dtype=bool)
     np.not_equal(node[:, 1:], node[:, :-1], out=head[:, 1:])
-    first = np.where(head, keys - node * w, w)  # w: not a first occurrence
+    return np.where(head, keys - node * w, w)
+
+
+def _kth_stop(first: np.ndarray, k: int) -> np.ndarray:
+    """Per row, 1 + the k-th smallest entry of `first`, or 0 if that is the width."""
     kth = np.partition(first, k - 1, axis=1)[:, k - 1]
-    return np.where(kth < w, kth + 1, 0)
+    return np.where(kth < first.shape[1], kth + 1, 0)

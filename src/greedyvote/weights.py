@@ -252,8 +252,12 @@ class SplitSpec:
         """
         nodes = np.asarray(nodes)
         out = np.where(nodes > self.node, nodes + (self.r - 1), nodes)
-        out[nodes == self.node] = self.node + np.searchsorted(self.cum, u, side="right")
+        out[nodes == self.node] = self.node + self.part(u)
         return out
+
+    def part(self, u) -> np.ndarray:
+        """Offset (0 .. r-1) of the part that each uniform in [0, 1) selects."""
+        return np.searchsorted(self.cum, u, side="right")
 
     def check(self, masses: np.ndarray, source_f: str = "identity") -> float:
         """The split node's mass, refusing a node out of range or of zero mass.

@@ -339,6 +339,60 @@ class TestStopPoints:
         assert 0 < np.count_nonzero(got) < got.size
 
 
+@st.composite
+def _post_split_cases(draw):
+    """(draws, k, split, seed): rows of nodes below m, k from 1 to the width
+    and an r-way split of one of the m nodes, r from 1 to 4."""
+    width = draw(st.integers(1, 12))
+    rows = draw(st.integers(0, 6))
+    m = draw(st.integers(1, 6))
+    cells = st.lists(st.integers(0, m - 1), min_size=width, max_size=width)
+    draws = np.array(draw(st.lists(cells, min_size=rows, max_size=rows)),
+                     dtype=np.int64).reshape(rows, width)
+    shares = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4)))
+    split = SplitSpec(draw(st.integers(0, m - 1)), shares / shares.sum())
+    return draws, draw(st.integers(1, width)), split, draw(st.integers(0, 2**32 - 1))
+
+
+class TestPostSplit:
+    @given(_post_split_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_built_post_split_rows(self, case):
+        # the reference builds each finished row's post-split image the dense
+        # way: the in-run row remapped with one uniform per split-node draw,
+        # -1 past the run, then walked for its k-th distinct node
+        draws, k, split, seed = case
+        v = np.array([_first_reach(row.tolist(), k) for row in draws], dtype=np.int64)
+        draws, v = draws[v > 0], v[v > 0]  # finished rows, as the kernel records them
+        in_run = np.arange(draws.shape[1]) < v[:, None]
+        hits = in_run & (draws == split.node)
+        first = sampler._first_columns(draws, 6)  # node ids are below 6
+        got, hr, hc = sampler._post_split(in_run, draws, first, k, split,
+                                          np.random.default_rng(seed))
+        u = np.random.default_rng(seed).random(int(hits.sum()))
+        post = split.remap(np.where(in_run, draws, -1), u)
+        assert got.tolist() == [_first_reach(row.tolist(), k) for row in post]
+        assert (hr.tolist(), hc.tolist()) == tuple(a.tolist() for a in np.nonzero(hits))
+
+
+class TestBlockWidth:
+    @given(st.lists(st.one_of(st.integers(1, 60), st.integers(1, 10**9)),
+                    min_size=1, max_size=700))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_numpy_quantile(self, values):
+        v = np.array(values, dtype=np.int64)
+        assert sampler._p90(v) == int(np.quantile(v, 0.9))
+
+
+def _digests(runs) -> dict:
+    """Sum and sha256 of the int64 bytes of each coupled output array."""
+    out = {}
+    for name in ("v", "v_post", "y", "y_post", "K", "L"):
+        a = getattr(runs, name).astype(np.int64)
+        out[name] = (int(a.sum()), hashlib.sha256(a.tobytes()).hexdigest())
+    return out
+
+
 class TestGreedyRuns:
     """The block kernel, checked against exact laws and the scalar samplers."""
 
@@ -490,11 +544,37 @@ class TestGreedyRuns:
         p = sampling_distribution(zipf_weights(ZipfParams(1.1, 1000)))
         runs = greedy_runs(p, 20, RngStream(2026), 3000, track=1,
                            split=SplitSpec(1, np.array([0.5, 0.5])))
-        got = {}
-        for name in self.MULTI_BLOCK_PINS[cells]:
-            a = getattr(runs, name).astype(np.int64)
-            got[name] = (int(a.sum()), hashlib.sha256(a.tobytes()).hexdigest())
-        assert got == self.MULTI_BLOCK_PINS[cells]
+        assert _digests(runs) == self.MULTI_BLOCK_PINS[cells]
+
+    # as above for 3000 coupled runs of Zipf(2.0, N=50), k=10, node 2 split
+    # 0.2/0.3/0.5, tracking node 0: y counts node 0, y_post the three parts
+    THREE_WAY_PINS = {
+        None: {
+            "v": (193845, "ecde4c45123a5f26d9950fe427970583ef5e14470a2b453d8f0aa0ab48fae7a1"),
+            "v_post": (153089, "9f420e1e46d34cd4beac49d24e4dcf9c0fa9686a154d16ac1994957c3ffc0d9f"),
+            "y": (119156, "781891d61bc2d6aad0a2a4db3eeb9d679b2c5a87f24653e60d6a45411e1f8226"),
+            "y_post": (10539, "5a013336bed37e89e0ab920ce7602440434f2d0904b0680eb8b4db70d2fc25fc"),
+            "K": (40756, "32e66e03127b8a49d68599751dc3f994bcef7cd5242bb41a417a042fac17c0bb"),
+            "L": (2790, "56ee4ed3e89cfded1aeb43c43a95aa7dff5fbc1ff1d3196373c3e9114ba23700"),
+        },
+        100: {
+            "v": (193053, "e700e21c07ce6ddaa3ae95e9f437b5776660776265f5c21f9cbcffc482c0ffb7"),
+            "v_post": (154849, "a893ad3a10643ac7e802124ca3e8bdbf645b68cbd41509098c48d12bd31fcb7b"),
+            "y": (118726, "343ebf04cf4bf2b79b3031c921bd8b6721e4d958407c77e3daa9ff21b2a8bd4a"),
+            "y_post": (10511, "bee9addd632e3f50562356d9010727301c7d6f8f431d4cae71d13398040a8664"),
+            "K": (38204, "023b2a0f3190b21d830271096f9fd21929fa65f93049bfe0205b7f52252947a5"),
+            "L": (2754, "a8e90e2a5f76e204de5c9ebc1699a1993b7a0779e5fb3f19d78f2df791c6d805"),
+        },
+    }
+
+    @pytest.mark.parametrize("cells", [None, 100])
+    def test_three_way_stream_layout_is_pinned(self, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(sampler, "BLOCK_CELLS", cells)
+        p = sampling_distribution(zipf_weights(ZipfParams(2.0, 50)))
+        runs = greedy_runs(p, 10, RngStream(2027), 3000, track=0,
+                           split=SplitSpec(2, np.array([0.2, 0.3, 0.5])))
+        assert _digests(runs) == self.THREE_WAY_PINS[cells]
 
     def test_determinism(self):
         p = SamplingDistribution.from_probs([0.5, 0.3, 0.2])
