@@ -329,7 +329,7 @@ def _cmd_sample(cfg: ExperimentConfig) -> int:
     w = _weights_from_config(cfg)
     p = weights.sampling_distribution(w, weights.WeightFunction.parse(cfg["f"]))
     node0 = _node_index(cfg, w.size)
-    runs = sampler.greedy_runs(p, cfg["k"], sampler.RngStream(cfg["seed"], 0),
+    runs = sampler.greedy_runs(p, cfg["k"], sampler.as_stream(cfg["seed"]),
                                cfg["n_runs"], track=node0)
     rows = zip(range(cfg["n_runs"]), runs.v.tolist(), runs.y.tolist())
     _emit_csv(cfg["output"], ("run", "v", "count"), rows, cfg)

@@ -34,9 +34,6 @@ from .weights import SamplingDistribution, SplitSpec, _check_k, _check_node, _fs
 # tables take 32 MB of float64; N=60, k=8 (4.4e8 subsets) is refused up front.
 MAX_TERMS = 1 << 22
 
-ORACLE_MAX_NODES = 5
-ORACLE_MAX_VMAX = 10
-
 
 # ---------------------------------------------------------------------------
 # distribution records
@@ -78,12 +75,6 @@ class JointDistribution(_TruncatedLaw):
     residual: float
     k: int
     v_max: int
-
-    def marginal_v(self) -> dict:
-        out: dict = {}
-        for (_, v), q in self.probs.items():
-            out[v] = out.get(v, 0.0) + q
-        return out
 
 
 @dataclass(eq=False)
@@ -307,67 +298,6 @@ def voting_power_exact(p: SamplingDistribution, k: int, i: int, epsilon: float):
             f"exceeds epsilon={epsilon:.3e}"
         )
     return value, error_bound
-
-
-def enumeration_oracle(p: SamplingDistribution, k: int, v_max: int):
-    """Brute-force ground truth: walk every draw sequence of length <= v_max
-    that first reaches k distinct nodes on its final element.
-
-    Returns the draw-count law and, for every node, the joint law of
-    (occurrences, draw count).  Kept deliberately independent of the formula
-    implementations above.
-    """
-    k, v_max = _check_law_args(p, k, v_max)
-    n = p.size
-    if n > ORACLE_MAX_NODES:
-        raise ResourceLimitError(
-            f"N={n} exceeds the oracle limit N <= {ORACLE_MAX_NODES}"
-        )
-    if v_max > ORACLE_MAX_VMAX:
-        raise ResourceLimitError(
-            f"v_max={v_max} exceeds the oracle limit v_max <= {ORACLE_MAX_VMAX}"
-        )
-
-    probs_list = p.probs.tolist()
-    support = [u for u in range(n) if probs_list[u] > 0.0]
-    v_probs: dict = {}
-    joint: dict = {u: {} for u in range(n)}
-    counts = [0] * n
-
-    def walk(distinct: int, length: int, seq_prob: float):
-        for a in support:
-            q = seq_prob * probs_list[a]
-            if counts[a] == 0:
-                if distinct + 1 == k:
-                    v = length + 1
-                    v_probs[v] = v_probs.get(v, 0.0) + q
-                    for u in range(n):
-                        ell = counts[u] + (1 if u == a else 0)
-                        key = (ell, v)
-                        joint[u][key] = joint[u].get(key, 0.0) + q
-                    continue
-                if length + 1 >= v_max:
-                    continue
-                counts[a] = 1
-                walk(distinct + 1, length + 1, q)
-                counts[a] = 0
-            else:
-                if length + 1 >= v_max:
-                    continue
-                counts[a] += 1
-                walk(distinct, length + 1, q)
-                counts[a] -= 1
-
-    walk(0, 0, 1.0)
-    total = _fsum(list(v_probs.values()))
-    v_dist = VDistribution(probs=v_probs, residual=1.0 - total, k=k, v_max=v_max)
-    joints = {
-        u: JointDistribution(probs=joint[u], node=u,
-                             residual=1.0 - _fsum(list(joint[u].values())),
-                             k=k, v_max=v_max)
-        for u in range(n)
-    }
-    return v_dist, joints
 
 
 # ---------------------------------------------------------------------------

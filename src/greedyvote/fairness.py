@@ -26,7 +26,7 @@ from .weights import (
     sampling_distribution,
     zipf_weights,
 )
-from .sampler import RngStream, as_stream, greedy_runs
+from .sampler import RngStream, as_stream, chunk_stream, greedy_runs, retained_stream, sweep_stream
 
 CHUNK_RUNS = 10_000
 RETAINED_CAP = 1_000_000
@@ -58,7 +58,7 @@ def _run_chunks(n_runs: int, rng: RngStream, worker) -> np.ndarray:
     if n_runs < 1:
         raise InvalidParameterError("n_runs must be >= 1")
     return np.concatenate([
-        worker(rng.child(ci), min(CHUNK_RUNS, n_runs - start))
+        worker(chunk_stream(rng, ci), min(CHUNK_RUNS, n_runs - start))
         for ci, start in enumerate(range(0, n_runs, CHUNK_RUNS))
     ])
 
@@ -73,7 +73,7 @@ def _summarize(values: np.ndarray, rng: RngStream) -> GainEstimate:
         se = 0.0
     retained = values
     if n > RETAINED_CAP:
-        keep = rng.child(0x5E1EC7).generator.choice(n, RETAINED_CAP, replace=False)
+        keep = retained_stream(rng).generator.choice(n, RETAINED_CAP, replace=False)
         retained = values[np.sort(keep)]
     return GainEstimate(
         mean=mean,
@@ -184,10 +184,9 @@ def sweep_gain(base: GainExperiment, axis: str, values, seed) -> SweepResult:
     points = []
     for j, value in enumerate(vals):
         cfg = _apply_axis(base, axis, value)
-        point_rng = RngStream(master.seed, master.stream_id + j)
         est = estimate_split_gain(
             cfg.weight_distribution(), cfg.f, cfg.k, SplitSpec.equal(cfg.node, cfg.split_r),
-            cfg.n_runs, point_rng, coupled=cfg.coupled,
+            cfg.n_runs, sweep_stream(master, j), coupled=cfg.coupled,
         )
         points.append((value, est))
     return SweepResult(axis=axis, points=points)

@@ -18,9 +18,7 @@ import numpy as np
 
 from .errors import DegenerateSampleError, InvalidParameterError
 from .weights import CONSTANT_ONE, IDENTITY, WeightDistribution, WeightFunction, sampling_distribution
-from .sampler import GreedySample, as_stream, greedy_runs
-
-_THRESHOLD_TAG = 0x7EED  # substream tag for the shared per-round threshold
+from .sampler import as_stream, greedy_runs, round_stream, threshold_stream
 
 
 @dataclass(frozen=True)
@@ -59,31 +57,13 @@ class FpcTrace:
     thresholds: np.ndarray
     consensus_round: int | None
     final_agreement: float
-    draw_counts: np.ndarray | None = None
 
     @property
     def n_rounds(self) -> int:
         return self.opinions_by_round.shape[0] - 1
 
 
-def mean_opinion(sample: GreedySample, opinions, g: WeightFunction,
-                 weights: WeightDistribution) -> float:
-    """Multiplicity-weighted mean opinion of a sampled quorum."""
-    nodes = list(sample.counts.keys())
-    mult = np.array([sample.counts[u] for u in nodes], dtype=float)
-    gm = g.apply(weights.weights[nodes])
-    den = float(np.dot(gm, mult))
-    if den <= 0.0:
-        raise DegenerateSampleError(
-            "averaging weight function vanishes on every sampled node"
-        )
-    s = np.asarray(opinions, dtype=float)[nodes]
-    num = float(np.dot(gm * mult, s))
-    return num / den
-
-
-def run_fpc(config: FpcConfig, weights: WeightDistribution, initial_opinions,
-            seed, record_draws: bool = False) -> FpcTrace:
+def run_fpc(config: FpcConfig, weights: WeightDistribution, initial_opinions, seed) -> FpcTrace:
     """Run FPC until opinions are unanimous and unchanged for finality_l
     consecutive rounds, or max_rounds is exhausted."""
     opinions = np.asarray(initial_opinions, dtype=np.int8)
@@ -100,7 +80,6 @@ def run_fpc(config: FpcConfig, weights: WeightDistribution, initial_opinions,
 
     rows = [opinions.copy()]
     thresholds = []
-    draw_counts = [] if record_draws else None
     consensus_round = None
     streak = 0
     streak_value = -1
@@ -109,12 +88,12 @@ def run_fpc(config: FpcConfig, weights: WeightDistribution, initial_opinions,
         if t == 1:
             u_t = None
         else:
-            u = rng.child(_THRESHOLD_TAG, t).generator.random()
+            u = threshold_stream(rng, t).generator.random()
             u_t = config.beta + (1.0 - 2.0 * config.beta) * u
             thresholds.append(u_t)
-        # multiplicity-weighted mean opinion of every node's quorum, as in
-        # mean_opinion: sums of g(weight) * opinion and of g(weight) per run
-        runs = greedy_runs(p, config.k, rng.child(t), n,
+        # multiplicity-weighted mean opinion of every node's quorum: sums of
+        # g(weight) * opinion and of g(weight) over each run's draws
+        runs = greedy_runs(p, config.k, round_stream(rng, t), n,
                            totals=(g_weights * opinions, g_weights))
         num, den = runs.totals
         if not (den > 0.0).all():
@@ -127,8 +106,6 @@ def run_fpc(config: FpcConfig, weights: WeightDistribution, initial_opinions,
         else:
             opinions = np.where(eta > u_t, 1, np.where(eta < u_t, 0, opinions)).astype(np.int8)
         rows.append(opinions)
-        if record_draws:
-            draw_counts.append(runs.v)
 
         first = int(opinions[0])
         unanimous = bool((opinions == first).all())
@@ -152,7 +129,6 @@ def run_fpc(config: FpcConfig, weights: WeightDistribution, initial_opinions,
         thresholds=np.asarray(thresholds, dtype=float),
         consensus_round=consensus_round,
         final_agreement=final_agreement,
-        draw_counts=np.vstack(draw_counts) if record_draws and draw_counts else None,
     )
 
 

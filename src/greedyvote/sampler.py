@@ -4,15 +4,15 @@ pre/post-split variant.
 Draws come from an alias table (O(1) per draw after a loop-free O(N log N)
 build, cached per distribution) fed by counter-based Philox streams, so identical
 (seed, stream_id) inputs replay bit-identical sequences.  `greedy_runs` is
-the block-vectorized kernel behind every Monte Carlo path; `greedy_sample`
-and `coupled_greedy_sample` run one sample at a time and serve as the
-single-run API and as the kernel's independent reference.  Where a node
-lands after a split comes from `SplitSpec` (`parts`, `part`, `remap`, `check`).
+the block-vectorized kernel behind every Monte Carlo path, and
+`AliasTable.draw` its one draw layout.  The stream plan (`as_stream` and the
+`*_stream` derivations) is the one place that says which stream each chunk,
+sweep point, FPC round and subsample draws from.  A split-node draw takes
+its part by `SplitSpec.part`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,6 +58,42 @@ class RngStream:
         return RngStream(self.seed, sid)
 
 
+# ---------------------------------------------------------------------------
+# the stream plan: every stream that a run derives from its seed; the stream
+# ids are part of STREAM_LAYOUT
+# ---------------------------------------------------------------------------
+
+
+def as_stream(seed) -> RngStream:
+    """An RngStream as is, or stream 0 of an integer seed."""
+    return seed if isinstance(seed, RngStream) else RngStream(int(seed), 0)
+
+
+def chunk_stream(rng: RngStream, i: int) -> RngStream:
+    """Chunk i of an estimate's runs."""
+    return rng.child(i)
+
+
+def retained_stream(rng: RngStream) -> RngStream:
+    """The pick of an estimate's retained subsample."""
+    return rng.child(0x5E1EC7)
+
+
+def sweep_stream(rng: RngStream, j: int) -> RngStream:
+    """Sweep point j: stream id + j, so a one-point sweep is a plain estimate."""
+    return RngStream(rng.seed, rng.stream_id + j)
+
+
+def round_stream(rng: RngStream, t: int) -> RngStream:
+    """The quorums of FPC round t."""
+    return rng.child(t)
+
+
+def threshold_stream(rng: RngStream, t: int) -> RngStream:
+    """The shared threshold of FPC round t."""
+    return rng.child(0x7EED, t)
+
+
 class AliasTable:
     """Vose alias table over a fixed probability vector, built loop-free."""
 
@@ -81,17 +117,6 @@ class AliasTable:
         cut = 1.0 - ((d_hi[i[j]] - e_hi[j]) + (d_lo[i[j]] - e_lo[j]))  # hi - hi exact
         self.prob[heavy[j]] = np.clip(cut, 0.0, 1.0)  # exact ties give about -4e-16
         self.alias[heavy[j]] = heavy[j + 1]
-
-    def draw_batch(self, gen: np.random.Generator, n: int) -> list:
-        idx = gen.integers(0, self.size, n)
-        accept = gen.random(n) < self.prob[idx]
-        return np.where(accept, idx, self.alias[idx]).tolist()
-
-    def stream(self, gen: np.random.Generator, batch: int):
-        """Draws one at a time, fetched in batches that double up to 4096."""
-        while True:
-            yield from self.draw_batch(gen, batch)
-            batch = min(2 * batch, 4096)
 
     def draw(self, gen: np.random.Generator, shape) -> np.ndarray:
         """Array of draws using one uniform each: its integer part picks the
@@ -119,194 +144,12 @@ def _alias_table(p: SamplingDistribution) -> AliasTable:
 
 
 # ---------------------------------------------------------------------------
-# sample records
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class GreedySample:
-    """Outcome of one greedy sampling run.
-
-    counts maps node index -> number of occurrences among the total_draws
-    draws; exactly ``distinct`` nodes appear and the run stops the moment the
-    last of them is first drawn, so that node's count is always 1.
-    """
-
-    counts: dict
-    total_draws: int
-    distinct: int
-    last_node: int
-
-    def validate(self):
-        if sum(self.counts.values()) != self.total_draws:
-            raise AssertionError("counts do not add up to total_draws")
-        if len(self.counts) != self.distinct:
-            raise AssertionError("distinct node count mismatch")
-        if not (self.total_draws >= self.distinct >= 1):
-            raise AssertionError("need total_draws >= distinct >= 1")
-        if self.counts.get(self.last_node) != 1:
-            raise AssertionError("final node must be drawn exactly once")
-
-
-@dataclass(eq=False)
-class CoupledSample:
-    """Paired greedy samples sharing one draw stream, before and after a split.
-
-    extra_draws counts the draws the pre-split run needed after the post-split
-    run had already finished; extra_split_hits counts how many of those extra
-    draws hit the split node.  Both are tallied during the run, independently
-    of the identities they must satisfy.
-    """
-
-    pre: GreedySample
-    post: GreedySample
-    extra_draws: int
-    extra_split_hits: int
-    split: SplitSpec
-
-    @property
-    def K(self) -> int:
-        return self.extra_draws
-
-    @property
-    def L(self) -> int:
-        return self.extra_split_hits
-
-    @property
-    def split_node(self) -> int:
-        return self.split.node
-
-    @property
-    def part_indices(self) -> range:
-        return self.split.parts
-
-    def validate(self):
-        self.pre.validate()
-        self.post.validate()
-        if not (0 <= self.extra_split_hits <= self.extra_draws):
-            raise AssertionError("need 0 <= L <= K")
-        if self.pre.total_draws != self.post.total_draws + self.extra_draws:
-            raise AssertionError("v_pre must equal v_post + K")
-        y_pre = self.pre.counts.get(self.split_node, 0)
-        y_post = sum(self.post.counts.get(j, 0) for j in self.part_indices)
-        if y_pre != y_post + self.extra_split_hits:
-            raise AssertionError("split-node occurrences must satisfy Y_pre = Y_post + L")
-        others = [u for u in self.pre.counts if u != self.split_node]
-        moved = self.split.remap(np.array(others, dtype=np.int64), ()).tolist()
-        for u, b in zip(others, moved):
-            if self.pre.counts[u] < self.post.counts.get(b, 0):
-                raise AssertionError(f"non-split node {u} gained occurrences post-split")
-
-
-# ---------------------------------------------------------------------------
-# operations
-# ---------------------------------------------------------------------------
-
-
-def greedy_sample(p: SamplingDistribution, k: int, rng: RngStream) -> GreedySample:
-    """Sample with replacement until k distinct nodes have been seen."""
-    k = _check_k(p, k)
-    table = _alias_table(p)
-    gen = rng.generator
-    counts: dict = {}
-    seen = 0
-    draws = 0
-    for a in table.stream(gen, k + 16):
-        draws += 1
-        c = counts.get(a)
-        if c is None:
-            counts[a] = 1
-            seen += 1
-            if seen == k:
-                return GreedySample(counts=counts, total_draws=draws,
-                                    distinct=k, last_node=a)
-        else:
-            counts[a] = c + 1
-
-
-def coupled_greedy_sample(p: SamplingDistribution, split: SplitSpec, k: int,
-                          rng: RngStream) -> CoupledSample:
-    """Run the pre- and post-split greedy samples off one shared draw stream.
-
-    Every draw from the original distribution feeds both runs; a draw of the
-    split node is forwarded to the post-split run as one of its parts, chosen
-    with the split fractions.  The post-split run never needs more draws, so
-    it stops first and the remaining draws are tallied as extra_draws /
-    extra_split_hits.
-    """
-    split.check(p.probs, p.source_f)
-    k = _check_k(p, k)
-    node = split.node
-    r = split.r
-    cum = split.cum.tolist()
-    table = _alias_table(p)
-    gen = rng.generator
-
-    pre_counts: dict = {}
-    post_counts: dict = {}
-    pre_seen = post_seen = 0
-    v_pre = v_post = 0
-    post_done, post_last = False, -1
-    extra_draws = extra_hits = 0
-    for a in table.stream(gen, k + 16):
-        v_pre += 1
-        c = pre_counts.get(a)
-        if c is None:
-            pre_counts[a] = 1
-            pre_seen += 1
-        else:
-            pre_counts[a] = c + 1
-
-        if not post_done:
-            if a == node:
-                b = node + bisect_right(cum, gen.random())
-            elif a > node:
-                b = a + r - 1
-            else:
-                b = a
-            v_post += 1
-            c = post_counts.get(b)
-            if c is None:
-                post_counts[b] = 1
-                post_seen += 1
-                if post_seen == k:
-                    post_done = True
-                    post_last = b
-            else:
-                post_counts[b] = c + 1
-        else:
-            extra_draws += 1
-            if a == node:
-                extra_hits += 1
-
-        if pre_seen == k:
-            break
-
-    # the post-split prefix always holds at least as many distinct nodes,
-    # so it must have finished by the time the pre-split run does
-    if not post_done:
-        raise SamplingError("the post-split run outlasted the pre-split run")
-    pre = GreedySample(counts=pre_counts, total_draws=v_pre, distinct=k, last_node=a)
-    post = GreedySample(counts=post_counts, total_draws=v_post, distinct=k,
-                        last_node=post_last)
-    return CoupledSample(
-        pre=pre, post=post,
-        extra_draws=extra_draws, extra_split_hits=extra_hits, split=split,
-    )
-
-
-# ---------------------------------------------------------------------------
 # block-vectorized kernel
 # ---------------------------------------------------------------------------
 
 STREAM_LAYOUT = 3  # version of the seed -> draws layout that greedy_runs defines
 BLOCK_ROWS = 512  # runs per block
 BLOCK_CELLS = 1 << 19  # draws per matrix; bounds a block's memory when runs are long
-
-
-def as_stream(seed) -> RngStream:
-    """An RngStream as is, or stream 0 of an integer seed."""
-    return seed if isinstance(seed, RngStream) else RngStream(int(seed), 0)
 
 
 @dataclass(eq=False)
@@ -443,11 +286,6 @@ def _p90(v: np.ndarray) -> int:
     lo, t = int(x), x - int(x)
     a, b = np.sort(v)[[lo, min(lo + 1, v.size - 1)]]
     return int(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
-
-
-def _stop_points(draws: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Per row, the draw count at which k distinct nodes are reached, or 0."""
-    return _kth_stop(_first_columns(draws, n), k)
 
 
 def _first_columns(draws: np.ndarray, n: int) -> np.ndarray:

@@ -4,7 +4,8 @@ A network of N nodes is described by a normalized stake vector (the node
 weights).  A sampling weight function f maps weights to sampling propensities,
 which after normalization give the probability that a query hits each node.
 Splitting a node replaces it by r positive parts that sum to its weight;
-`SplitSpec` holds where every node lands afterwards and when a split is valid.
+`SplitSpec` holds where the parts land (`parts`, `part`) and when a split is
+valid (`check`).
 """
 
 from __future__ import annotations
@@ -242,19 +243,6 @@ class SplitSpec:
         cum[-1] = 1.0  # guard against rounding shortfall on the last part
         return cum
 
-    def remap(self, nodes, u) -> np.ndarray:
-        """Post-split index of every entry of `nodes`.
-
-        Nodes before the split node keep their index and later ones shift by
-        r - 1; each split-node entry becomes the part that its uniform
-        selects.  `u` holds one uniform per split-node entry, in row-major
-        order.
-        """
-        nodes = np.asarray(nodes)
-        out = np.where(nodes > self.node, nodes + (self.r - 1), nodes)
-        out[nodes == self.node] = self.node + self.part(u)
-        return out
-
     def part(self, u) -> np.ndarray:
         """Offset (0 .. r-1) of the part that each uniform in [0, 1) selects."""
         return np.searchsorted(self.cum, u, side="right")
@@ -333,22 +321,6 @@ def apply_split(w: WeightDistribution, split: SplitSpec):
         [w.weights[:split.node], parts, w.weights[split.node + 1:]]
     )
     return WeightDistribution(new_weights), split.parts
-
-
-def distribution_distance(p: SamplingDistribution, q: SamplingDistribution):
-    """(sup-norm, l1-norm) distance between two sampling distributions.
-
-    The shorter vector is zero-padded, matching the convention that absent
-    nodes have probability zero.  sup <= l1 always holds.
-    """
-    a, b = p.probs, q.probs
-    n = max(a.size, b.size)
-    if a.size < n:
-        a = np.concatenate([a, np.zeros(n - a.size)])
-    if b.size < n:
-        b = np.concatenate([b, np.zeros(n - b.size)])
-    diff = np.abs(a - b)
-    return float(diff.max()), _fsum(diff)
 
 
 def load_weights_csv(path) -> WeightDistribution:

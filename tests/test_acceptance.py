@@ -12,7 +12,6 @@ from fractions import Fraction
 import numpy as np
 
 from greedyvote.exact import (
-    enumeration_oracle,
     exact_joint_distribution,
     exact_v_distribution,
     split_gain_k2,
@@ -23,7 +22,7 @@ from greedyvote.exact import (
 )
 from greedyvote.fairness import estimate_split_gain, sweep_gain, GainExperiment
 from greedyvote.fpc import FpcConfig, majority_initial_opinions, run_fpc
-from greedyvote.sampler import RngStream, coupled_greedy_sample, greedy_sample
+from greedyvote.sampler import RngStream
 from greedyvote.weights import (
     IDENTITY,
     SamplingDistribution,
@@ -32,6 +31,7 @@ from greedyvote.weights import (
     sampling_distribution,
     zipf_weights,
 )
+from reference import coupled_greedy_sample, enumeration_oracle, greedy_sample
 
 
 def _report(number: int, name: str, ok: bool, detail: str = ""):

@@ -1,9 +1,11 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from greedyvote import fairness
 from greedyvote.errors import InvalidParameterError, UnsupportedConfigurationError
 from greedyvote.exact import split_gain_k2, voting_power_exact, voting_power_k2
 from greedyvote.fairness import (
@@ -15,7 +17,7 @@ from greedyvote.fairness import (
     silverman_bandwidth,
     sweep_gain,
 )
-from greedyvote.sampler import RngStream, greedy_sample
+from greedyvote.sampler import RngStream
 from greedyvote.weights import (
     CONSTANT_ONE,
     IDENTITY,
@@ -27,6 +29,7 @@ from greedyvote.weights import (
     sampling_distribution,
     zipf_weights,
 )
+from reference import greedy_sample
 
 
 class TestEstimateVotingPower:
@@ -131,6 +134,16 @@ class TestEstimateSplitGain:
         b = estimate_split_gain(w, IDENTITY, 3, split, 25_000, seed=5)
         assert a.mean == b.mean and a.std_error == b.std_error
         assert np.array_equal(a.retained_samples, b.retained_samples)
+
+    def test_retained_subsample_is_pinned(self, monkeypatch):
+        # more runs than RETAINED_CAP: the kept runs are drawn from the
+        # estimate's retained stream, so they belong to the stream layout
+        monkeypatch.setattr(fairness, "RETAINED_CAP", 500)
+        w = zipf_weights(ZipfParams(1.1, 100))
+        est = estimate_split_gain(w, IDENTITY, 5, SplitSpec.equal(0, 2), 2000, seed=7)
+        assert est.retained_samples.size == 500
+        assert hashlib.sha256(est.retained_samples.tobytes()).hexdigest() == (
+            "faf899d52428b50a08d843ab6b7a5764a69bb13e4165aab0295c6756c0b78206")
 
 
 class TestSweepGain:

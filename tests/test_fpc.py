@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import chisquare_gof_pvalue, counts_of
+from greedyvote import fpc
 from greedyvote.errors import DegenerateSampleError, InvalidParameterError
 from greedyvote.exact import exact_v_distribution
-from greedyvote.fpc import FpcConfig, majority_initial_opinions, mean_opinion, run_fpc
-from greedyvote.sampler import GreedySample
+from greedyvote.fpc import FpcConfig, majority_initial_opinions, run_fpc
 from greedyvote.weights import (
     CONSTANT_ONE,
     IDENTITY,
@@ -14,42 +14,6 @@ from greedyvote.weights import (
     sampling_distribution,
     zipf_weights,
 )
-
-
-def _sample(counts: dict) -> GreedySample:
-    total = sum(counts.values())
-    last = next(u for u, c in counts.items() if c == 1)
-    return GreedySample(counts=counts, total_draws=total, distinct=len(counts),
-                        last_node=last)
-
-
-class TestMeanOpinion:
-    def test_unanimous_sample(self):
-        w = WeightDistribution.from_raw([0.5, 0.3, 0.2])
-        sample = _sample({0: 2, 2: 1})
-        eta = mean_opinion(sample, [1, 1, 1], CONSTANT_ONE, w)
-        assert eta == 1.0
-
-    def test_multiplicity_weighted_average(self):
-        w = WeightDistribution.from_raw([0.5, 0.5])
-        sample = _sample({0: 2, 1: 1})
-        eta = mean_opinion(sample, [1, 0], CONSTANT_ONE, w)
-        assert eta == pytest.approx(2.0 / 3.0, abs=1e-15)
-
-    def test_identity_weighting_cancels_on_agreement(self):
-        sample = _sample({0: 3, 1: 1})
-        for raw in ([0.9, 0.1], [0.2, 0.8], [0.5, 0.5]):
-            w = WeightDistribution.from_raw(raw)
-            eta = mean_opinion(sample, [1, 1], IDENTITY, w)
-            assert eta == pytest.approx(1.0, abs=1e-15)
-
-    def test_zero_denominator_raises(self):
-        # identity averaging over a sample that consists of zero-weight nodes
-        # (reachable only under a non-identity sampling function)
-        w = WeightDistribution(np.array([1.0, 0.0]))
-        sample = _sample({1: 1})
-        with pytest.raises(DegenerateSampleError):
-            mean_opinion(sample, [1, 1], IDENTITY, w)
 
 
 class TestFpcConfig:
@@ -72,6 +36,15 @@ class TestRunFpc:
         config = FpcConfig(k=1, scheme_f=CONSTANT_ONE, scheme_g=IDENTITY)
         with pytest.raises(DegenerateSampleError):
             run_fpc(config, w, majority_initial_opinions(20, 0.5), seed=1)
+
+    @pytest.mark.parametrize("g", [CONSTANT_ONE, IDENTITY], ids=lambda g: g.name)
+    def test_unanimous_quorums_average_exactly_one(self, g):
+        # with theta = 1 a node keeps opinion 1 only if its quorum averages
+        # exactly 1, whatever the multiplicities and g(weight) of its peers
+        w = zipf_weights(ZipfParams(1.1, 30))
+        config = FpcConfig(k=5, theta=1.0, max_rounds=1, scheme_g=g)
+        trace = run_fpc(config, w, np.ones(30, dtype=int), seed=7)
+        assert (trace.opinions_by_round[1] == 1).all()
 
     def test_unanimous_start_finalizes_immediately(self):
         w = zipf_weights(ZipfParams(0.0, 30))
@@ -128,14 +101,20 @@ class TestRunFpc:
         assert np.array_equal(a.thresholds, b.thresholds)
         assert a.consensus_round == b.consensus_round
 
-    def test_sampling_statistics_match_exact_law(self):
+    def test_sampling_statistics_match_exact_law(self, monkeypatch):
         # per-node per-round quorums come from the shared sampler, so their
         # draw counts must follow the exact law
         w = zipf_weights(ZipfParams(0.0, 12))
         config = FpcConfig(k=3, beta=0.4, max_rounds=40, finality_l=999)
-        trace = run_fpc(config, w, majority_initial_opinions(12, 0.5), seed=5,
-                        record_draws=True)
-        draws = trace.draw_counts.ravel().tolist()
+        greedy_runs, draws = fpc.greedy_runs, []
+
+        def recording(*args, **kwargs):
+            runs = greedy_runs(*args, **kwargs)
+            draws.extend(runs.v.tolist())
+            return runs
+
+        monkeypatch.setattr(fpc, "greedy_runs", recording)
+        run_fpc(config, w, majority_initial_opinions(12, 0.5), seed=5)
         assert len(draws) == 40 * 12
         p = sampling_distribution(w, IDENTITY)
         law = exact_v_distribution(p, 3, 30)

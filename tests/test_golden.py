@@ -29,6 +29,8 @@ RUNS = {
                "--n-runs", "2000"),
     "power": ("power", "--s", "1.1", "--n", "100", "--k", "5", "--node", "1",
               "--n-runs", "20000"),
+    "kde": ("kde",) + GAIN[1:],
+    "qq": ("qq",) + GAIN[1:],
 }
 
 GOLDEN = {  # at --seed 1
@@ -39,6 +41,8 @@ GOLDEN = {  # at --seed 1
     "fpc": "3766fdb8eead01604092cd25aa7804c0ba35ed67c43ec0828cd97b44268c6b25",
     "sample": "e218ebe5f5c29180abd3f3d566a7c02f372589cad2d7a1aec5588f8671fb7abd",
     "power": "2c4285f619e8f815f8a8cbd2ff4462b492e7a487b65d662a168de1bcd72a3599",
+    "kde": "c12edba480646e5eb5cbd5d1e8a8f3dbe64b05f959929468dc284cffcc2b72ee",
+    "qq": "149a75a0501058a585981e96eb2663d63bc44cb8391f5fa3d4258ec7f7d7988c",
 }
 
 

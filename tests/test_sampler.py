@@ -9,13 +9,7 @@ from conftest import chisquare_gof_pvalue, chisquare_two_sample_pvalue, counts_o
 from greedyvote import sampler
 from greedyvote.errors import InvalidParameterError, UnsupportedConfigurationError
 from greedyvote.exact import exact_joint_distribution, exact_v_distribution
-from greedyvote.sampler import (
-    AliasTable,
-    RngStream,
-    coupled_greedy_sample,
-    greedy_runs,
-    greedy_sample,
-)
+from greedyvote.sampler import AliasTable, RngStream, greedy_runs
 from greedyvote.weights import (
     CONSTANT_ONE,
     SamplingDistribution,
@@ -27,6 +21,7 @@ from greedyvote.weights import (
     sampling_distribution,
     zipf_weights,
 )
+from reference import coupled_greedy_sample, greedy_sample, remap
 
 
 def _post_split(p: SamplingDistribution, split: SplitSpec) -> SamplingDistribution:
@@ -49,6 +44,29 @@ class TestRngStream:
         root = RngStream(7, 0)
         assert root.child(3, 1).stream_id == root.child(3, 1).stream_id
         assert root.child(3, 1).stream_id != root.child(1, 3).stream_id
+
+    def test_stream_plan_is_pinned(self):
+        # the stream ids of every derivation a seed goes through; a change
+        # that moves any of them must raise sampler.STREAM_LAYOUT
+        root = sampler.as_stream(2021)
+        assert (root.seed, root.stream_id) == (2021, 0)
+        assert sampler.as_stream(root) is root
+
+        def ids(derive, indices):
+            streams = [derive(root, i) for i in indices]
+            assert all(s.seed == 2021 for s in streams)
+            return [s.stream_id for s in streams]
+
+        assert ids(sampler.chunk_stream, (0, 1, 7)) == [
+            12035550249420947055, 6791897765849424158, 13309476754707697221]
+        assert sampler.retained_stream(root).stream_id == 9292436240248313401
+        assert ids(sampler.sweep_stream, (0, 1, 2)) == [0, 1, 2]
+        assert sampler.sweep_stream(RngStream(2021, 1), 1).stream_id == 2
+        assert ids(sampler.round_stream, (1, 2, 5)) == [
+            6791897765849424158, 7235116703822611636, 18074882946671919669]
+        assert ids(sampler.threshold_stream, (2, 3, 5)) == [
+            13837807164534281415, 3141021553179642400, 15979502722582840485]
+        assert sampler.STREAM_LAYOUT == 3
 
 
 class TestAliasDraw:
@@ -249,7 +267,7 @@ class TestCoupledGreedySample:
                 assert 0 <= cs.L <= cs.K
                 assert cs.pre.total_draws == cs.post.total_draws + cs.K
                 y_pre = cs.pre.counts.get(node, 0)
-                y_post = sum(cs.post.counts.get(j, 0) for j in cs.part_indices)
+                y_post = sum(cs.post.counts.get(j, 0) for j in cs.split.parts)
                 assert y_pre == y_post + cs.L
 
     def test_marginals_match_plain_greedy_sampling(self):
@@ -326,7 +344,7 @@ class TestStopPoints:
     @settings(max_examples=500, deadline=None)
     def test_matches_a_set_walk(self, case):
         draws, k, n = case
-        got = sampler._stop_points(draws, k, n)
+        got = sampler._kth_stop(sampler._first_columns(draws, n), k)
         assert got.shape == (draws.shape[0],)
         assert got.tolist() == [_first_reach(row.tolist(), k) for row in draws]
 
@@ -334,7 +352,7 @@ class TestStopPoints:
         p = sampling_distribution(zipf_weights(ZipfParams(1.1, 1000)))
         draws = AliasTable(p.probs).draw(np.random.default_rng(8), (512, 40))
         draws[::3, 30:] = -1
-        got = sampler._stop_points(draws, 20, p.size)
+        got = sampler._kth_stop(sampler._first_columns(draws, p.size), 20)
         assert got.tolist() == [_first_reach(row.tolist(), 20) for row in draws]
         assert 0 < np.count_nonzero(got) < got.size
 
@@ -370,7 +388,7 @@ class TestPostSplit:
         got, hr, hc = sampler._post_split(in_run, draws, first, k, split,
                                           np.random.default_rng(seed))
         u = np.random.default_rng(seed).random(int(hits.sum()))
-        post = split.remap(np.where(in_run, draws, -1), u)
+        post = remap(split, np.where(in_run, draws, -1), u)
         assert got.tolist() == [_first_reach(row.tolist(), k) for row in post]
         assert (hr.tolist(), hc.tolist()) == tuple(a.tolist() for a in np.nonzero(hits))
 
