@@ -16,6 +16,49 @@ from greedyvote.weights import (
 )
 
 
+class TestMeanOpinion:
+    """The quorum mean opinion run_fpc computes from each run's totals."""
+
+    def test_multiplicity_weighted_average(self, monkeypatch):
+        # only nodes 0 (opinion 1) and 1 (opinion 0) are ever drawn, so under
+        # constant-one g a quorum averages (draws of node 0) / (all draws):
+        # 2/3 for draws 0, 0, 1, where a distinct-node average would give 1/2
+        n = 200
+        w = WeightDistribution.from_raw([0.5, 0.5] + [0.0] * (n - 2))
+        config = FpcConfig(k=2, theta=2.0 / 3.0, max_rounds=1, scheme_g=CONSTANT_ONE)
+        greedy_runs, seen = fpc.greedy_runs, []
+
+        def tracking_node_0(*args, **kwargs):
+            runs = greedy_runs(*args, track=0, **kwargs)
+            seen.append(runs)
+            return runs
+
+        monkeypatch.setattr(fpc, "greedy_runs", tracking_node_0)
+        opinions = np.zeros(n, dtype=int)
+        opinions[0] = 1
+        trace = run_fpc(config, w, opinions, seed=3)
+        (runs,) = seen
+        num, den = runs.totals
+        assert np.array_equal(den, runs.v)
+        assert np.array_equal(num, runs.y)
+        eta = runs.y / runs.v
+        assert (eta == 2.0 / 3.0).any()
+        assert np.array_equal(trace.opinions_by_round[1], eta >= config.theta)
+
+    def test_zero_denominator_raises(self):
+        # identity averaging raises only on a quorum drawn wholly from
+        # zero-weight nodes: with k = 2 over two nodes every quorum holds the
+        # weighted node too, with k = 1 some quorum is the zero-weight node alone
+        w = WeightDistribution(np.array([1.0, 0.0]))
+        opinions = np.array([1, 1])
+        config = FpcConfig(k=2, scheme_f=CONSTANT_ONE, scheme_g=IDENTITY, max_rounds=5)
+        assert (run_fpc(config, w, opinions, seed=1).opinions_by_round == 1).all()
+        config = FpcConfig(k=1, scheme_f=CONSTANT_ONE, scheme_g=IDENTITY, max_rounds=40,
+                           finality_l=40)
+        with pytest.raises(DegenerateSampleError):
+            run_fpc(config, w, opinions, seed=1)
+
+
 class TestFpcConfig:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
