@@ -289,8 +289,8 @@ def voting_power_exact(p: SamplingDistribution, k: int, i: int, epsilon: float):
     L, M = _log_kernels(t.rest + t.has * p_i, t.comp)
     M[~t.has] = 0.0
     terms = _coef(k, t) * (L - M)
-    value = p_i * math.fsum(terms)
-    error_bound = ((2 * t.n + _TERM_ULPS) * p_i * math.fsum(np.abs(terms))
+    value = p_i * _fsum(terms)
+    error_bound = ((2 * t.n + _TERM_ULPS) * p_i * _fsum(np.abs(terms))
                    + abs(value)) * sys.float_info.epsilon
     if error_bound > epsilon:
         raise ResourceLimitError(

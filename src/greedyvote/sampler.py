@@ -106,17 +106,22 @@ class AliasTable:
         e_hi, e_lo = _prefix_sums(scaled[heavy] - 1.0)  # running excess E
         d, e = d_hi + d_lo, e_hi + e_lo
         self.size, self.prob, self.alias = n, np.ones(n), np.arange(n, dtype=np.int64)
-        # light i takes the first heavy j with E_j >= D_(i-1); unfed lights keep 1
-        donor = np.searchsorted(e, np.concatenate(([0.0], d))[:-1], side="left")
-        fed = donor < heavy.size
-        self.prob[light[fed]] = scaled[light[fed]]
-        self.alias[light[fed]] = heavy[donor[fed]]
-        # heavy j but the last: the first light i with D_i > E_j cuts it to 1 - (D_i - E_j)
-        i = np.searchsorted(d, e[:-1], side="right")
-        j = np.flatnonzero(i < light.size)
-        cut = 1.0 - ((d_hi[i[j]] - e_hi[j]) + (d_lo[i[j]] - e_lo[j]))  # hi - hi exact
-        self.prob[heavy[j]] = np.clip(cut, 0.0, 1.0)  # exact ties give about -4e-16
-        self.alias[heavy[j]] = heavy[j + 1]
+        # one merge: c[i] counts the heavies j with E_j < D_i
+        c = np.searchsorted(e, d, side="left")
+        # light 0 takes heavy 0 and light i the first heavy with E_j >= D_(i-1);
+        # the donors grow, so the fed lights are a prefix and unfed ones keep 1
+        donor = np.concatenate(([0], c))[:-1]
+        m = int(np.searchsorted(donor, heavy.size))
+        self.prob[light[:m]] = scaled[light[:m]]
+        self.alias[light[:m]] = heavy[donor[:m]]
+        # heavy j but the last: light i = #{c <= j}, the first with D_i > E_j,
+        # cuts it to 1 - (D_i - E_j); the cut heavies are a prefix too
+        i = np.cumsum(np.bincount(c, minlength=heavy.size))[:heavy.size - 1]
+        i = i[:np.searchsorted(i, light.size)]
+        j = i.size
+        cut = 1.0 - ((d_hi[i] - e_hi[:j]) + (d_lo[i] - e_lo[:j]))  # hi - hi exact
+        self.prob[heavy[:j]] = np.clip(cut, 0.0, 1.0)  # exact ties give about -4e-16
+        self.alias[heavy[:j]] = heavy[1:j + 1]
 
     def draw(self, gen: np.random.Generator, shape) -> np.ndarray:
         """Array of draws using one uniform each: its integer part picks the

@@ -23,10 +23,23 @@ NORM_TOL = 1e-12
 
 
 def _fsum(values) -> float:
-    """Compensated sum (exactly rounded); keeps Zipf tails from losing mass."""
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    return math.fsum(values)
+    """Exactly rounded sum of a 1-d vector; keeps Zipf tails from losing mass.
+
+    `math.fsum` iterates the float64 buffer itself, so no list of Python
+    floats is built; it sees the values a list of them would hold, so the
+    sum has the same bits.
+    """
+    return math.fsum(memoryview(np.ascontiguousarray(values, dtype=float)))
+
+
+def _masses(values, what: str) -> np.ndarray:
+    """values as a float vector, refused unless 1-d, non-empty, finite and >= 0."""
+    x = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
+    if x.ndim != 1 or x.size < 1:
+        raise InvalidParameterError(f"{what} must be a non-empty 1-d vector")
+    if not np.isfinite(x).all() or bool((x < 0).any()):
+        raise InvalidParameterError(f"{what} must be finite and non-negative")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +124,8 @@ class WeightDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = _masses(self.weights, "weights")
         object.__setattr__(self, "weights", w)
-        if w.ndim != 1 or w.size < 1:
-            raise InvalidParameterError("weights must be a non-empty 1-d vector")
-        if not np.isfinite(w).all() or bool((w < 0).any()):
-            raise InvalidParameterError("weights must be finite and non-negative")
         total = float(w.sum())  # only checked: no output depends on its rounding
         if abs(total - 1.0) > NORM_TOL:
             raise InvalidParameterError(
@@ -126,12 +135,7 @@ class WeightDistribution:
     @classmethod
     def from_raw(cls, values) -> "WeightDistribution":
         """Normalize raw non-negative stakes into a weight distribution."""
-        w = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
-                       dtype=float)
-        if w.ndim != 1 or w.size < 1:
-            raise InvalidParameterError("weights must be a non-empty 1-d vector")
-        if not np.isfinite(w).all() or bool((w < 0).any()):
-            raise InvalidParameterError("weights must be finite and non-negative")
+        w = _masses(values, "weights")
         total = _fsum(w)
         if total <= 0:
             raise InvalidParameterError("weights must have positive total mass")
@@ -163,8 +167,7 @@ class SamplingDistribution:
     @classmethod
     def from_probs(cls, values, source_f: str = "identity") -> "SamplingDistribution":
         """Build directly from probabilities (normalizing tiny rounding slack)."""
-        p = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
-                       dtype=float)
+        p = _masses(values, "probs")
         total = _fsum(p)
         if total <= 0:
             raise InvalidParameterError("probabilities must have positive total mass")

@@ -8,6 +8,8 @@ is the package's one sampling path.  Here it meets a second, per-draw one:
   two uniforms per draw, and tally each run in a dict;
 - `remap` builds a row's post-split image, the dense way the kernel no
   longer does;
+- `TwoSearchAliasTable` pairs lights and heavies with two merges, one per
+  direction, where `AliasTable` reads both pairings off one;
 - `enumeration_oracle` walks every short draw sequence, the brute-force
   ground truth of the exact engine.
 """
@@ -21,7 +23,7 @@ import numpy as np
 
 from greedyvote.errors import ResourceLimitError, SamplingError
 from greedyvote.exact import JointDistribution, VDistribution, _check_law_args
-from greedyvote.sampler import AliasTable, RngStream, _alias_table
+from greedyvote.sampler import AliasTable, RngStream, _alias_table, _prefix_sums
 from greedyvote.weights import SamplingDistribution, SplitSpec, _check_k, _fsum
 
 ORACLE_MAX_NODES = 5
@@ -44,6 +46,36 @@ def remap(split: SplitSpec, nodes, u) -> np.ndarray:
     out = np.where(nodes > split.node, nodes + (split.r - 1), nodes)
     out[nodes == split.node] = split.node + split.part(u)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the alias build, two merges
+# ---------------------------------------------------------------------------
+
+
+class TwoSearchAliasTable(AliasTable):
+    """The layout-3 alias table, each pairing found by its own searchsorted."""
+
+    def __init__(self, probs: np.ndarray):
+        n = int(probs.size)
+        scaled = np.asarray(probs, dtype=float) * n
+        light = np.flatnonzero(scaled < 1.0)[::-1]  # Vose's loop pops both lists
+        heavy = np.flatnonzero(scaled >= 1.0)[::-1]  # in descending index order
+        d_hi, d_lo = _prefix_sums(1.0 - scaled[light])  # running deficit D
+        e_hi, e_lo = _prefix_sums(scaled[heavy] - 1.0)  # running excess E
+        d, e = d_hi + d_lo, e_hi + e_lo
+        self.size, self.prob, self.alias = n, np.ones(n), np.arange(n, dtype=np.int64)
+        # light i takes the first heavy j with E_j >= D_(i-1); unfed lights keep 1
+        donor = np.searchsorted(e, np.concatenate(([0.0], d))[:-1], side="left")
+        fed = donor < heavy.size
+        self.prob[light[fed]] = scaled[light[fed]]
+        self.alias[light[fed]] = heavy[donor[fed]]
+        # heavy j but the last: the first light i with D_i > E_j cuts it to 1 - (D_i - E_j)
+        i = np.searchsorted(d, e[:-1], side="right")
+        j = np.flatnonzero(i < light.size)
+        cut = 1.0 - ((d_hi[i[j]] - e_hi[j]) + (d_lo[i[j]] - e_lo[j]))  # hi - hi exact
+        self.prob[heavy[j]] = np.clip(cut, 0.0, 1.0)  # exact ties give about -4e-16
+        self.alias[heavy[j]] = heavy[j + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import chisquare_gof_pvalue, chisquare_two_sample_pvalue, counts_of
@@ -21,7 +21,7 @@ from greedyvote.weights import (
     sampling_distribution,
     zipf_weights,
 )
-from reference import coupled_greedy_sample, greedy_sample, remap
+from reference import TwoSearchAliasTable, coupled_greedy_sample, greedy_sample, remap
 
 
 def _post_split(p: SamplingDistribution, split: SplitSpec) -> SamplingDistribution:
@@ -94,6 +94,13 @@ class TestAliasDraw:
                                                            for _ in range(50)]
 
 
+def _ulps_from(x: float, u: int) -> float:
+    """x moved u ulps up (u > 0) or down."""
+    for _ in range(abs(u)):
+        x = float(np.nextafter(x, np.inf if u > 0 else 0.0))
+    return x
+
+
 def _implied_law(table: AliasTable) -> np.ndarray:
     """Each node's draw probability under the table: its own column's cut
     point plus the remainder of every column that aliases it, over N."""
@@ -117,6 +124,25 @@ class TestAliasBuild:
         assert (table.prob[zero] == 0.0).all()
         assert not zero[table.alias[table.prob < 1.0]].any()
 
+    @given(st.one_of(
+        st.lists(st.integers(0, 5), min_size=1, max_size=80),  # ties and zeros
+        st.integers(1, 80).map(lambda n: [1] * n),  # all equal
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=80),
+    ).filter(any).map(lambda stakes: SamplingDistribution.from_probs(stakes).probs)
+        # raw masses within a few ulps of 1/N, each side: all lights, all
+        # heavies or a mix, normalized or not
+        | st.lists(st.integers(-4, 4), min_size=1, max_size=80).map(
+            lambda ulps: np.array([_ulps_from(1.0 / len(ulps), u) for u in ulps])))
+    @example(np.array([1.0]))  # one node
+    @example(np.full(7, 1.0 / 7))  # no lights when N/N rounds to 1
+    @example(np.full(5, np.nextafter(0.2, 0.0)))  # no heavies
+    @example(np.full(6, np.nextafter(1.0 / 6, 1.0)))  # no lights
+    @settings(max_examples=500, deadline=None)
+    def test_alias_build_matches_two_search_build_bit_for_bit(self, probs):
+        table, ref = AliasTable(probs), TwoSearchAliasTable(probs)
+        assert table.prob.tobytes() == ref.prob.tobytes()
+        assert table.alias.tobytes() == ref.alias.tobytes()
+
     @staticmethod
     def _zipf_law_error():
         w = zipf_weights(ZipfParams(0.8, 1_000_000))
@@ -131,6 +157,75 @@ class TestAliasBuild:
         # plain cumsum puts them about 1e-8 off
         monkeypatch.setattr(sampler, "_prefix_sums", lambda x: (np.cumsum(x), np.zeros(x.size)))
         assert self._zipf_law_error() > 2e-15
+
+
+def _setup_networks():
+    """sweep-wide's six networks, gain-coupled's, and tied integer stakes."""
+    f = WeightFunction.parse("power:0.5")
+    for n in (10_000, 100_000, 1_000_000):
+        w = zipf_weights(ZipfParams(0.8, n))
+        yield f"zipf0.8-{n}", sampling_distribution(w, f)
+        yield f"zipf0.8-{n}-split2", sampling_distribution(
+            apply_split(w, SplitSpec.equal(0, 2))[0], f)
+    yield "zipf1.1-1000", sampling_distribution(zipf_weights(ZipfParams(1.1, 1000)))
+    yield "stakes", SamplingDistribution.from_probs([3, 0, 1, 3, 2, 0, 1, 1, 3, 0, 2, 5])
+
+
+class TestSetupPins:
+    # sha256 of the bytes of probs, AliasTable.prob and AliasTable.alias; the
+    # alias tables belong to stream layout 3, so a change that moves one must
+    # raise sampler.STREAM_LAYOUT and update the pin
+    PINS = {
+        'zipf0.8-10000': (
+            "3eeb0b1e3d9a43c1539197b2641d633c17598b41cdbf057969351353bbf072d9",
+            "06a0204f785c129e0707c3e0ad0371a44eac81bcc2e6344725ab147f3f9487d1",
+            "e74a7ba2a103789bff44331cafb7af88c4acdcba324552ac36f653d2fb19be72",
+        ),
+        'zipf0.8-10000-split2': (
+            "995427df7fdb90620d866f339deb1d53671077fe6aae5a697e7e50206e4fc047",
+            "22827ca7005735135cceafb05f7e6060291e2c157923747b56dcfa2cd168ed4e",
+            "fe2812d65e8dac2a77c92881331b21058c6cc6a460e156af05a0563c67ae359d",
+        ),
+        'zipf0.8-100000': (
+            "308d40e568744875175241b57e07599fbb3cb34c62bae0f965b23b849da21af4",
+            "437c4aef40bd5ee15399c706bc51a918555e8f213d39fed7125b1f6ed6ab7e93",
+            "633a816ed59b97de2a6f928e29277b30d915a2099d596cc9d95867fcb47d830a",
+        ),
+        'zipf0.8-100000-split2': (
+            "bafc212782086eca6c0bad95fa364fe07b6503ced8c07e9e37ccb8fa704a2b01",
+            "8efcccfdce27399d92704e56bec00c9938a8fcdf9215afc880d73fbff5e67730",
+            "789552797ca8a659acc2eda3b463a89bd083c2691f734acbf6b37bafa8668a69",
+        ),
+        'zipf0.8-1000000': (
+            "a1619f6276b0ebecec8cb3f8af7f69cbd04db0e93c7b73ead87c70627aa1e1e3",
+            "8fa0fe820ef9450a668302f657c8da1ee4b5bde7638089ed0f8d13d272d10524",
+            "532e060db86576b5595fb7a60c3a1401c57d9a9da0e5ea9359f360c8f46ea539",
+        ),
+        'zipf0.8-1000000-split2': (
+            "2b829b0f833f8de8584c23da4129946671ea9d056d9e1f6fa59f0e1bf60b0fb2",
+            "974aca4d4e8c7db7f7b48116100ace651f6a3c101aa8d8069cbf4ab1c16f24e6",
+            "269738cec7d0ec4266c42cb4edd4e6107421b9c81aa1b1a3b7130d40b3c98049",
+        ),
+        'zipf1.1-1000': (
+            "7132d1c97fb2e3fb8e029c49e8100232696896592103ad90e68e8f0f71498bf5",
+            "75679a40cc57a0bf1d6c3f6a8cedf42bc8a8b4f2fc8847090920fa8771417850",
+            "646f0f8f9e689bc3b6961b3351c62c02d7345a6069da9f9acc98e23d624f88a8",
+        ),
+        'stakes': (
+            "15ab2cbe2dc29db1554ac7de6afe3adf3d0d60af4e5656e0f86aae4bf920d5b6",
+            "9180cb28edf56a42d21b362b90b5f4cfd549bb0f63238e87dd0a89c4e7ab3576",
+            "758dc0fb50a90844b1b6480f12dc4f9cb60e820c454cc8eae1674e8dc6f21fa7",
+        ),
+    }
+
+    def test_setup_tables_are_pinned(self):
+        assert sampler.STREAM_LAYOUT == 3
+        got = {}
+        for name, p in _setup_networks():
+            table = AliasTable(p.probs)
+            got[name] = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                              for a in (p.probs, table.prob, table.alias))
+        assert got == self.PINS
 
 
 class TestGreedySample:

@@ -9,6 +9,7 @@ from greedyvote.errors import InvalidParameterError
 from greedyvote.weights import (
     CONSTANT_ONE,
     IDENTITY,
+    SamplingDistribution,
     SplitSpec,
     WeightDistribution,
     WeightFunction,
@@ -18,8 +19,30 @@ from greedyvote.weights import (
     power,
     sampling_distribution,
     zipf_weights,
+    _fsum,
 )
 from reference import remap
+
+# finite floats of both signs with decimal exponents from -300 to +300, plus
+# subnormals and signed zeros; 80 of them cannot overflow a sum
+_finite = st.one_of(
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-300, 300)),
+    st.floats(-1e-306, 1e-306),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+)
+
+
+class TestFsum:
+    @given(st.one_of(
+        st.lists(_finite, max_size=80).map(np.array),
+        st.lists(_finite, max_size=80).map(lambda v: np.array(v)[::2]),  # non-contiguous
+        st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False), max_size=80)
+        .map(lambda v: np.array(v, dtype=np.float32)),
+    ))
+    @settings(max_examples=500, deadline=None)
+    def test_fsum_matches_list_fsum_bit_for_bit(self, x):
+        # the sign of a zero sum included
+        assert np.float64(_fsum(x)).tobytes() == np.float64(math.fsum(x.tolist())).tobytes()
 
 
 class TestZipfWeights:
@@ -61,6 +84,17 @@ class TestWeightDistribution:
     def test_rejects_empty(self):
         with pytest.raises(InvalidParameterError):
             WeightDistribution.from_raw([])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("build", [WeightDistribution.from_raw,
+                                       SamplingDistribution.from_probs])
+    @pytest.mark.parametrize("values", [
+        np.full((2, 2), 0.25), np.array(0.5), [], [np.inf, -np.inf], [np.inf, 1.0],
+        [0.5, np.nan], [0.5, -0.1],
+    ], ids=["2-d", "0-d", "empty", "inf-inf", "inf", "nan", "negative"])
+    def test_constructors_refuse_before_summing(self, build, values):
+        with pytest.raises(InvalidParameterError):
+            build(values)
 
     def test_rejects_unnormalized_direct_construction(self):
         with pytest.raises(InvalidParameterError):
