@@ -17,8 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from . import __version__, exact, fairness, fpc, sampler, weights
 from .errors import (
@@ -27,8 +26,6 @@ from .errors import (
     ResourceLimitError,
     UnsupportedConfigurationError,
 )
-
-SUBCOMMANDS = ("exact", "sample", "power", "gain", "sweep", "kde", "qq", "fpc", "tau")
 
 
 class ConfigError(InvalidParameterError):
@@ -75,70 +72,6 @@ _GAIN_KEYS = {
     "output": (str, None),
 }
 
-_SCHEMAS = {
-    "tau": {
-        "output": (str, None),
-    },
-    "exact": {
-        **_SOURCE_KEYS,
-        "dist": (str, "v"),
-        "k": (int, 2),
-        "v_max": (int, 16),
-        "node": (int, 1),
-        "output": (str, None),
-    },
-    "sample": {
-        **_SOURCE_KEYS,
-        "k": (int, 20),
-        "node": (int, 1),
-        "n_runs": (int, 1000),
-        "seed": (int, 0),
-        "output": (str, None),
-    },
-    "power": {
-        **_SOURCE_KEYS,
-        "k": (int, 20),
-        "node": (int, 1),
-        "n_runs": (int, 10_000),
-        "seed": (int, 0),
-        "epsilon": (float, None),
-        "output": (str, None),
-    },
-    "gain": _GAIN_KEYS,
-    "sweep": {
-        "s": (float, 1.0),
-        "n": (int, 1000),
-        "f": (str, "identity"),
-        "k": (int, 20),
-        "node": (int, 1),
-        "split_r": (int, 2),
-        "axis": (str, "network_size"),
-        "axis_values": (str, None),
-        "n_runs": (int, 10_000),
-        "seed": (int, 0),
-        "coupled": (_parse_bool, True),
-        "output": (str, None),
-    },
-    "kde": {
-        **_GAIN_KEYS,
-        "bandwidth": (float, None),
-        "grid_points": (int, 512),
-    },
-    "qq": _GAIN_KEYS,
-    "fpc": {
-        **_SOURCE_KEYS,
-        "g": (str, "constant-one"),
-        "k": (int, 20),
-        "theta": (float, 0.5),
-        "beta": (float, 0.3),
-        "max_rounds": (int, 100),
-        "finality_l": (int, 2),
-        "ones_fraction": (float, 0.9),
-        "seed": (int, 0),
-        "output": (str, None),
-    },
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -155,9 +88,9 @@ class ExperimentConfig:
                 ) -> "ExperimentConfig":
         """Merge defaults, config-file values and explicit flags (in that
         order of increasing precedence), rejecting unknown keys."""
-        if subcommand not in _SCHEMAS:
+        if subcommand not in _COMMANDS:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
-        schema = _SCHEMAS[subcommand]
+        schema = _COMMANDS[subcommand].schema
         resolved = {key: default for key, (_, default) in schema.items()}
         if config_path is not None:
             try:
@@ -227,18 +160,13 @@ def _emit_csv(output, header, rows, config: ExperimentConfig):
         return
     with open(output, "w", newline="") as fh:
         fh.write(text)
-    _write_sidecar(output, config)
-
-
-def _write_sidecar(output, config: ExperimentConfig):
-    path = f"{output}.config.json"
-    with open(path, "w", newline="") as fh:
+    with open(f"{output}.config.json", "w", newline="") as fh:
         json.dump(config.provenance(), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
-# weight sources
+# request set-up
 # ---------------------------------------------------------------------------
 
 
@@ -257,6 +185,13 @@ def _weights_from_config(cfg: ExperimentConfig) -> weights.WeightDistribution:
     raise ConfigError(f"unknown generator {generator!r}; expected 'zipf' or 'csv'")
 
 
+def _network(cfg: ExperimentConfig):
+    """The request's weights, weight function and sampling distribution."""
+    w = _weights_from_config(cfg)
+    f = weights.WeightFunction.parse(cfg["f"])
+    return w, f, weights.sampling_distribution(w, f)
+
+
 def _node_index(cfg: ExperimentConfig, size: int) -> int:
     node = int(cfg["node"])  # CLI is 1-based (rank order); library is 0-based
     if not (1 <= node <= size):
@@ -264,16 +199,10 @@ def _node_index(cfg: ExperimentConfig, size: int) -> int:
     return node - 1
 
 
-def _split_from_config(cfg: ExperimentConfig, node0: int) -> weights.SplitSpec:
-    fractions = _parse_floats(cfg["fractions"])
-    return weights.SplitSpec(node0, np.asarray(fractions))
-
-
 def _gain_estimate(cfg: ExperimentConfig):
-    w = _weights_from_config(cfg)
-    f = weights.WeightFunction.parse(cfg["f"])
+    w, f, _ = _network(cfg)
     node0 = _node_index(cfg, w.size)
-    split = _split_from_config(cfg, node0)
+    split = weights.SplitSpec(node0, _parse_floats(cfg["fractions"]))
     return fairness.estimate_split_gain(
         w, f, cfg["k"], split, cfg["n_runs"], cfg["seed"],
         coupled=cfg["coupled"],
@@ -285,6 +214,9 @@ def _gain_estimate(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 _GAIN_HEADER = ("axis_value", "mean", "std_error", "ci_low", "ci_high", "n_runs")
+
+# sweep axes whose values are counts; the rest (zipf_s) take any real
+_COUNT_AXES = ("network_size", "sample_k", "split_r")
 
 
 def _row_for(estimate: fairness.GainEstimate, axis_value):
@@ -302,8 +234,7 @@ def _cmd_tau(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_exact(cfg: ExperimentConfig) -> int:
-    w = _weights_from_config(cfg)
-    p = weights.sampling_distribution(w, weights.WeightFunction.parse(cfg["f"]))
+    w, _, p = _network(cfg)
     dist = cfg["dist"]
     if dist == "v":
         d = exact.exact_v_distribution(p, cfg["k"], cfg["v_max"])
@@ -326,8 +257,7 @@ def _cmd_exact(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_sample(cfg: ExperimentConfig) -> int:
-    w = _weights_from_config(cfg)
-    p = weights.sampling_distribution(w, weights.WeightFunction.parse(cfg["f"]))
+    w, _, p = _network(cfg)
     node0 = _node_index(cfg, w.size)
     runs = sampler.greedy_runs(p, cfg["k"], sampler.as_stream(cfg["seed"]),
                                cfg["n_runs"], track=node0)
@@ -337,8 +267,7 @@ def _cmd_sample(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_power(cfg: ExperimentConfig) -> int:
-    w = _weights_from_config(cfg)
-    p = weights.sampling_distribution(w, weights.WeightFunction.parse(cfg["f"]))
+    w, _, p = _network(cfg)
     node0 = _node_index(cfg, w.size)
     if cfg["epsilon"] is not None:
         # exact inclusion–exclusion sum instead of Monte Carlo; the bound is
@@ -364,11 +293,19 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
     if not cfg["axis_values"]:
         raise ConfigError("sweep needs axis_values (comma-separated)")
     axis = cfg["axis"]
-    raw_values = _parse_floats(cfg["axis_values"])
-    values = [float(v) if axis == "zipf_s" else int(v) for v in raw_values]
+    values = _parse_floats(cfg["axis_values"])
+    if axis in _COUNT_AXES:
+        if not all(v.is_integer() for v in values):
+            raise ConfigError(
+                f"sweep axis {axis} takes whole numbers, got {cfg['axis_values']!r}")
+        values = [int(v) for v in values]
+    # the split node must exist in the smallest network of the sweep
+    smallest = min(values, default=cfg["n"]) if axis == "network_size" else cfg["n"]
+    if smallest < 1:
+        raise ConfigError(f"sweep needs networks of at least 1 node, not {smallest}")
     base = fairness.GainExperiment(
         zipf_s=cfg["s"], n_nodes=cfg["n"], k=cfg["k"],
-        node=cfg["node"] - 1, split_r=cfg["split_r"],
+        node=_node_index(cfg, smallest), split_r=cfg["split_r"],
         n_runs=cfg["n_runs"], coupled=cfg["coupled"],
         f=weights.WeightFunction.parse(cfg["f"]),
     )
@@ -424,22 +361,82 @@ def _cmd_fpc(cfg: ExperimentConfig) -> int:
     return 0
 
 
-_RUNNERS = {
-    "tau": _cmd_tau,
-    "exact": _cmd_exact,
-    "sample": _cmd_sample,
-    "power": _cmd_power,
-    "gain": _cmd_gain,
-    "sweep": _cmd_sweep,
-    "kde": _cmd_kde,
-    "qq": _cmd_qq,
-    "fpc": _cmd_fpc,
+# ---------------------------------------------------------------------------
+# the subcommand table
+# ---------------------------------------------------------------------------
+
+
+class _Command(NamedTuple):
+    run: Callable[[ExperimentConfig], int]
+    help: str
+    schema: dict  # one row per key: caster, default; the flags follow its order
+
+
+# in `greedyvote -h` order
+_COMMANDS = {
+    "exact": _Command(_cmd_exact, "exact draw-count / occupancy / distinct-count distributions", {
+        **_SOURCE_KEYS,
+        "dist": (str, "v"),
+        "k": (int, 2),
+        "v_max": (int, 16),
+        "node": (int, 1),
+        "output": (str, None),
+    }),
+    "sample": _Command(_cmd_sample, "raw greedy sampling runs", {
+        **_SOURCE_KEYS,
+        "k": (int, 20),
+        "node": (int, 1),
+        "n_runs": (int, 1000),
+        "seed": (int, 0),
+        "output": (str, None),
+    }),
+    "power": _Command(_cmd_power, "Monte Carlo voting-power estimate for one node", {
+        **_SOURCE_KEYS,
+        "k": (int, 20),
+        "node": (int, 1),
+        "n_runs": (int, 10_000),
+        "seed": (int, 0),
+        "epsilon": (float, None),
+        "output": (str, None),
+    }),
+    "gain": _Command(_cmd_gain, "Monte Carlo split-gain estimate (coupled by default)",
+                     _GAIN_KEYS),
+    "sweep": _Command(_cmd_sweep, "split-gain sweep over network size, k, split arity or Zipf s", {
+        "s": (float, 1.0),
+        "n": (int, 1000),
+        "f": (str, "identity"),
+        "k": (int, 20),
+        "node": (int, 1),
+        "split_r": (int, 2),
+        "axis": (str, "network_size"),
+        "axis_values": (str, None),
+        "n_runs": (int, 10_000),
+        "seed": (int, 0),
+        "coupled": (_parse_bool, True),
+        "output": (str, None),
+    }),
+    "kde": _Command(_cmd_kde, "Gaussian kernel density of per-run split gains", {
+        **_GAIN_KEYS,
+        "bandwidth": (float, None),
+        "grid_points": (int, 512),
+    }),
+    "qq": _Command(_cmd_qq, "normal QQ points of per-run split gains", _GAIN_KEYS),
+    "fpc": _Command(_cmd_fpc, "fast probabilistic consensus simulation", {
+        **_SOURCE_KEYS,
+        "g": (str, "constant-one"),
+        "k": (int, 20),
+        "theta": (float, 0.5),
+        "beta": (float, 0.3),
+        "max_rounds": (int, 100),
+        "finality_l": (int, 2),
+        "ones_fraction": (float, 0.9),
+        "seed": (int, 0),
+        "output": (str, None),
+    }),
+    "tau": _Command(_cmd_tau, "maximum of the limiting equal-split gain curve", {
+        "output": (str, None),
+    }),
 }
-
-
-def run_experiment(config: ExperimentConfig) -> int:
-    """Dispatch a resolved configuration to its subcommand implementation."""
-    return _RUNNERS[config.subcommand](config)
 
 
 # ---------------------------------------------------------------------------
@@ -453,22 +450,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Voting power and split/merge fairness under greedy weighted sampling.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    help_text = {
-        "tau": "maximum of the limiting equal-split gain curve",
-        "exact": "exact draw-count / occupancy / distinct-count distributions",
-        "sample": "raw greedy sampling runs",
-        "power": "Monte Carlo voting-power estimate for one node",
-        "gain": "Monte Carlo split-gain estimate (coupled by default)",
-        "sweep": "split-gain sweep over network size, k, split arity or Zipf s",
-        "kde": "Gaussian kernel density of per-run split gains",
-        "qq": "normal QQ points of per-run split gains",
-        "fpc": "fast probabilistic consensus simulation",
-    }
-    for name in SUBCOMMANDS:
-        sp = sub.add_parser(name, help=help_text[name])
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
         sp.add_argument("--config", default=None, metavar="PATH",
                         help="JSON config file; explicit flags override it")
-        for key in _SCHEMAS[name]:
+        for key in command.schema:
             flag = "--" + key.replace("_", "-")
             if key == "output":
                 sp.add_argument("-o", flag, default=None, dest=key)
@@ -480,14 +466,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    flag_values = {key: getattr(args, key) for key in _SCHEMAS[args.subcommand]}
+    command = _COMMANDS[args.subcommand]
+    flag_values = {key: getattr(args, key) for key in command.schema}
     try:
         config = ExperimentConfig.resolve(args.subcommand, flag_values, args.config)
-        return run_experiment(config)
+        return command.run(config)
     except ResourceLimitError as exc:
         print(f"error (resource limit): {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, InvalidParameterError, UnsupportedConfigurationError) as exc:
+    except (InvalidParameterError, UnsupportedConfigurationError) as exc:
         print(f"error (invalid configuration): {exc}", file=sys.stderr)
         return 2
     except GreedyVoteError as exc:

@@ -61,10 +61,6 @@ class VDistribution(_TruncatedLaw):
     k: int
     v_max: int
 
-    def mean(self) -> float:
-        """Expected draw count over the truncated support (lower bound)."""
-        return _fsum([v * q for v, q in self.probs.items()])
-
 
 @dataclass(eq=False)
 class JointDistribution(_TruncatedLaw):

@@ -228,6 +228,8 @@ def kde_density(samples, bandwidth=None, grid=None, points: int = 512) -> np.nda
                 "samples have zero variance; pass an explicit bandwidth"
             )
     if grid is None:
+        if points < 1:
+            raise InvalidParameterError(f"the density grid needs at least 1 point, not {points}")
         lo = float(x.min()) - 5.0 * h
         hi = float(x.max()) + 5.0 * h
         grid = np.linspace(lo, hi, points)

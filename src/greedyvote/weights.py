@@ -136,7 +136,12 @@ class WeightDistribution:
     def from_raw(cls, values) -> "WeightDistribution":
         """Normalize raw non-negative stakes into a weight distribution."""
         w = _masses(values, "weights")
-        total = _fsum(w)
+        try:
+            total = _fsum(w)
+        except OverflowError:
+            raise InvalidParameterError(
+                "weights sum past the largest float64; scale them down"
+            ) from None
         if total <= 0:
             raise InvalidParameterError("weights must have positive total mass")
         return cls(w / total)

@@ -16,6 +16,34 @@ def _read_rows(path):
     return header, [line.split(",") for line in lines[1:]]
 
 
+# each subcommand's line in the `greedyvote -h` listing
+HELP_LINES = {
+    "exact": "exact draw-count / occupancy / distinct-count distributions",
+    "sample": "raw greedy sampling runs",
+    "power": "Monte Carlo voting-power estimate for one node",
+    "gain": "Monte Carlo split-gain estimate (coupled by default)",
+    "sweep": "split-gain sweep over network size, k, split arity or Zipf s",
+    "kde": "Gaussian kernel density of per-run split gains",
+    "qq": "normal QQ points of per-run split gains",
+    "fpc": "fast probabilistic consensus simulation",
+    "tau": "maximum of the limiting equal-split gain curve",
+}
+
+
+@pytest.mark.parametrize("name", list(HELP_LINES))
+def test_help_for_every_subcommand(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: greedyvote {name} [-h] [--config PATH]")
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    listing = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    assert f" {name} {HELP_LINES[name]} " in listing
+
+
 class TestTau:
     def test_prints_maximum(self, capsys):
         assert main(["tau"]) == 0
@@ -163,6 +191,30 @@ class TestSweep:
     def test_missing_axis_values(self, capsys):
         assert main(["sweep", "--axis", "network_size"]) == 2
 
+    @pytest.mark.parametrize("values, message", [
+        ("100,200", "node 500 out of range 1..100"),  # 1-based, smallest network
+        ("0,100", "networks of at least 1 node"),
+    ])
+    def test_node_checked_against_smallest_network(self, values, message, capsys):
+        rc = main(["sweep", "--axis", "network_size", "--axis-values", values,
+                   "--node", "500", "--n-runs", "10"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis", ["network_size", "sample_k", "split_r"])
+    def test_count_axis_refuses_fractional_values(self, axis, capsys):
+        rc = main(["sweep", "--axis", axis, "--axis-values", "2.5,300", "--n-runs", "10"])
+        assert rc == 2
+        assert "takes whole numbers" in capsys.readouterr().err
+
+    def test_count_axis_accepts_integral_spellings(self, capsys):
+        args = ["sweep", "--axis", "network_size", "--n-runs", "50", "--seed", "3"]
+        assert main(args + ["--axis-values", "1e2,2.0e2"]) == 0
+        spelled = capsys.readouterr().out
+        assert main(args + ["--axis-values", "100,200"]) == 0
+        assert spelled == capsys.readouterr().out
+        assert [line.split(",")[0] for line in spelled.splitlines()[1:]] == ["100", "200"]
+
 
 class TestKdeAndQq:
     def test_kde_rows(self, tmp_path):
@@ -173,6 +225,13 @@ class TestKdeAndQq:
         header, rows = _read_rows(out)
         assert header == ["x", "density"]
         assert len(rows) == 512
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_kde_refuses_empty_grid(self, points, capsys):
+        rc = main(["kde", "--n", "50", "--k", "5", "--n-runs", "200",
+                   "--grid-points", points])
+        assert rc == 2
+        assert "at least 1 point" in capsys.readouterr().err
 
     def test_qq_rows(self, tmp_path):
         out = tmp_path / "qq.csv"
@@ -210,6 +269,11 @@ class TestSampleAndPower:
         header, rows = _read_rows(out)
         mean, se = float(rows[0][1]), float(rows[0][2])
         assert abs(mean - 0.650948) <= 4 * se
+
+    @pytest.mark.parametrize("subcommand", ["power", "exact"])
+    def test_weights_summing_past_float64_refused(self, subcommand, capsys):
+        assert main([subcommand, "--weights", "1e308,1e308", "--k", "2"]) == 2
+        assert "weights sum past" in capsys.readouterr().err
 
     def test_power_exact_epsilon(self, capsys):
         rc = main(["power", "--weights", "0.75,0.25", "--k", "2", "--node", "1",

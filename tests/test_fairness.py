@@ -226,6 +226,9 @@ class TestKdeDensity:
             kde_density([1.0, 1.0, 1.0])  # zero variance, no bandwidth
         with pytest.raises(InvalidParameterError):
             kde_density([1.0, 2.0], bandwidth=0.0)
+        for points in (0, -1):
+            with pytest.raises(InvalidParameterError, match="at least 1 point"):
+                kde_density([1.0, 2.0], bandwidth=0.5, points=points)
 
     def test_silverman_rule(self):
         gen = np.random.Generator(np.random.Philox(key=[62, 0]))

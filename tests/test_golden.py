@@ -1,8 +1,10 @@
-"""Golden CLI outputs: the sha256 of the CSV each seeded run writes.
+"""Golden CLI outputs: the sha256 of the CSV each seeded run writes, and of
+three runs' `.config.json` sidecars.
 
-These bytes belong to stream layout 3.  A change that moves any of them
+These CSV bytes belong to stream layout 3.  A change that moves any of them
 changes what a seed means, so it must raise sampler.STREAM_LAYOUT and
-re-record the digests; a pure speed-up must leave them as they are.
+re-record the digests; a pure speed-up must leave them as they are.  The
+sidecar bytes are what `--config` reads back to reproduce a run.
 """
 
 import hashlib
@@ -52,3 +54,19 @@ def test_golden_cli_output(name, tmp_path):
     assert main(list(RUNS[name]) + ["--seed", "1", "-o", str(out)]) == 0
     assert sampler.STREAM_LAYOUT == 3
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name]
+
+
+SIDECARS = {  # the .config.json bytes at --seed 1, with the "output" line left out
+    "gain-coupled": "4de2434ff40a911f4dca0bbac59d707d07acfc2743c36971c65ed71034de341a",
+    "sweep": "f414b46bef61c73535b99be904fe65869ec8d032c56bc0135171a66d14206205",
+    "fpc": "4f4dff1c93ddd60efc16eb2df8ae4095985e420173d7b98bdeacc00ba21b7e1e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIDECARS))
+def test_golden_sidecar(name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    assert main(list(RUNS[name]) + ["--seed", "1", "-o", str(out)]) == 0
+    lines = (tmp_path / f"{name}.csv.config.json").read_bytes().splitlines(keepends=True)
+    kept = b"".join(line for line in lines if not line.lstrip().startswith(b'"output":'))
+    assert hashlib.sha256(kept).hexdigest() == SIDECARS[name]

@@ -85,6 +85,11 @@ class TestWeightDistribution:
         with pytest.raises(InvalidParameterError):
             WeightDistribution.from_raw([])
 
+    def test_rejects_sum_past_float64(self):
+        # each stake is finite, but their sum is not
+        with pytest.raises(InvalidParameterError, match="weights sum past"):
+            WeightDistribution.from_raw([1e308, 1e308])
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("build", [WeightDistribution.from_raw,
                                        SamplingDistribution.from_probs])
