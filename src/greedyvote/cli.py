@@ -215,9 +215,6 @@ def _gain_estimate(cfg: ExperimentConfig):
 
 _GAIN_HEADER = ("axis_value", "mean", "std_error", "ci_low", "ci_high", "n_runs")
 
-# sweep axes whose values are counts; the rest (zipf_s) take any real
-_COUNT_AXES = ("network_size", "sample_k", "split_r")
-
 
 def _row_for(estimate: fairness.GainEstimate, axis_value):
     return (axis_value, estimate.mean, estimate.std_error,
@@ -270,8 +267,8 @@ def _cmd_power(cfg: ExperimentConfig) -> int:
     w, _, p = _network(cfg)
     node0 = _node_index(cfg, w.size)
     if cfg["epsilon"] is not None:
-        # exact inclusion–exclusion sum instead of Monte Carlo; the bound is
-        # its float64 rounding error, refused above epsilon
+        # the exact Poisson integral instead of Monte Carlo; the bound covers
+        # its quadrature, rounding and truncation, refused above epsilon
         value, error_bound = exact.voting_power_exact(
             p, cfg["k"], node0, cfg["epsilon"]
         )
@@ -294,7 +291,7 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
         raise ConfigError("sweep needs axis_values (comma-separated)")
     axis = cfg["axis"]
     values = _parse_floats(cfg["axis_values"])
-    if axis in _COUNT_AXES:
+    if axis in fairness.SWEEP_AXES and fairness.SWEEP_AXES[axis][1] is int:
         if not all(v.is_integer() for v in values):
             raise ConfigError(
                 f"sweep axis {axis} takes whole numbers, got {cfg['axis_values']!r}")

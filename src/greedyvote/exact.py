@@ -1,28 +1,25 @@
-"""Exact (inclusion–exclusion and closed-form) greedy-sampling distributions.
+"""Exact greedy-sampling distributions and voting power.
 
-Everything here is deterministic arithmetic: the distribution of the number
-of draws needed to see k distinct nodes, the joint law of (occurrences of a
-node, number of draws), the distinct-count law for a fixed number of draws,
-untruncated voting power for any k, plus the k = 2 closed forms for voting
-power and split gain and their equal-split limit curve.
+Deterministic arithmetic: the law of the draws needed to see k distinct nodes,
+the joint law of (a node's occurrences, draws), the distinct-count law of a
+fixed number of draws, untruncated voting power for any k, and the k = 2
+closed forms for voting power and split gain with the equal-split gain curve.
 
-Every law is one sum over the node subsets S of the support with |S| < k,
-from the coupon-collector identity (Flajolet, Gardy & Thimonier 1992)
+The draw-count and joint laws sum over the node subsets S of the support with
+|S| < k (Flajolet, Gardy & Thimonier 1992), N counting the nodes of positive
+probability and p_S the mass of S:
 
-    P(V > v) = sum_S c_S p_S^v,  c_S = (-1)^(k-1-|S|) C(N-|S|-1, k-1-|S|),
+    P(V > v) = sum_S c_S p_S^v,  c_S = (-1)^(k-1-|S|) C(N-|S|-1, k-1-|S|).
 
-where N counts the nodes of positive probability and p_S is the mass of S.
-The signed terms cancel, so float64 keeps fewer digits than it carries:
-`voting_power_exact` states its rounding bound.  The cost is the subset count
-times the cells each subset is summed into; it is checked against one term
-budget, `MAX_TERMS`, before anything is allocated.
+Voting power and the distinct-count law are one pass over the nodes each, with
+every term >= 0, so nothing cancels.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -30,9 +27,13 @@ import numpy as np
 from .errors import InvalidParameterError, ResourceLimitError
 from .weights import SamplingDistribution, SplitSpec, _check_k, _check_node, _fsum
 
-# term budget of one exact call: subsets x cells.  At the limit the power
-# tables take 32 MB of float64; N=60, k=8 (4.4e8 subsets) is refused up front.
+# term budget of one subset sum: subsets x cells, checked before anything is
+# allocated.  At the limit the power tables take 32 MB; N=60, k=8 is refused.
 MAX_TERMS = 1 << 22
+
+# step budget of one positive-term pass: support nodes x k.  Either pass takes
+# a few seconds at the limit (voting power at k = 2, the U law at k = 170).
+MAX_STEPS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -40,37 +41,31 @@ MAX_TERMS = 1 << 22
 # ---------------------------------------------------------------------------
 
 
+@dataclass(eq=False)
 class _TruncatedLaw:
     """Probabilities over a truncated support plus the tail mass beyond it."""
 
-    def __post_init__(self):
-        total = _fsum(list(self.probs.values()))
-        if self.residual < -1e-9:
-            raise AssertionError(f"negative residual {self.residual}")
-        self.residual = max(0.0, self.residual)
-        if abs(total + self.residual - 1.0) > 1e-10:
-            raise AssertionError("probabilities plus residual must be 1")
-
-
-@dataclass(eq=False)
-class VDistribution(_TruncatedLaw):
-    """Truncated law of the total number of draws, plus the tail mass."""
-
     probs: dict
-    residual: float
     k: int
     v_max: int
+    residual: float = field(init=False)
+
+    def __post_init__(self):
+        residual = 1.0 - _fsum(list(self.probs.values()))
+        if residual < -1e-9:
+            raise AssertionError(f"negative residual {residual}")
+        self.residual = max(0.0, residual)
+
+
+class VDistribution(_TruncatedLaw):
+    """Truncated law of the total number of draws, plus the tail mass."""
 
 
 @dataclass(eq=False)
 class JointDistribution(_TruncatedLaw):
     """Truncated joint law of (occurrences of one node, total draws)."""
 
-    probs: dict
     node: int
-    residual: float
-    k: int
-    v_max: int
 
 
 @dataclass(eq=False)
@@ -80,39 +75,35 @@ class UDistribution:
     probs: np.ndarray  # index u-1 holds P(u distinct), u = 1..k
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        self.probs = p
-        if abs(_fsum(p) - 1.0) > 1e-10:
+        if abs(_fsum(self.probs) - 1.0) > 1e-10:
             raise AssertionError("distinct-count probabilities must sum to 1")
 
 
 # ---------------------------------------------------------------------------
-# the subset table
+# subset sums: the draw-count and joint laws
 # ---------------------------------------------------------------------------
 
 
 class _Subsets(NamedTuple):
-    """Every subset S of the support with |S| <= some size, one entry each."""
+    """Every subset S of the support with |S| < k, one entry each."""
 
-    size: np.ndarray  # |S|
+    coef: np.ndarray  # c_S = (-1)^(k-1-|S|) C(N-|S|-1, k-1-|S|)
     rest: np.ndarray  # mass of S without the tracked node
     comp: np.ndarray  # 1 - p_S, summed over the complement
     has: np.ndarray   # whether S holds the tracked node
-    n: int            # support size
 
 
-def _subsets(p: SamplingDistribution, max_size: int, cells: int,
-             node: int = -1) -> _Subsets:
+def _subsets(p: SamplingDistribution, k: int, cells: int, node: int = -1) -> _Subsets:
     """The subset table, after checking subsets x cells against MAX_TERMS.
 
     Masses are sums of positive probabilities, the complement's included, so
     neither loses digits when p_S is close to 0 or to 1.
     """
     n = p.support_size
-    subsets = sum(math.comb(n, j) for j in range(min(max_size, n) + 1))
+    subsets = sum(math.comb(n, j) for j in range(min(k - 1, n) + 1))
     if subsets * cells > MAX_TERMS:
         raise ResourceLimitError(
-            f"{subsets} subsets (N={n}, up to {max_size} nodes) x {cells} cells = "
+            f"{subsets} subsets (N={n}, up to {k - 1} nodes) x {cells} cells = "
             f"{subsets * cells} terms exceeds the exact budget of {MAX_TERMS} terms"
         )
     size = np.zeros(subsets, dtype=np.int8)  # the budget keeps |S| below 23
@@ -121,7 +112,7 @@ def _subsets(p: SamplingDistribution, max_size: int, cells: int,
     filled = 1  # the empty set; node j appends S + {j} for each S filled so far
     for j in np.flatnonzero(p.probs).tolist():
         p_j = float(p.probs[j])
-        grow = size[:filled] < max_size
+        grow = size[:filled] < k - 1
         end = filled + int(np.count_nonzero(grow))
         size[filled:end] = size[:filled][grow] + 1
         rest[filled:end] = rest[:filled][grow] + (0.0 if j == node else p_j)
@@ -129,13 +120,8 @@ def _subsets(p: SamplingDistribution, max_size: int, cells: int,
         comp[:filled] += p_j
         has[filled:end] = has[:filled][grow] | (j == node)
         filled = end
-    return _Subsets(size, rest, comp, has, n)
-
-
-def _coef(k: int, t: _Subsets) -> np.ndarray:
-    """c_S = (-1)^(k-1-|S|) C(N-|S|-1, k-1-|S|) for every subset, |S| < k."""
-    table = [(-1) ** (k - 1 - s) * math.comb(t.n - s - 1, k - 1 - s) for s in range(k)]
-    return np.array(table, dtype=float)[t.size]
+    coef = [(-1) ** (k - 1 - s) * math.comb(n - s - 1, k - 1 - s) for s in range(k)]
+    return _Subsets(np.array(coef, dtype=float)[size], rest, comp, has)
 
 
 def _check_law_args(p: SamplingDistribution, k, v_max) -> tuple:
@@ -146,20 +132,14 @@ def _check_law_args(p: SamplingDistribution, k, v_max) -> tuple:
     return k, v_max
 
 
-# ---------------------------------------------------------------------------
-# exact distributions
-# ---------------------------------------------------------------------------
-
-
 def exact_v_distribution(p: SamplingDistribution, k: int, v_max: int) -> VDistribution:
     """P(total draws = v) for v = k..v_max: sum_S c_S p_S^(v-1) (1 - p_S)."""
     k, v_max = _check_law_args(p, k, v_max)
-    t = _subsets(p, k - 1, v_max - k + 1)
+    t = _subsets(p, k, v_max - k + 1)
     with np.errstate(under="ignore"):
-        probs = (_coef(k, t) * t.comp) @ np.power(t.rest[:, None], np.arange(k - 1, v_max))
+        probs = (t.coef * t.comp) @ np.power(t.rest[:, None], np.arange(k - 1, v_max))
     out = dict(zip(range(k, v_max + 1), np.maximum(probs, 0.0).tolist()))
-    residual = 1.0 - _fsum(list(out.values()))
-    return VDistribution(probs=out, residual=residual, k=k, v_max=v_max)
+    return VDistribution(probs=out, k=k, v_max=v_max)
 
 
 def exact_joint_distribution(p: SamplingDistribution, k: int, i: int,
@@ -188,13 +168,12 @@ def exact_joint_distribution(p: SamplingDistribution, k: int, i: int,
     # i is {i}, so H(j) = [j = 0] and D needs one column.
     j_max = v_max if k > 2 else 0
     v_top = 1 if k == 1 else v_max  # a k = 1 run stops at draw 1
-    t = _subsets(p, k - 1, (v_max + 1) * (j_max + 1), node=i)
-    c = _coef(k, t)
+    t = _subsets(p, k, (v_max + 1) * (j_max + 1), node=i)
     y = t.rest[t.has]
     s = float(y.max(initial=0.0)) or 1.0
     with np.errstate(under="ignore"):
-        h = c[t.has] @ np.power(y[:, None] / s, np.arange(j_max + 1))
-        kv = c[~t.has] @ np.power(t.rest[~t.has][:, None], np.arange(v_max + 1))
+        h = t.coef[t.has] @ np.power(y[:, None] / s, np.arange(j_max + 1))
+        kv = t.coef[~t.has] @ np.power(t.rest[~t.has][:, None], np.arange(v_max + 1))
         d = np.zeros((v_top + 1, j_max + 1))
         d[0, 0] = 1.0
         for v in range(1, v_top + 1):
@@ -207,91 +186,115 @@ def exact_joint_distribution(p: SamplingDistribution, k: int, i: int,
         j = np.clip(j, 0, j_max)
         return np.where(inside, d[v, j] * h[j], 0.0) + (ell == 0) * kv[v]
 
-    every_node = k == t.n and p_i > 0.0  # i is drawn, so ell >= 1
+    every_node = k == p.support_size and p_i > 0.0  # i is drawn, so ell >= 1
     cells = [(ell, v) for v in range(k, v_top + 1)
              for ell in (sorted({0, 1, v - 1}) if k == 2 else range(v - k + 2))
              if ell or not every_node]
     ell, v = np.array(cells, dtype=np.int64).reshape(-1, 2).T
     probs = (1.0 - p_i) * g(v - 1, ell) + p_i * g(v - 1, ell - 1) - g(v, ell)
     out = {cell: q for cell, q in zip(cells, np.maximum(probs, 0.0).tolist()) if q != 0.0}
-    residual = 1.0 - _fsum(list(out.values()))
-    return JointDistribution(probs=out, node=i, residual=residual, k=k, v_max=v_max)
+    return JointDistribution(probs=out, node=i, k=k, v_max=v_max)
+
+
+# ---------------------------------------------------------------------------
+# sums of positive terms: the distinct-count law and voting power
+# ---------------------------------------------------------------------------
+
+
+def _check_steps(n: int, k: int) -> None:
+    if n * k > MAX_STEPS:
+        raise ResourceLimitError(f"{n} nodes x k={k} = {n * k} steps exceeds the "
+                                 f"exact budget of {MAX_STEPS} steps")
 
 
 def exact_u_distribution(p: SamplingDistribution, k: int) -> UDistribution:
-    """P(u distinct nodes in exactly k draws with replacement), u = 1..k:
-    sum_{|S| <= u} (-1)^(u-|S|) C(N-|S|, u-|S|) p_S^k."""
+    """P(u distinct nodes in exactly k draws with replacement), u = 1..k.
+
+    P(u) = k! [t^k] e_u(e^(p_j t) - 1), e_u the elementary symmetric polynomial.
+    The pass keeps E[u, d] = d! [t^d] e_u over the nodes so far, the chance that
+    d draws hit only them and u of them; node j, hit c >= 1 times, adds
+    C(d, c) p_j^c E[u - 1, d - c].  k > 170 (k! past float64) is refused.
+    """
     k = int(k)
     if k < 1:
         raise InvalidParameterError(f"k={k} must be >= 1")
-    t = _subsets(p, k, k)
-    with np.errstate(under="ignore"):
-        powers = t.rest ** k
-    by_size = [_fsum(powers[t.size == s]) for s in range(min(k, t.n) + 1)]
-    out = np.zeros(k)
-    for u in range(1, len(by_size)):
-        out[u - 1] = max(0.0, _fsum([(-1) ** (u - s) * math.comb(t.n - s, u - s) * e
-                                     for s, e in enumerate(by_size[:u + 1])]))
-    return UDistribution(probs=out)
+    if k > 170:
+        raise ResourceLimitError(f"k={k} draws: k! overflows float64 beyond k=170")
+    probs = p.probs[p.probs > 0]
+    _check_steps(probs.size, k)
+    d = np.arange(k + 1)
+    # row d - c, column d: C(d, c) for c >= 1 draws on the node, and c itself
+    binom = np.triu([[float(math.comb(b, a)) for b in range(k + 1)] for a in range(k + 1)], 1)
+    hits = np.abs(d - d[:, None])
+    e = np.zeros((min(probs.size, k) + 1, k + 1))
+    e[0, 0] = 1.0
+    for p_j in probs.tolist():
+        e[1:] += e[:-1] @ (binom * (p_j ** d)[hits])
+    return UDistribution(probs=np.pad(e[1:, k], (0, k + 1 - len(e))))
 
 
-def _log_kernels(x: np.ndarray, comp: np.ndarray):
-    """L(x) = -log(1 - x) / x and M(x) = (L(x) - 1) / x, with 1 - x given as comp.
-
-    Below x = 1/2, M is its series sum_m x^m / (m + 2) (the quotient would
-    cancel) and L = 1 + x M; from 1/2 up, the complement keeps log(1 - x)
-    accurate as x nears 1.
-    """
-    small = x < 0.5
-    xs = x[small]
-    series = np.zeros_like(xs)
-    for m in range(55, -1, -1):  # the tail after 56 terms is below 2^-56
-        np.multiply(series, xs, out=series)
-        np.add(series, 1.0 / (m + 2), out=series)
-    L, M = np.empty_like(x), np.empty_like(x)
-    M[small] = series
-    L[small] = 1.0 + xs * series
-    xb = x[~small]
-    L[~small] = -np.log(comp[~small]) / xb
-    M[~small] = (L[~small] - 1.0) / xb
-    return L, M
-
-
-# relative rounding error of one voting-power term, in units of float64's eps,
-# on top of N eps for each of the masses p_S and 1 - p_S
-_TERM_ULPS = 16
+def _exp_e1(s: np.ndarray) -> np.ndarray:
+    """e^s E1(s) for ascending s > 0, within 5e-16 relative: the series of E1
+    below s = 0.6 (its 26th term is below 1e-33), and from 0.6 up the continued
+    fraction 1 / (s + 1 - 1 / (s + 3 - 4 / (s + 5 - ...))) from depth 160."""
+    x, y = s[s < 0.6], s[s >= 0.6]
+    series = np.zeros_like(x)  # E1(x) + gamma + log x, by Horner's rule
+    for n in range(25, 0, -1):
+        series = x * (series + (-1) ** (n + 1) / (n * math.factorial(n)))
+    fraction = np.zeros_like(y)
+    for n in range(160, 0, -1):
+        fraction = n * n / (y + (2 * n + 1) - fraction)
+    return np.concatenate([np.exp(x) * (series - np.euler_gamma - np.log(x)),
+                           1.0 / (y + 1.0 - fraction)])
 
 
 def voting_power_exact(p: SamplingDistribution, k: int, i: int, epsilon: float):
     """Voting power E[A_i / V] of node i, exact and untruncated.
 
-    Summing (ell / v) P(ell, v) over the joint law's G in closed form gives
+    With draws at the times of a rate-1 Poisson process, let pi_m(s) be the
+    chance that exactly m other nodes are seen by time s, and mu_m(s) the
+    expected mass of the unseen other nodes on that event:
 
-        p_i [sum_S c_S L(p_S) - sum_{S∋i} c_S M(p_S)],  |S| < k.
+        VP_i = p_i int_0^inf e^s E1(s) [s mu_{k-2}(s) + e^(-p_i s) pi_{k-1}(s)] ds.
 
-    The terms cancel, so the result carries a rounding error of at most
-    error_bound = (2N + 16) eps p_i sum|terms| + eps |value|, taking each
-    term's relative error as 2N eps (p_S and 1 - p_S are sums of up to N
-    probabilities) plus 16 eps (logarithm, series, products); the sum itself
-    is exactly rounded.  Returns (value, error_bound); raises
-    ResourceLimitError when error_bound exceeds epsilon.
+    The trapezoid rule in log s runs over [e^-40, s_max] at steps 1/8 and
+    1/16.  error_bound adds their gap, the rounding ((8N + 32) eps relative:
+    8 eps per node's update, 32 for the kernel and products) and 2e-16 p_i off
+    the grid, where e^s E1(s) <= min(1/s, log(1 + 1/s)) and the bracket is at
+    most 1 + s times P(fewer than k nodes seen) <= C(N, k-1) e^(-r s), r the
+    mass outside the k - 1 heaviest nodes; s_max puts the tail at e^-40.
+    Returns (value, error_bound); raises ResourceLimitError above epsilon.
     """
     if not (epsilon > 0.0):
         raise InvalidParameterError("epsilon must be > 0")
     k = _check_k(p, k)
     i = _check_node(p, i)
+    n = p.support_size
+    _check_steps(n, k)
     p_i = float(p.probs[i])
-    t = _subsets(p, k - 1, 1, node=i)
-    L, M = _log_kernels(t.rest + t.has * p_i, t.comp)
-    M[~t.has] = 0.0
-    terms = _coef(k, t) * (L - M)
-    value = p_i * _fsum(terms)
-    error_bound = ((2 * t.n + _TERM_ULPS) * p_i * _fsum(np.abs(terms))
-                   + abs(value)) * sys.float_info.epsilon
+    r = _fsum(np.sort(p.probs)[::-1][k - 1:])
+    log_c = math.lgamma(n + 1) - math.lgamma(k) - math.lgamma(n - k + 2)
+    s_max = (log_c - math.log(r) + 40.0) / r
+    fine_steps = 2 * math.ceil(8 * (math.log(s_max) + 40.0))  # even: 1/8 shares the ends
+    s = np.exp(-40.0 + np.arange(fine_steps + 1) / 16)
+    # row m + 1 holds order m; row 0 stays zero, so one shifted update covers m = 0
+    pi, mu = np.zeros((2, k + 1, s.size))
+    pi[1] = 1.0
+    others = np.delete(p.probs, i)
+    for p_j in others[others > 0].tolist():
+        miss, seen = np.exp(-p_j * s), -np.expm1(-p_j * s)
+        mu[1:] = miss * (mu[1:] + p_j * pi[1:]) + seen * mu[:-1]
+        pi[1:] = miss * pi[1:] + seen * pi[:-1]
+    f = p_i * s * _exp_e1(s) * (s * mu[k - 1] + np.exp(-p_i * s) * pi[k])
+    ends = (f[0] + f[-1]) / 2
+    value = (_fsum(f) - ends) / 16
+    coarse = (_fsum(f[::2]) - ends) / 8
+    error_bound = (abs(value - coarse) + (8 * n + 32) * sys.float_info.epsilon * value
+                   + 2e-16 * p_i)
     if error_bound > epsilon:
         raise ResourceLimitError(
-            f"float64 rounding bound {error_bound:.3e} of the exact voting power "
-            f"exceeds epsilon={epsilon:.3e}"
+            f"quadrature and rounding bound {error_bound:.3e} of the exact voting "
+            f"power exceeds epsilon={epsilon:.3e}"
         )
     return value, error_bound
 
@@ -315,16 +318,13 @@ def voting_power_k2(p: SamplingDistribution, i: int) -> float:
     distinct node; needs every probability strictly below 1 to terminate.
     """
     i = _check_node(p, i)
-    if p.support_size < 2:
-        raise InvalidParameterError("need at least two sampleable nodes for k=2")
+    _check_k(p, 2)
     probs = p.probs.tolist()
     if any(q >= 1.0 for q in probs):
         raise InvalidParameterError(
             "a probability-1 node makes k=2 greedy sampling non-terminating"
         )
     p_i = probs[i]
-    if p_i == 0.0:
-        return 0.0
     other_sum = _fsum([_log_ratio(q) + 1.0 for j, q in enumerate(probs) if j != i])
     return -p_i * other_sum + (1.0 - p_i) * _log_ratio(p_i) + 1.0
 

@@ -32,7 +32,13 @@ CHUNK_RUNS = 10_000
 RETAINED_CAP = 1_000_000
 _CI_Z = 1.96  # normal approximation, level 0.95
 
-SWEEP_AXES = ("network_size", "sample_k", "split_r", "zipf_s")
+# sweep axis -> the GainExperiment field it sets and that field's type
+SWEEP_AXES = {
+    "network_size": ("n_nodes", int),
+    "sample_k": ("k", int),
+    "split_r": ("split_r", int),
+    "zipf_s": ("zipf_s", float),
+}
 
 
 @dataclass(eq=False)
@@ -158,15 +164,11 @@ class GainExperiment:
 
 
 def _apply_axis(base: GainExperiment, axis: str, value) -> GainExperiment:
-    if axis == "network_size":
-        return replace(base, n_nodes=int(value))
-    if axis == "sample_k":
-        return replace(base, k=int(value))
-    if axis == "split_r":
-        return replace(base, split_r=int(value))
-    if axis == "zipf_s":
-        return replace(base, zipf_s=float(value))
-    raise InvalidParameterError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    if axis not in SWEEP_AXES:
+        raise InvalidParameterError(
+            f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
+    name, cast = SWEEP_AXES[axis]
+    return replace(base, **{name: cast(value)})
 
 
 def sweep_gain(base: GainExperiment, axis: str, values, seed) -> SweepResult:

@@ -81,8 +81,6 @@ def run_fpc(config: FpcConfig, weights: WeightDistribution, initial_opinions, se
     rows = [opinions.copy()]
     thresholds = []
     consensus_round = None
-    streak = 0
-    streak_value = -1
 
     for t in range(1, config.max_rounds + 1):
         if t == 1:
@@ -106,18 +104,9 @@ def run_fpc(config: FpcConfig, weights: WeightDistribution, initial_opinions, se
         else:
             opinions = np.where(eta > u_t, 1, np.where(eta < u_t, 0, opinions)).astype(np.int8)
         rows.append(opinions)
-
-        first = int(opinions[0])
-        unanimous = bool((opinions == first).all())
-        if unanimous and first == streak_value:
-            streak += 1
-        elif unanimous:
-            streak = 1
-            streak_value = first
-        else:
-            streak = 0
-            streak_value = -1
-        if streak >= config.finality_l:
+        # final: the last finality_l rounds all hold the one opinion of node 0
+        if t >= config.finality_l and all(
+                (row == opinions[0]).all() for row in rows[-config.finality_l:]):
             consensus_round = t
             break
 

@@ -42,6 +42,20 @@ def _masses(values, what: str) -> np.ndarray:
     return x
 
 
+def _normalized(values, what: str) -> np.ndarray:
+    """values over their exactly rounded total, refused unless `_masses` takes
+    them and the total is positive and within float64."""
+    x = _masses(values, what)
+    try:
+        total = _fsum(x)
+    except OverflowError:
+        raise InvalidParameterError(f"{what} sum past the largest float64; scale them down"
+                                    ) from None
+    if total <= 0:
+        raise InvalidParameterError(f"{what} must have positive total mass")
+    return x / total
+
+
 # ---------------------------------------------------------------------------
 # sampling weight functions
 # ---------------------------------------------------------------------------
@@ -135,16 +149,7 @@ class WeightDistribution:
     @classmethod
     def from_raw(cls, values) -> "WeightDistribution":
         """Normalize raw non-negative stakes into a weight distribution."""
-        w = _masses(values, "weights")
-        try:
-            total = _fsum(w)
-        except OverflowError:
-            raise InvalidParameterError(
-                "weights sum past the largest float64; scale them down"
-            ) from None
-        if total <= 0:
-            raise InvalidParameterError("weights must have positive total mass")
-        return cls(w / total)
+        return cls(_normalized(values, "weights"))
 
     @property
     def size(self) -> int:
@@ -172,11 +177,7 @@ class SamplingDistribution:
     @classmethod
     def from_probs(cls, values, source_f: str = "identity") -> "SamplingDistribution":
         """Build directly from probabilities (normalizing tiny rounding slack)."""
-        p = _masses(values, "probs")
-        total = _fsum(p)
-        if total <= 0:
-            raise InvalidParameterError("probabilities must have positive total mass")
-        return cls(p / total, source_f=source_f)
+        return cls(_normalized(values, "probs"), source_f=source_f)
 
     @property
     def size(self) -> int:

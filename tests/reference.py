@@ -11,20 +11,23 @@ is the package's one sampling path.  Here it meets a second, per-draw one:
 - `TwoSearchAliasTable` pairs lights and heavies with two merges, one per
   direction, where `AliasTable` reads both pairings off one;
 - `enumeration_oracle` walks every short draw sequence, the brute-force
-  ground truth of the exact engine.
+  ground truth of the exact engine;
+- `voting_power_subsets` is voting power as a signed sum over node subsets,
+  the way the exact engine computed it before its sums of positive terms.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from greedyvote.errors import ResourceLimitError, SamplingError
-from greedyvote.exact import JointDistribution, VDistribution, _check_law_args
+from greedyvote.exact import JointDistribution, VDistribution, _check_law_args, _subsets
 from greedyvote.sampler import AliasTable, RngStream, _alias_table, _prefix_sums
-from greedyvote.weights import SamplingDistribution, SplitSpec, _check_k, _fsum
+from greedyvote.weights import SamplingDistribution, SplitSpec, _check_k, _check_node, _fsum
 
 ORACLE_MAX_NODES = 5
 ORACLE_MAX_VMAX = 10
@@ -319,12 +322,57 @@ def enumeration_oracle(p: SamplingDistribution, k: int, v_max: int):
                 counts[a] -= 1
 
     walk(0, 0, 1.0)
-    total = _fsum(list(v_probs.values()))
-    v_dist = VDistribution(probs=v_probs, residual=1.0 - total, k=k, v_max=v_max)
-    joints = {
-        u: JointDistribution(probs=joint[u], node=u,
-                             residual=1.0 - _fsum(list(joint[u].values())),
-                             k=k, v_max=v_max)
-        for u in range(n)
-    }
+    v_dist = VDistribution(probs=v_probs, k=k, v_max=v_max)
+    joints = {u: JointDistribution(probs=joint[u], node=u, k=k, v_max=v_max) for u in range(n)}
     return v_dist, joints
+
+
+# ---------------------------------------------------------------------------
+# voting power over node subsets
+# ---------------------------------------------------------------------------
+
+
+def _log_kernels(x: np.ndarray, comp: np.ndarray):
+    """L(x) = -log(1 - x) / x and M(x) = (L(x) - 1) / x, with 1 - x given as comp.
+
+    Below x = 1/2, M is its series sum_m x^m / (m + 2) (the quotient would
+    cancel) and L = 1 + x M; from 1/2 up, the complement keeps log(1 - x)
+    accurate as x nears 1.
+    """
+    small = x < 0.5
+    xs = x[small]
+    series = np.zeros_like(xs)
+    for m in range(55, -1, -1):  # the tail after 56 terms is below 2^-56
+        np.multiply(series, xs, out=series)
+        np.add(series, 1.0 / (m + 2), out=series)
+    L, M = np.empty_like(x), np.empty_like(x)
+    M[small] = series
+    L[small] = 1.0 + xs * series
+    xb = x[~small]
+    L[~small] = -np.log(comp[~small]) / xb
+    M[~small] = (L[~small] - 1.0) / xb
+    return L, M
+
+
+def voting_power_subsets(p: SamplingDistribution, k: int, i: int):
+    """Voting power of node i as a signed sum over the subsets S, |S| < k:
+
+        p_i [sum_S c_S L(p_S) - sum_{S∋i} c_S M(p_S)].
+
+    The terms cancel, so the result carries a rounding error of at most
+    error_bound = (2N + 16) eps p_i sum|terms| + eps |value|: each term's
+    relative error is 2N eps (p_S and 1 - p_S are sums of up to N
+    probabilities) plus 16 eps (logarithm, series, products), and the sum is
+    exactly rounded.  Returns (value, error_bound).
+    """
+    k = _check_k(p, k)
+    i = _check_node(p, i)
+    p_i = float(p.probs[i])
+    t = _subsets(p, k, 1, node=i)
+    L, M = _log_kernels(t.rest + t.has * p_i, t.comp)
+    M[~t.has] = 0.0
+    terms = t.coef * (L - M)
+    value = p_i * _fsum(terms)
+    n = p.support_size
+    error_bound = ((2 * n + 16) * p_i * _fsum(np.abs(terms)) + abs(value)) * sys.float_info.epsilon
+    return value, error_bound

@@ -284,6 +284,18 @@ class TestSampleAndPower:
         value = float(lines[1].split(",")[1])
         assert abs(value - 0.650948) < 1e-6
 
+    def test_power_exact_at_the_default_quorum(self, capsys):
+        # Zipf 1.1, N=1000, k=20: past every subset budget, one positive-term pass
+        assert main(["power", "--s", "1.1", "--epsilon", "1e-6"]) == 0
+        node, value, bound = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        assert node == "1" and float(bound) <= 1e-6
+        assert abs(float(value) - 0.1732738674) <= 1e-9
+
+    def test_power_exact_over_the_step_budget(self, monkeypatch, capsys):
+        monkeypatch.setattr("greedyvote.exact.MAX_STEPS", 1000)
+        assert main(["power", "--s", "1.1", "--epsilon", "1e-6"]) == 3
+        assert "1000 nodes x k=20 = 20000 steps" in capsys.readouterr().err
+
 
 class TestFpc:
     def test_round_csv_and_summary(self, tmp_path):
@@ -325,6 +337,19 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
+
+    def test_exact_paths_leave_scipy_unloaded(self):
+        # the exact engine is numpy only; a fresh interpreter shows what it loads
+        code = "\n".join([
+            "import sys",
+            "from greedyvote.cli import main",
+            "assert main(['power', '--n', '8', '--k', '4', '--epsilon', '1e-9']) == 0",
+            "assert main(['exact', '--n', '14', '--k', '10', '--dist', 'u']) == 0",
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
     def test_invalid_flag_exit_code(self):
         proc = subprocess.run(

@@ -5,9 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from greedyvote import exact
 from greedyvote.errors import (
     InvalidParameterError,
     ResourceLimitError,
@@ -32,7 +33,12 @@ from greedyvote.weights import (
     apply_split,
     sampling_distribution,
 )
-from reference import ORACLE_MAX_NODES, ORACLE_MAX_VMAX, enumeration_oracle
+from reference import (
+    ORACLE_MAX_NODES,
+    ORACLE_MAX_VMAX,
+    enumeration_oracle,
+    voting_power_subsets,
+)
 
 
 def _random_distribution(gen, n):
@@ -212,12 +218,40 @@ class TestUDistribution:
             assert math.fsum(u.probs.tolist()) == pytest.approx(1.0, abs=1e-12)
             assert (u.probs >= 0).all()
 
-    def test_guards(self):
-        # subsets of up to 8 of 60 nodes, one cell per u = 1..8
+    def test_sixty_nodes_eight_draws(self):
+        # past the subset budget (4.4e8 subsets), 480 steps of the positive pass
         p = SamplingDistribution.from_probs([1.0 / 60] * 60)
-        subsets = sum(math.comb(60, j) for j in range(9))
-        with pytest.raises(ResourceLimitError, match=f"{subsets} subsets .* 8 cells"):
-            exact_u_distribution(p, 8)
+        u = exact_u_distribution(p, 8)
+        assert math.fsum(u.probs.tolist()) == pytest.approx(1.0, abs=1e-14)
+        # eight distinct nodes out of 60 equally likely ones
+        assert u.probs[7] == pytest.approx(math.perm(60, 8) / 60 ** 8, rel=1e-14)
+
+    def test_matches_fifty_digit_arithmetic(self):
+        # the signed subset sum in 50 digits, where float64 would cancel:
+        # P(u) = sum_{|S| <= u} (-1)^(u-|S|) C(N-|S|, u-|S|) p_S^k
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        n, k = 14, 10
+        p = SamplingDistribution.from_probs(1.0 / np.arange(1, n + 1) ** 2)
+        _, subsets = _mp_subsets(mpmath, p, k + 1)
+        by_size = [mpmath.fsum([x ** k for size, x, _ in subsets if size == s])
+                   for s in range(k + 1)]
+        u = exact_u_distribution(p, k)
+        for m in range(1, k + 1):
+            ref = mpmath.fsum([(-1) ** (m - s) * math.comb(n - s, m - s) * by_size[s]
+                               for s in range(m + 1)])
+            assert abs(u.probs[m - 1] - float(ref)) <= 1e-15
+
+    def test_zero_nodes_and_more_draws_than_nodes(self):
+        p = SamplingDistribution.from_probs([0.5, 0.0, 0.5])
+        u = exact_u_distribution(p, 5)
+        assert u.probs.tolist() == [0.0625, 0.9375, 0.0, 0.0, 0.0]
+
+    def test_refuses_k_past_170(self):
+        p = SamplingDistribution.from_probs([0.5, 0.5])
+        assert exact_u_distribution(p, 170).probs[0] == pytest.approx(2.0 ** -169, rel=1e-12)
+        with pytest.raises(ResourceLimitError, match="k=171"):
+            exact_u_distribution(p, 171)
 
 
 class TestEnumerationOracle:
@@ -407,6 +441,47 @@ class TestVotingPowerTruncated:
                 joint = joints[i]
                 truncated = math.fsum((ell / v) * q for (ell, v), q in joint.probs.items())
                 assert -bound - 1e-12 <= value - truncated <= joint.residual + bound + 1e-12
+
+
+class TestVotingPowerPositiveTerms:
+    """The sums of positive terms against the signed subset sum and the closed forms."""
+
+    @given(masses=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.0]),
+                                     st.floats(0.001, 10.0)), min_size=2, max_size=6))
+    @settings(max_examples=25, deadline=None)
+    def test_random_networks_with_ties_and_zeros(self, masses):
+        assume(any(m > 0 for m in masses))
+        p = SamplingDistribution.from_probs(masses)
+        eps = sys.float_info.epsilon
+        for k in range(1, p.support_size + 1):
+            values, bounds = [], []
+            for i in range(p.size):
+                value, bound = voting_power_exact(p, k, i, 1e-9)
+                ref, ref_bound = voting_power_subsets(p, k, i)
+                assert abs(value - ref) <= bound + ref_bound
+                if k == 1:
+                    assert abs(value - p.probs[i]) <= bound
+                if k == 2 and p.probs.max() < 1.0:
+                    assert abs(value - voting_power_k2(p, i)) <= bound + 4 * eps
+                values.append(value)
+                bounds.append(bound)
+            # every run's shares add up to one
+            assert abs(math.fsum(values) - 1.0) <= math.fsum(bounds)
+
+    def test_zero_mass_node_has_no_power(self):
+        p = SamplingDistribution.from_probs([0.5, 0.0, 0.3, 0.2])
+        assert voting_power_exact(p, 3, 1, 1e-12) == (0.0, 0.0)
+
+    def test_step_budget_refusals_name_the_count(self, monkeypatch):
+        # 25 nodes of positive mass; the five zero-mass nodes cost nothing
+        p = SamplingDistribution.from_probs(np.concatenate([1.0 / np.arange(1, 26), np.zeros(5)]))
+        monkeypatch.setattr(exact, "MAX_STEPS", 100)
+        voting_power_exact(p, 4, 0, 1e-9)
+        exact_u_distribution(p, 4)
+        with pytest.raises(ResourceLimitError, match="25 nodes x k=5 = 125 steps"):
+            voting_power_exact(p, 5, 0, 1e-9)
+        with pytest.raises(ResourceLimitError, match="25 nodes x k=5 = 125 steps"):
+            exact_u_distribution(p, 5)
 
 
 def _mp_subsets(mpmath, p, k):

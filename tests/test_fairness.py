@@ -44,6 +44,13 @@ class TestEstimateVotingPower:
         est = estimate_voting_power(p, 2, 0, 50_000, seed=102)
         assert abs(est.mean - voting_power_k2(p, 0)) <= 4 * est.std_error
 
+    def test_against_exact_power_at_k20(self):
+        # the canonical network: Zipf 1.1, N=1000, k=20, heaviest node
+        p = sampling_distribution(zipf_weights(ZipfParams(1.1, 1000)))
+        exact, _ = voting_power_exact(p, 20, 0, 1e-9)
+        est = estimate_voting_power(p, 20, 0, 100_000, seed=105)
+        assert abs(est.mean - exact) <= 4 * est.std_error
+
     def test_full_support_quorum(self):
         p = SamplingDistribution.from_probs([0.25] * 4)
         est = estimate_voting_power(p, 4, 2, 30_000, seed=103)
@@ -178,6 +185,20 @@ class TestSweepGain:
         base = GainExperiment(n_runs=10)
         with pytest.raises(InvalidParameterError):
             sweep_gain(base, "nodes", [10], seed=0)
+
+    def test_axis_table_sets_one_typed_field(self):
+        base = GainExperiment(n_runs=10)
+        for axis, value, field, expected in (("network_size", 50.0, "n_nodes", 50),
+                                             ("sample_k", 7.0, "k", 7),
+                                             ("split_r", 3.0, "split_r", 3),
+                                             ("zipf_s", 2, "zipf_s", 2.0)):
+            point = fairness._apply_axis(base, axis, value)
+            assert getattr(point, field) == expected
+            assert type(getattr(point, field)) is type(expected)
+        with pytest.raises(InvalidParameterError) as info:
+            fairness._apply_axis(base, "nodes", 10)
+        assert str(info.value) == ("unknown sweep axis 'nodes'; expected one of "
+                                   "('network_size', 'sample_k', 'split_r', 'zipf_s')")
 
     def test_rerun_is_bit_identical(self):
         base = GainExperiment(zipf_s=1.0, n_nodes=60, k=3, n_runs=4_000)

@@ -90,6 +90,15 @@ class TestWeightDistribution:
         with pytest.raises(InvalidParameterError, match="weights sum past"):
             WeightDistribution.from_raw([1e308, 1e308])
 
+    @pytest.mark.parametrize("build, what", [(WeightDistribution.from_raw, "weights"),
+                                             (SamplingDistribution.from_probs, "probs")])
+    def test_constructors_refuse_bad_totals(self, build, what):
+        # finite entries whose total is not, and a total of zero
+        with pytest.raises(InvalidParameterError, match=f"{what} sum past the largest float64"):
+            build([1e308, 1e308])
+        with pytest.raises(InvalidParameterError, match=f"{what} must have positive total mass"):
+            build([0.0, 0.0])
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("build", [WeightDistribution.from_raw,
                                        SamplingDistribution.from_probs])
