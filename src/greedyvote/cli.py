@@ -200,7 +200,8 @@ def _node_index(cfg: ExperimentConfig, size: int) -> int:
 
 
 def _gain_estimate(cfg: ExperimentConfig):
-    w, f, _ = _network(cfg)
+    # the estimate builds its own sampling distributions from w and f
+    w, f = _weights_from_config(cfg), weights.WeightFunction.parse(cfg["f"])
     node0 = _node_index(cfg, w.size)
     split = weights.SplitSpec(node0, _parse_floats(cfg["fractions"]))
     return fairness.estimate_split_gain(

@@ -35,6 +35,10 @@ MAX_TERMS = 1 << 22
 # a few seconds at the limit (voting power at k = 2, the U law at k = 170).
 MAX_STEPS = 1 << 18
 
+# cell budget of the voting-power pass: nodes x k x grid points, MAX_STEPS steps of 1024
+# points.  The grid has 700-900 points but nears 12 700 as the mass outside k - 1 nodes nears 0.
+MAX_CELLS = MAX_STEPS << 10
+
 
 # ---------------------------------------------------------------------------
 # distribution records
@@ -263,7 +267,7 @@ def voting_power_exact(p: SamplingDistribution, k: int, i: int, epsilon: float):
     the grid, where e^s E1(s) <= min(1/s, log(1 + 1/s)) and the bracket is at
     most 1 + s times P(fewer than k nodes seen) <= C(N, k-1) e^(-r s), r the
     mass outside the k - 1 heaviest nodes; s_max puts the tail at e^-40.
-    Returns (value, error_bound); raises ResourceLimitError above epsilon.
+    Returns (value, error_bound); raises ResourceLimitError above epsilon or a budget.
     """
     if not (epsilon > 0.0):
         raise InvalidParameterError("epsilon must be > 0")
@@ -276,6 +280,10 @@ def voting_power_exact(p: SamplingDistribution, k: int, i: int, epsilon: float):
     log_c = math.lgamma(n + 1) - math.lgamma(k) - math.lgamma(n - k + 2)
     s_max = (log_c - math.log(r) + 40.0) / r
     fine_steps = 2 * math.ceil(8 * (math.log(s_max) + 40.0))  # even: 1/8 shares the ends
+    cells = n * k * (fine_steps + 1)
+    if cells > MAX_CELLS:
+        raise ResourceLimitError(f"{n} nodes x k={k} x {fine_steps + 1} grid points = {cells} "
+                                 f"cells exceeds the exact budget of {MAX_CELLS} cells")
     s = np.exp(-40.0 + np.arange(fine_steps + 1) / 16)
     # row m + 1 holds order m; row 0 stays zero, so one shifted update covers m = 0
     pi, mu = np.zeros((2, k + 1, s.size))

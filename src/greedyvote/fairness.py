@@ -59,14 +59,23 @@ class SweepResult:
     points: list  # [(axis_value, GainEstimate), ...]
 
 
-def _run_chunks(n_runs: int, rng: RngStream, worker) -> np.ndarray:
-    """Run `worker(chunk_rng, count) -> ndarray` over fixed chunks, in order."""
+def _chunks(n_runs: int, rng: RngStream) -> list:
+    """The chunk plan: (stream, run count) per fixed-size chunk, in order."""
     if n_runs < 1:
         raise InvalidParameterError("n_runs must be >= 1")
-    return np.concatenate([
-        worker(chunk_stream(rng, ci), min(CHUNK_RUNS, n_runs - start))
-        for ci, start in enumerate(range(0, n_runs, CHUNK_RUNS))
-    ])
+    return [(chunk_stream(rng, ci), min(CHUNK_RUNS, n_runs - start))
+            for ci, start in enumerate(range(0, n_runs, CHUNK_RUNS))]
+
+
+def _per_run(p: SamplingDistribution, k: int, chunks: list, track, split=None) -> np.ndarray:
+    """Per run, chunk by chunk: the share of its draws that hit the tracked
+    nodes, or with a split the coupled post-split run's share less that."""
+    def chunk(chunk_rng: RngStream, count: int) -> np.ndarray:
+        runs = greedy_runs(p, k, chunk_rng, count, track=track, split=split)
+        share = runs.y / runs.v
+        return share if split is None else runs.y_post / runs.v_post - share
+
+    return np.concatenate([chunk(chunk_rng, count) for chunk_rng, count in chunks])
 
 
 def _summarize(values: np.ndarray, rng: RngStream) -> GainEstimate:
@@ -101,13 +110,7 @@ def estimate_voting_power(p: SamplingDistribution, k: int, i: int, n_runs: int,
     """Average occupancy share of node i over independent greedy samples."""
     i = _check_node(p, i)
     rng = as_stream(seed)
-
-    def worker(chunk_rng: RngStream, count: int) -> np.ndarray:
-        runs = greedy_runs(p, k, chunk_rng, count, track=i)
-        return runs.y / runs.v
-
-    values = _run_chunks(n_runs, rng, worker)
-    return _summarize(values, rng)
+    return _summarize(_per_run(p, k, _chunks(n_runs, rng), i), rng)
 
 
 def estimate_split_gain(w: WeightDistribution, f: WeightFunction, k: int,
@@ -118,25 +121,21 @@ def estimate_split_gain(w: WeightDistribution, f: WeightFunction, k: int,
     Coupled mode drives the pre- and post-split runs from a shared draw
     stream (variance reduction; identity weight function only).  Independent
     mode samples the two networks separately and works for any weight
-    function, at the price of a noisier estimate.
+    function, at the price of a noisier estimate.  It runs every chunk's
+    pre-split runs first, drops the pre-split distribution and its alias
+    table, and then samples the post-split network on the same chunk
+    streams, each going on where its pre-split runs stopped: the draws of
+    stream layout 3, with one network's table in memory at a time.
     """
-    p = sampling_distribution(w, f)
-    node = split.node
-    if coupled:
-        # greedy_runs refuses a split under any weight function but identity
-        def worker(chunk_rng: RngStream, count: int) -> np.ndarray:
-            runs = greedy_runs(p, k, chunk_rng, count, track=node, split=split)
-            return runs.y_post / runs.v_post - runs.y / runs.v
-    else:
-        p_hat = sampling_distribution(apply_split(w, split)[0], f)
-
-        def worker(chunk_rng: RngStream, count: int) -> np.ndarray:
-            pre = greedy_runs(p, k, chunk_rng, count, track=node)
-            post = greedy_runs(p_hat, k, chunk_rng, count, track=split.parts)
-            return post.y / post.v - pre.y / pre.v
-
     rng = as_stream(seed)
-    values = _run_chunks(n_runs, rng, worker)
+    chunks = _chunks(n_runs, rng)
+    if coupled:  # greedy_runs refuses a split under any weight function but identity
+        values = _per_run(sampling_distribution(w, f), k, chunks, split.node, split)
+    else:
+        split.check(w.weights)  # a bad split is refused before any draw
+        pre = _per_run(sampling_distribution(w, f), k, chunks, split.node)
+        p_hat = sampling_distribution(apply_split(w, split)[0], f)
+        values = _per_run(p_hat, k, chunks, split.parts) - pre
     return _summarize(values, rng)
 
 

@@ -95,32 +95,34 @@ def threshold_stream(rng: RngStream, t: int) -> RngStream:
 
 
 class AliasTable:
-    """Vose alias table over a fixed probability vector, built loop-free."""
+    """Vose alias table over a fixed probability vector, built loop-free in place."""
 
     def __init__(self, probs: np.ndarray):
         n = int(probs.size)
-        scaled = np.asarray(probs, dtype=float) * n
-        light = np.flatnonzero(scaled < 1.0)[::-1]  # Vose's loop pops both lists
-        heavy = np.flatnonzero(scaled >= 1.0)[::-1]  # in descending index order
-        d_hi, d_lo = _prefix_sums(1.0 - scaled[light])  # running deficit D
+        self.size, self.prob = n, np.asarray(probs, dtype=float) * n
+        scaled, index = self.prob, np.int32 if n < 2**31 else np.int64
+        light = np.flatnonzero(scaled < 1.0).astype(index)[::-1]  # Vose's loop pops both
+        heavy = np.flatnonzero(scaled >= 1.0).astype(index)[::-1]  # in descending index order
         e_hi, e_lo = _prefix_sums(scaled[heavy] - 1.0)  # running excess E
-        d, e = d_hi + d_lo, e_hi + e_lo
-        self.size, self.prob, self.alias = n, np.ones(n), np.arange(n, dtype=np.int64)
-        # one merge: c[i] counts the heavies j with E_j < D_i
-        c = np.searchsorted(e, d, side="left")
-        # light 0 takes heavy 0 and light i the first heavy with E_j >= D_(i-1);
-        # the donors grow, so the fed lights are a prefix and unfed ones keep 1
-        donor = np.concatenate(([0], c))[:-1]
-        m = int(np.searchsorted(donor, heavy.size))
-        self.prob[light[:m]] = scaled[light[:m]]
-        self.alias[light[:m]] = heavy[donor[:m]]
-        # heavy j but the last: light i = #{c <= j}, the first with D_i > E_j,
+        x = scaled[light]  # one temporary: 1 - s, then d_lo
+        d_hi, d_lo = _prefix_sums(np.subtract(1.0, x, out=x))  # running deficit D
+        # one merge: c[i + 1] counts the heavies j with E_j < D_i, and c[0] = 0
+        c = np.concatenate(([0], np.searchsorted(e_hi + e_lo, d_hi + d_lo, side="left")),
+                           dtype=index)
+        # light 0 takes heavy 0 and light i the first heavy with E_j >= D_(i-1),
+        # c[i]; the donors grow, so the fed lights are a prefix
+        m = int(np.searchsorted(c[:-1], heavy.size))
+        # heavy j but the last: light i = #{c[1:] <= j}, the first with D_i > E_j,
         # cuts it to 1 - (D_i - E_j); the cut heavies are a prefix too
-        i = np.cumsum(np.bincount(c, minlength=heavy.size))[:heavy.size - 1]
+        i = np.cumsum(np.bincount(c[1:], minlength=heavy.size))[:heavy.size - 1]
         i = i[:np.searchsorted(i, light.size)]
         j = i.size
+        scaled[light[m:]] = scaled[heavy] = 1.0  # fed lights keep their scaled mass
         cut = 1.0 - ((d_hi[i] - e_hi[:j]) + (d_lo[i] - e_lo[:j]))  # hi - hi exact
-        self.prob[heavy[:j]] = np.clip(cut, 0.0, 1.0)  # exact ties give about -4e-16
+        scaled[heavy[:j]] = np.clip(cut, 0.0, 1.0, out=cut)  # exact ties give about -4e-16
+        del i, cut, x, d_hi, d_lo, e_hi, e_lo
+        self.alias = np.arange(n, dtype=np.int64)
+        self.alias[light[:m]] = heavy[c[:m]]
         self.alias[heavy[:j]] = heavy[1:j + 1]
 
     def draw(self, gen: np.random.Generator, shape) -> np.ndarray:
@@ -133,11 +135,14 @@ class AliasTable:
 
 
 def _prefix_sums(x: np.ndarray) -> tuple:
-    """Running sums of x as hi + lo: np.cumsum and its summed TwoSum errors."""
-    hi = np.cumsum(x)
-    prev = np.concatenate(([0.0], hi[:-1]))
+    """Running sums of x as hi + lo: np.cumsum and its summed TwoSum errors.
+    x is scratch, overwritten by lo, so callers pass a temporary."""
+    buf = np.zeros(x.size + 1)
+    hi, prev = np.cumsum(x, out=buf[1:]), buf[:-1]
     step = hi - prev
-    return hi, np.cumsum((prev - (hi - step)) + (x - step))
+    x -= step
+    x += np.subtract(prev, np.subtract(hi, step, out=step), out=step)  # prev - (hi - step)
+    return hi, np.cumsum(x, out=x)
 
 
 def _alias_table(p: SamplingDistribution) -> AliasTable:

@@ -9,7 +9,10 @@ is the package's one sampling path.  Here it meets a second, per-draw one:
 - `remap` builds a row's post-split image, the dense way the kernel no
   longer does;
 - `TwoSearchAliasTable` pairs lights and heavies with two merges, one per
-  direction, where `AliasTable` reads both pairings off one;
+  direction, where `AliasTable` reads both pairings off one, in place;
+- `interleaved_split_gain` samples independent mode chunk by chunk, each
+  chunk's pre-split runs and then its post-split runs, with both networks'
+  tables alive, where `estimate_split_gain` runs the two networks in turn;
 - `enumeration_oracle` walks every short draw sequence, the brute-force
   ground truth of the exact engine;
 - `voting_power_subsets` is voting power as a signed sum over node subsets,
@@ -26,8 +29,27 @@ import numpy as np
 
 from greedyvote.errors import ResourceLimitError, SamplingError
 from greedyvote.exact import JointDistribution, VDistribution, _check_law_args, _subsets
-from greedyvote.sampler import AliasTable, RngStream, _alias_table, _prefix_sums
-from greedyvote.weights import SamplingDistribution, SplitSpec, _check_k, _check_node, _fsum
+from greedyvote.fairness import CHUNK_RUNS, GainEstimate, _summarize
+from greedyvote.sampler import (
+    AliasTable,
+    RngStream,
+    _alias_table,
+    _prefix_sums,
+    as_stream,
+    chunk_stream,
+    greedy_runs,
+)
+from greedyvote.weights import (
+    SamplingDistribution,
+    SplitSpec,
+    WeightDistribution,
+    WeightFunction,
+    _check_k,
+    _check_node,
+    _fsum,
+    apply_split,
+    sampling_distribution,
+)
 
 ORACLE_MAX_NODES = 5
 ORACLE_MAX_VMAX = 10
@@ -79,6 +101,27 @@ class TwoSearchAliasTable(AliasTable):
         cut = 1.0 - ((d_hi[i[j]] - e_hi[j]) + (d_lo[i[j]] - e_lo[j]))  # hi - hi exact
         self.prob[heavy[j]] = np.clip(cut, 0.0, 1.0)  # exact ties give about -4e-16
         self.alias[heavy[j]] = heavy[j + 1]
+
+
+# ---------------------------------------------------------------------------
+# independent split gain, one chunk at a time
+# ---------------------------------------------------------------------------
+
+
+def interleaved_split_gain(w: WeightDistribution, f: WeightFunction, k: int,
+                           split: SplitSpec, n_runs: int, seed) -> GainEstimate:
+    """Independent-mode split gain, chunk after chunk: the chunk's pre-split
+    runs, then its post-split runs on the same stream."""
+    p = sampling_distribution(w, f)
+    p_hat = sampling_distribution(apply_split(w, split)[0], f)
+    rng = as_stream(seed)
+    values = []
+    for ci, start in enumerate(range(0, n_runs, CHUNK_RUNS)):
+        chunk_rng, count = chunk_stream(rng, ci), min(CHUNK_RUNS, n_runs - start)
+        pre = greedy_runs(p, k, chunk_rng, count, track=split.node)
+        post = greedy_runs(p_hat, k, chunk_rng, count, track=split.parts)
+        values.append(post.y / post.v - pre.y / pre.v)
+    return _summarize(np.concatenate(values), rng)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,13 @@ class TestGain:
                    "--k", "2", "--n-runs", "2000", "--seed", "3", "-o", str(out)])
         assert rc == 0
 
+    @pytest.mark.parametrize("argv", [["gain"], ["gain", "--coupled", "false"],
+                                      ["kde"], ["qq"]])
+    def test_weight_function_mapping_every_weight_to_zero(self, argv, capsys):
+        # power:2000 takes each of three equal weights below the least float64
+        assert main(argv + ["--weights", "1,1,1", "--f", "power:2000", "--k", "2"]) == 2
+        assert "maps every weight to zero" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path):
@@ -295,6 +302,11 @@ class TestSampleAndPower:
         monkeypatch.setattr("greedyvote.exact.MAX_STEPS", 1000)
         assert main(["power", "--s", "1.1", "--epsilon", "1e-6"]) == 3
         assert "1000 nodes x k=20 = 20000 steps" in capsys.readouterr().err
+
+    def test_power_exact_over_the_cell_budget(self, capsys):
+        weights = ",".join(["1"] * 200 + ["1e-300"])
+        assert main(["power", "--weights", weights, "--k", "201", "--epsilon", "1e-6"]) == 3
+        assert "x 11885 grid points" in capsys.readouterr().err
 
 
 class TestFpc:

@@ -483,6 +483,21 @@ class TestVotingPowerPositiveTerms:
         with pytest.raises(ResourceLimitError, match="25 nodes x k=5 = 125 steps"):
             exact_u_distribution(p, 5)
 
+    def test_cell_budget_counts_the_grid(self):
+        # a 1e-300 node leaves next to no mass outside the 200 heaviest, so the
+        # grid has 11 885 points where 201 equal nodes have 789: the pass is
+        # refused before anything is allocated, though 201 x 201 steps fit
+        p = SamplingDistribution.from_probs(np.r_[np.ones(200), 1e-300])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError,
+                               match="201 nodes x k=201 x 11885 grid points"):
+                voting_power_exact(p, 201, 0, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 def _mp_subsets(mpmath, p, k):
     """The probabilities, and (|S|, p_S, S) for every subset S with |S| < k,

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,20 @@ class TestAliasBuild:
         # plain cumsum puts them about 1e-8 off
         monkeypatch.setattr(sampler, "_prefix_sums", lambda x: (np.cumsum(x), np.zeros(x.size)))
         assert self._zipf_law_error() > 2e-15
+
+    def test_alias_build_memory_bound(self):
+        # the build works in place: its traced peak, the table included,
+        # stays under 6.5 x 8N bytes at a million nodes
+        n = 1_000_000
+        w = zipf_weights(ZipfParams(0.8, n))
+        p = sampling_distribution(w, WeightFunction.parse("power:0.5")).probs
+        tracemalloc.start()
+        try:
+            AliasTable(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * 8 * n
 
 
 def _setup_networks():
