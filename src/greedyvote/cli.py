@@ -50,11 +50,18 @@ def _parse_bool(value) -> bool:
     raise ConfigError(f"cannot parse boolean from {value!r}")
 
 
+def _parse_int(value) -> int:
+    """value as an int; a boolean or a number with a fraction is refused, not cut."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 # one row per key: caster, default
 _SOURCE_KEYS = {
     "generator": (str, "zipf"),
     "s": (float, 1.0),
-    "n": (int, 1000),
+    "n": (_parse_int, 1000),
     "weights": (str, None),
     "weights_csv": (str, None),
     "f": (str, "identity"),
@@ -63,11 +70,11 @@ _SOURCE_KEYS = {
 # keys of the subcommands that run a split-gain estimate (gain, kde, qq)
 _GAIN_KEYS = {
     **_SOURCE_KEYS,
-    "k": (int, 20),
-    "node": (int, 1),
+    "k": (_parse_int, 20),
+    "node": (_parse_int, 1),
     "fractions": (str, "0.5,0.5"),
-    "n_runs": (int, 10_000),
-    "seed": (int, 0),
+    "n_runs": (_parse_int, 10_000),
+    "seed": (_parse_int, 0),
     "coupled": (_parse_bool, True),
     "output": (str, None),
 }
@@ -375,25 +382,25 @@ _COMMANDS = {
     "exact": _Command(_cmd_exact, "exact draw-count / occupancy / distinct-count distributions", {
         **_SOURCE_KEYS,
         "dist": (str, "v"),
-        "k": (int, 2),
-        "v_max": (int, 16),
-        "node": (int, 1),
+        "k": (_parse_int, 2),
+        "v_max": (_parse_int, 16),
+        "node": (_parse_int, 1),
         "output": (str, None),
     }),
     "sample": _Command(_cmd_sample, "raw greedy sampling runs", {
         **_SOURCE_KEYS,
-        "k": (int, 20),
-        "node": (int, 1),
-        "n_runs": (int, 1000),
-        "seed": (int, 0),
+        "k": (_parse_int, 20),
+        "node": (_parse_int, 1),
+        "n_runs": (_parse_int, 1000),
+        "seed": (_parse_int, 0),
         "output": (str, None),
     }),
     "power": _Command(_cmd_power, "Monte Carlo voting-power estimate for one node", {
         **_SOURCE_KEYS,
-        "k": (int, 20),
-        "node": (int, 1),
-        "n_runs": (int, 10_000),
-        "seed": (int, 0),
+        "k": (_parse_int, 20),
+        "node": (_parse_int, 1),
+        "n_runs": (_parse_int, 10_000),
+        "seed": (_parse_int, 0),
         "epsilon": (float, None),
         "output": (str, None),
     }),
@@ -401,34 +408,34 @@ _COMMANDS = {
                      _GAIN_KEYS),
     "sweep": _Command(_cmd_sweep, "split-gain sweep over network size, k, split arity or Zipf s", {
         "s": (float, 1.0),
-        "n": (int, 1000),
+        "n": (_parse_int, 1000),
         "f": (str, "identity"),
-        "k": (int, 20),
-        "node": (int, 1),
-        "split_r": (int, 2),
+        "k": (_parse_int, 20),
+        "node": (_parse_int, 1),
+        "split_r": (_parse_int, 2),
         "axis": (str, "network_size"),
         "axis_values": (str, None),
-        "n_runs": (int, 10_000),
-        "seed": (int, 0),
+        "n_runs": (_parse_int, 10_000),
+        "seed": (_parse_int, 0),
         "coupled": (_parse_bool, True),
         "output": (str, None),
     }),
     "kde": _Command(_cmd_kde, "Gaussian kernel density of per-run split gains", {
         **_GAIN_KEYS,
         "bandwidth": (float, None),
-        "grid_points": (int, 512),
+        "grid_points": (_parse_int, 512),
     }),
     "qq": _Command(_cmd_qq, "normal QQ points of per-run split gains", _GAIN_KEYS),
     "fpc": _Command(_cmd_fpc, "fast probabilistic consensus simulation", {
         **_SOURCE_KEYS,
         "g": (str, "constant-one"),
-        "k": (int, 20),
+        "k": (_parse_int, 20),
         "theta": (float, 0.5),
         "beta": (float, 0.3),
-        "max_rounds": (int, 100),
-        "finality_l": (int, 2),
+        "max_rounds": (_parse_int, 100),
+        "finality_l": (_parse_int, 2),
         "ones_fraction": (float, 0.9),
-        "seed": (int, 0),
+        "seed": (_parse_int, 0),
         "output": (str, None),
     }),
     "tau": _Command(_cmd_tau, "maximum of the limiting equal-split gain curve", {

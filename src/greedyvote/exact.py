@@ -5,11 +5,16 @@ the joint law of (a node's occurrences, draws), the distinct-count law of a
 fixed number of draws, untruncated voting power for any k, and the k = 2
 closed forms for voting power and split gain with the equal-split gain curve.
 
-The draw-count and joint laws sum over the node subsets S of the support with
+The draw-count law is one sum over the node subsets S of the support with
 |S| < k (Flajolet, Gardy & Thimonier 1992), N counting the nodes of positive
 probability and p_S the mass of S:
 
-    P(V > v) = sum_S c_S p_S^v,  c_S = (-1)^(k-1-|S|) C(N-|S|-1, k-1-|S|).
+    P(V >= v) = sum_S c_S p_S^(v-1),  c_S = sum_{t < k-|S|} (-1)^t C(N-|S|, t),
+
+which is (-1)^(k-1-|S|) C(N-|S|-1, k-1-|S|) for |S| < N, and 1 for the whole
+support (a law that never stops, k > N).  The joint law mixes the other
+nodes' draw-count laws for k - 1 and k distinct nodes with binomial laws of
+node i's hits; it has no sum of its own.
 
 Voting power and the distinct-count law are one pass over the nodes each, with
 every term >= 0, so nothing cancels.
@@ -20,7 +25,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -84,48 +88,44 @@ class UDistribution:
 
 
 # ---------------------------------------------------------------------------
-# subset sums: the draw-count and joint laws
+# the subset sum: the draw-count law, and the joint law as a mixture of it
 # ---------------------------------------------------------------------------
 
 
-class _Subsets(NamedTuple):
-    """Every subset S of the support with |S| < k, one entry each."""
-
-    coef: np.ndarray  # c_S = (-1)^(k-1-|S|) C(N-|S|-1, k-1-|S|)
-    rest: np.ndarray  # mass of S without the tracked node
-    comp: np.ndarray  # 1 - p_S, summed over the complement
-    has: np.ndarray   # whether S holds the tracked node
-
-
-def _subsets(p: SamplingDistribution, k: int, cells: int, node: int = -1) -> _Subsets:
-    """The subset table, after checking subsets x cells against MAX_TERMS.
-
-    Masses are sums of positive probabilities, the complement's included, so
-    neither loses digits when p_S is close to 0 or to 1.
-    """
-    n = p.support_size
+def _check_terms(n: int, k: int, cells: int) -> None:
+    """Refuse a law whose subsets of the support x cells pass MAX_TERMS."""
     subsets = sum(math.comb(n, j) for j in range(min(k - 1, n) + 1))
     if subsets * cells > MAX_TERMS:
         raise ResourceLimitError(
             f"{subsets} subsets (N={n}, up to {k - 1} nodes) x {cells} cells = "
             f"{subsets * cells} terms exceeds the exact budget of {MAX_TERMS} terms"
         )
-    size = np.zeros(subsets, dtype=np.int8)  # the budget keeps |S| below 23
-    rest, comp = np.zeros(subsets), np.zeros(subsets)
-    has = np.zeros(subsets, dtype=bool)
+
+
+def _stop_law(probs: np.ndarray, k: int, lo: int, hi: int) -> tuple:
+    """P(V = v) and P(V >= v) for v = lo..hi (lo >= 1), V the draws from probs
+    until k distinct nodes: the sums of c_S p_S^(v-1) (1 - p_S) and c_S p_S^(v-1)
+    over the subset table, |S| < k.  Masses are sums of positive probabilities,
+    the complement's included, so neither loses digits when p_S nears 0 or 1.
+    """
+    nodes = probs[probs > 0].tolist()
+    n, top = len(nodes), min(k - 1, len(nodes))
+    size = np.zeros(sum(math.comb(n, j) for j in range(top + 1)), np.int8)  # |S| < 23 by budget
+    rest, comp = np.zeros(size.size), np.zeros(size.size)
     filled = 1  # the empty set; node j appends S + {j} for each S filled so far
-    for j in np.flatnonzero(p.probs).tolist():
-        p_j = float(p.probs[j])
+    for p_j in nodes:
         grow = size[:filled] < k - 1
         end = filled + int(np.count_nonzero(grow))
         size[filled:end] = size[:filled][grow] + 1
-        rest[filled:end] = rest[:filled][grow] + (0.0 if j == node else p_j)
+        rest[filled:end] = rest[:filled][grow] + p_j
         comp[filled:end] = comp[:filled][grow]
         comp[:filled] += p_j
-        has[filled:end] = has[:filled][grow] | (j == node)
         filled = end
-    coef = [(-1) ** (k - 1 - s) * math.comb(n - s - 1, k - 1 - s) for s in range(k)]
-    return _Subsets(np.array(coef, dtype=float)[size], rest, comp, has)
+    coef = [sum((-1) ** t * math.comb(n - s, t) for t in range(k - s)) for s in range(top + 1)]
+    coef = np.array(coef, dtype=float)[size]
+    with np.errstate(under="ignore"):
+        powers = np.power(rest[:, None], np.arange(lo - 1, hi))
+    return (coef * comp) @ powers, coef @ powers
 
 
 def _check_law_args(p: SamplingDistribution, k, v_max) -> tuple:
@@ -137,11 +137,10 @@ def _check_law_args(p: SamplingDistribution, k, v_max) -> tuple:
 
 
 def exact_v_distribution(p: SamplingDistribution, k: int, v_max: int) -> VDistribution:
-    """P(total draws = v) for v = k..v_max: sum_S c_S p_S^(v-1) (1 - p_S)."""
+    """P(total draws = v) for v = k..v_max."""
     k, v_max = _check_law_args(p, k, v_max)
-    t = _subsets(p, k, v_max - k + 1)
-    with np.errstate(under="ignore"):
-        probs = (t.coef * t.comp) @ np.power(t.rest[:, None], np.arange(k - 1, v_max))
+    _check_terms(p.support_size, k, v_max - k + 1)
+    probs, _ = _stop_law(p.probs, k, k, v_max)
     out = dict(zip(range(k, v_max + 1), np.maximum(probs, 0.0).tolist()))
     return VDistribution(probs=out, k=k, v_max=v_max)
 
@@ -150,52 +149,45 @@ def exact_joint_distribution(p: SamplingDistribution, k: int, i: int,
                              v_max: int) -> JointDistribution:
     """Joint law of (occurrences ell of node i, total draws v), truncated at v_max.
 
-    G(v, ell) = P(no stop within v draws, ell of them hit i) = sum_S c_S F_S,
-    with F_S = C(v, ell) p_i^ell (p_S - p_i)^(v-ell) if i is in S and
-    F_S = [ell = 0] p_S^v otherwise.  A run stops at draw v with ell hits iff
-    it had not stopped at draw v - 1, so
+    Let V'_m be the draws that the other nodes, with probabilities
+    q = p / (1 - p_i), need to show m distinct nodes.  A run that misses i
+    stops when they show k; one that hits i stops when they show k - 1, at a
+    draw that misses i, unless i comes k-th, at its first hit:
 
-        P(ell, v) = (1 - p_i) G(v-1, ell) + p_i G(v-1, ell-1) - G(v, ell).
+        P(0, v)   = (1 - p_i)^v P(V'_k = v),
+        P(ell, v) = Bin(v - 1, ell; p_i) (1 - p_i) P(V'_(k-1) = v - ell)
+                    + [ell = 1] p_i (1 - p_i)^(v-1) [P(V'_k >= v) - P(V'_(k-1) >= v)].
 
-    Cells are formed only where a run can stop (ell <= v - k + 1, for k = 2
-    only ell in {0, 1, v - 1}, and ell >= 1 when every node must be drawn),
-    so cancellation noise never lands on an infeasible cell; exact zeros
-    (every ell > 0 when p_i = 0) are dropped.
+    Cells are formed where a run can stop (ell <= v - k + 1, for k = 2 only
+    ell in {0, 1, v - 1}); those no run reaches come out as exact zeros and
+    are dropped.
     """
     k, v_max = _check_law_args(p, k, v_max)
     i = _check_node(p, i)
     p_i = float(p.probs[i])
-    # G(v, ell) = D(v, j) H(j) + [ell = 0] K(v) with j = v - ell, where
-    # D(v, j) = C(v, j) p_i^ell s^j, H(j) = sum_{S∋i} c_S (p_{S-i} / s)^j and
-    # K(v) = sum_{S∌i} c_S p_S^v.  Scaling by s = max p_{S-i} keeps
-    # sum_j D(v, j) <= 1, so nothing overflows.  For k <= 2 the only S holding
-    # i is {i}, so H(j) = [j = 0] and D needs one column.
+    # the binomial table d has one column for k <= 2: V'_1 = 1, so a run that
+    # hits i and stops on another node missed i at no earlier draw (c = 0)
     j_max = v_max if k > 2 else 0
+    _check_terms(p.support_size, k, (v_max + 1) * (j_max + 1))
     v_top = 1 if k == 1 else v_max  # a k = 1 run stops at draw 1
-    t = _subsets(p, k, (v_max + 1) * (j_max + 1), node=i)
-    y = t.rest[t.has]
-    s = float(y.max(initial=0.0)) or 1.0
-    with np.errstate(under="ignore"):
-        h = t.coef[t.has] @ np.power(y[:, None] / s, np.arange(j_max + 1))
-        kv = t.coef[~t.has] @ np.power(t.rest[~t.has][:, None], np.arange(v_max + 1))
-        d = np.zeros((v_top + 1, j_max + 1))
-        d[0, 0] = 1.0
-        for v in range(1, v_top + 1):
-            d[v] = p_i * d[v - 1]
-            d[v, 1:] += s * d[v - 1, :-1]
-
-    def g(v, ell):  # D is zero above its diagonal, which covers ell = -1
-        j = v - ell
-        inside = (j >= 0) & (j <= j_max)
-        j = np.clip(j, 0, j_max)
-        return np.where(inside, d[v, j] * h[j], 0.0) + (ell == 0) * kv[v]
-
-    every_node = k == p.support_size and p_i > 0.0  # i is drawn, so ell >= 1
+    others = np.delete(p.probs, i)
+    miss = _fsum(others)  # 1 - p_i
+    # index v - 1 holds P(V'_m = v) and P(V'_m >= v); V'_0 = 0 has no subsets, so zeros
+    (law_in, tail_in), (law_out, tail_out) = (
+        _stop_law(others / (miss or 1.0), m, 1, v_top) for m in (k - 1, k))
+    d = np.zeros((v_top, j_max + 1))  # d[n, c] = Bin(n, c; 1 - p_i)
+    d[0, 0] = 1.0
     cells = [(ell, v) for v in range(k, v_top + 1)
-             for ell in (sorted({0, 1, v - 1}) if k == 2 else range(v - k + 2))
-             if ell or not every_node]
+             for ell in (sorted({0, 1, v - 1}) if k == 2 else range(v - k + 2))]
     ell, v = np.array(cells, dtype=np.int64).reshape(-1, 2).T
-    probs = (1.0 - p_i) * g(v - 1, ell) + p_i * g(v - 1, ell - 1) - g(v, ell)
+    c = v - 1 - ell  # the draws before the last that miss i; -1 only where k = 1 and law_in is 0
+    with np.errstate(under="ignore"):
+        for n in range(1, v_top):
+            d[n] = p_i * d[n - 1]
+            d[n, 1:] += miss * d[n - 1, :-1]
+        probs = np.where(ell == 0, miss ** v * law_out[v - 1],
+                         d[v - 1, np.minimum(c, j_max)] * miss * law_in[c])
+        probs += (ell == 1) * p_i * miss ** (v - 1) * (tail_out[v - 1] - tail_in[v - 1])
     out = {cell: q for cell, q in zip(cells, np.maximum(probs, 0.0).tolist()) if q != 0.0}
     return JointDistribution(probs=out, node=i, k=k, v_max=v_max)
 

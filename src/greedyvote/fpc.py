@@ -66,14 +66,15 @@ class FpcTrace:
 def run_fpc(config: FpcConfig, weights: WeightDistribution, initial_opinions, seed) -> FpcTrace:
     """Run FPC until opinions are unanimous and unchanged for finality_l
     consecutive rounds, or max_rounds is exhausted."""
-    opinions = np.asarray(initial_opinions, dtype=np.int8)
+    opinions = np.asarray(initial_opinions)
     n = weights.size
     if opinions.shape != (n,):
         raise InvalidParameterError(
             f"need one initial opinion per node ({n}), got shape {opinions.shape}"
         )
-    if not np.isin(opinions, (0, 1)).all():
+    if not np.isin(opinions, (0, 1)).all():  # before the cast, which would cut 0.6 or wrap 256
         raise InvalidParameterError("opinions must be 0 or 1")
+    opinions = opinions.astype(np.int8)
     p = sampling_distribution(weights, config.scheme_f)
     rng = as_stream(seed)
     g_weights = config.scheme_g.apply(weights.weights)

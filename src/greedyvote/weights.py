@@ -34,7 +34,8 @@ def _fsum(values) -> float:
 
 def _masses(values, what: str) -> np.ndarray:
     """values as a float vector, refused unless 1-d, non-empty, finite and >= 0."""
-    x = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
+    iterable = np.iterable(values) and not isinstance(values, np.ndarray)
+    x = np.asarray(list(values) if iterable else values, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise InvalidParameterError(f"{what} must be a non-empty 1-d vector")
     if not np.isfinite(x).all() or bool((x < 0).any()):
@@ -164,11 +165,9 @@ class SamplingDistribution:
     source_f: str = "identity"
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = _masses(self.probs, "probs")
         object.__setattr__(self, "probs", p)
-        if p.ndim != 1 or p.size < 1:
-            raise InvalidParameterError("probs must be a non-empty 1-d vector")
-        if not np.isfinite(p).all() or bool((p < 0).any()) or bool((p > 1).any()):
+        if bool((p > 1).any()):
             raise InvalidParameterError("probs must lie in [0, 1]")
         total = float(p.sum())
         if abs(total - 1.0) > NORM_TOL:

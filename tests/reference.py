@@ -21,6 +21,8 @@ is the package's one sampling path.  Here it meets a second, per-draw one:
 
 from __future__ import annotations
 
+import itertools
+import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from greedyvote.errors import ResourceLimitError, SamplingError
-from greedyvote.exact import JointDistribution, VDistribution, _check_law_args, _subsets
+from greedyvote.exact import JointDistribution, VDistribution, _check_law_args
 from greedyvote.fairness import CHUNK_RUNS, GainEstimate, _summarize
 from greedyvote.sampler import (
     AliasTable,
@@ -411,11 +413,16 @@ def voting_power_subsets(p: SamplingDistribution, k: int, i: int):
     k = _check_k(p, k)
     i = _check_node(p, i)
     p_i = float(p.probs[i])
-    t = _subsets(p, k, 1, node=i)
-    L, M = _log_kernels(t.rest + t.has * p_i, t.comp)
-    M[~t.has] = 0.0
-    terms = t.coef * (L - M)
+    support = np.flatnonzero(p.probs).tolist()
+    n = len(support)
+    subsets = [list(s) for size in range(k) for s in itertools.combinations(support, size)]
+    x = np.array([_fsum(p.probs[s]) for s in subsets])
+    comp = np.array([_fsum(np.delete(p.probs, s)) for s in subsets])
+    coef = np.array([(-1) ** (k - 1 - len(s)) * math.comb(n - len(s) - 1, k - 1 - len(s))
+                     for s in subsets], dtype=float)
+    L, M = _log_kernels(x, comp)
+    M[[i not in s for s in subsets]] = 0.0
+    terms = coef * (L - M)
     value = p_i * _fsum(terms)
-    n = p.support_size
     error_bound = ((2 * n + 16) * p_i * _fsum(np.abs(terms)) + abs(value)) * sys.float_info.epsilon
     return value, error_bound

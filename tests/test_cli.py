@@ -177,6 +177,18 @@ class TestConfigFile:
         assert main(["gain", "--config", str(cfg)]) == 2
         assert "zipf_exponent" in capsys.readouterr().err
 
+    def test_file_ints_are_cast_like_flags(self, tmp_path, capsys):
+        # 2.7 and true are refused, as --k 2.7 is, not cut to 2 or read as 1
+        cfg = tmp_path / "config.json"
+        for bad in ({"k": 2.7, "n_runs": 1000.9}, {"k": True}):
+            cfg.write_text(json.dumps(bad))
+            assert main(["gain", "--config", str(cfg)]) == 2
+            assert "bad value for 'k'" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"k": 20.0, "n_runs": 1000.0}))
+        values = ExperimentConfig.resolve("gain", {}, cfg).values
+        assert (values["k"], values["n_runs"]) == (20, 1000)
+        assert type(values["k"]) is int
+
     def test_missing_file_rejected(self, capsys):
         assert main(["gain", "--config", "/nonexistent/config.json"]) == 2
 

@@ -171,6 +171,18 @@ class TestJointDistribution:
         assert joint.probs[(1, 1)] == pytest.approx(0.3, abs=1e-15)
         assert joint.probs[(0, 1)] == pytest.approx(0.7, abs=1e-15)
 
+    def test_k1_joint_at_a_million_draws(self):
+        # a k = 1 run stops at draw 1, so nothing is sized to v_max
+        p = SamplingDistribution.from_probs([0.3, 0.7])
+        tracemalloc.start()
+        try:
+            joint = exact_joint_distribution(p, 1, 0, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert joint.probs == {(0, 1): 1.0 - 0.3, (1, 1): 0.3}
+        assert peak < 32 << 20
+
     def test_node_out_of_range(self):
         p = SamplingDistribution.from_probs([0.5, 0.5])
         with pytest.raises(InvalidParameterError):
@@ -540,3 +552,27 @@ class TestPrecision:
         for v in (6, 7, 12, 24):
             ref = mpmath.fsum([coef[size] * x ** (v - 1) * (1 - x) for size, x, _ in subsets])
             assert abs(d.probs[v] - float(ref)) <= 1e-13
+
+    def test_joint_law_cells(self):
+        # the signed sum the joint law was once taken from, with
+        # G(v, ell) = sum_S c_S F_S, F_S = C(v, ell) p_i^ell (p_S - p_i)^(v-ell)
+        # if i is in S, else [ell = 0] p_S^v:
+        # P(ell, v) = (1 - p_i) G(v-1, ell) + p_i G(v-1, ell-1) - G(v, ell)
+        mpmath, p, coef, probs, subsets = self._setup()
+        cells = ((0, 6), (1, 6), (1, 7), (2, 9), (3, 12), (0, 24), (1, 24), (10, 24), (19, 24))
+        for i in (0, 1, 13):
+            p_i = probs[i]
+            inside = [(coef[size], x - p_i) for size, x, subset in subsets if i in subset]
+            outside = [(coef[size], x) for size, x, subset in subsets if i not in subset]
+
+            def g(v, ell):
+                if ell < 0:
+                    return 0
+                total = math.comb(v, ell) * p_i ** ell * mpmath.fsum(
+                    [c * y ** (v - ell) for c, y in inside])
+                return total + (mpmath.fsum([c * x ** v for c, x in outside]) if ell == 0 else 0)
+
+            d = exact_joint_distribution(p, self.K, i, 24)
+            for ell, v in cells:
+                ref = (1 - p_i) * g(v - 1, ell) + p_i * g(v - 1, ell - 1) - g(v, ell)
+                assert abs(d.probs[(ell, v)] - float(ref)) <= 1e-13

@@ -176,6 +176,14 @@ class TestRunFpc:
         with pytest.raises(InvalidParameterError):
             run_fpc(config2, w, np.ones(9, dtype=int), seed=0)  # wrong length
 
+    def test_opinions_checked_before_the_int8_cast(self):
+        # the cast would cut 0.6 to 0 and wrap or overflow at 256
+        w = zipf_weights(ZipfParams(0.0, 10))
+        config = FpcConfig(k=2)
+        for bad in (np.r_[np.ones(9), 0.6], np.r_[np.ones(9, dtype=int), 256], [1] * 9 + [256]):
+            with pytest.raises(InvalidParameterError, match="0 or 1"):
+                run_fpc(config, w, bad, seed=0)
+
     def test_max_rounds_cutoff_without_consensus(self):
         w = zipf_weights(ZipfParams(0.0, 20))
         config = FpcConfig(k=3, beta=0.5, max_rounds=2, finality_l=50)

@@ -103,9 +103,9 @@ class TestWeightDistribution:
     @pytest.mark.parametrize("build", [WeightDistribution.from_raw,
                                        SamplingDistribution.from_probs])
     @pytest.mark.parametrize("values", [
-        np.full((2, 2), 0.25), np.array(0.5), [], [np.inf, -np.inf], [np.inf, 1.0],
+        np.full((2, 2), 0.25), np.array(0.5), 0.5, [], [np.inf, -np.inf], [np.inf, 1.0],
         [0.5, np.nan], [0.5, -0.1],
-    ], ids=["2-d", "0-d", "empty", "inf-inf", "inf", "nan", "negative"])
+    ], ids=["2-d", "0-d", "scalar", "empty", "inf-inf", "inf", "nan", "negative"])
     def test_constructors_refuse_before_summing(self, build, values):
         with pytest.raises(InvalidParameterError):
             build(values)
