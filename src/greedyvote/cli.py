@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -137,6 +138,9 @@ class ExperimentConfig:
                     resolved[key] = caster(resolved[key])
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"bad value for {key!r}: {resolved[key]!r}") from exc
+        output = resolved.get("output")  # refused before any work, not after it
+        if output is not None and not os.path.isdir(os.path.dirname(output) or "."):
+            raise ConfigError(f"cannot write {output}: its directory does not exist")
         return cls(subcommand=subcommand, values=resolved)
 
     def provenance(self) -> dict:
@@ -165,11 +169,17 @@ def _emit_csv(output, header, rows, config: ExperimentConfig):
     if output is None:
         sys.stdout.write(text)
         return
-    with open(output, "w", newline="") as fh:
-        fh.write(text)
-    with open(f"{output}.config.json", "w", newline="") as fh:
-        json.dump(config.provenance(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write(output, text)
+    _write(f"{output}.config.json",
+           json.dumps(config.provenance(), sort_keys=True, indent=2) + "\n")
+
+
+def _write(path, text):
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +370,8 @@ def _cmd_fpc(cfg: ExperimentConfig) -> int:
     if cfg["output"] is None:
         print(json.dumps(summary, sort_keys=True))
     else:
-        with open(f"{cfg['output']}.summary.json", "w", newline="") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write(f"{cfg['output']}.summary.json",
+               json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return 0
 
 

@@ -177,18 +177,24 @@ def exact_joint_distribution(p: SamplingDistribution, k: int, i: int,
         _stop_law(others / (miss or 1.0), m, 1, v_top) for m in (k - 1, k))
     d = np.zeros((v_top, j_max + 1))  # d[n, c] = Bin(n, c; 1 - p_i)
     d[0, 0] = 1.0
-    cells = [(ell, v) for v in range(k, v_top + 1)
-             for ell in (sorted({0, 1, v - 1}) if k == 2 else range(v - k + 2))]
-    ell, v = np.array(cells, dtype=np.int64).reshape(-1, 2).T
-    c = v - 1 - ell  # the draws before the last that miss i; -1 only where k = 1 and law_in is 0
     with np.errstate(under="ignore"):
-        for n in range(1, v_top):
-            d[n] = p_i * d[n - 1]
-            d[n, 1:] += miss * d[n - 1, :-1]
+        if k > 2:
+            cells = [(ell, v) for v in range(k, v_top + 1) for ell in range(v - k + 2)]
+            ell, v = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+            for n in range(1, v_top):
+                d[n] = p_i * d[n - 1]
+                d[n, 1:] += miss * d[n - 1, :-1]
+        else:  # the one column is p_i^n; ell in {0, 1, v - 1}, which is {0, 1} at v = k
+            np.cumprod(np.r_[1.0, np.full(v_top - 1, p_i)], out=d[:, 0])
+            v = np.repeat(np.arange(k, v_top + 1, dtype=np.int64), 3)
+            ell = np.where(np.arange(v.size) % 3 == 2, v - 1, np.arange(v.size) % 3)
+            ell, v = np.delete(ell, 2), np.delete(v, 2)
+        c = v - 1 - ell  # draws before the last that miss i; -1 only where k = 1 and law_in is 0
         probs = np.where(ell == 0, miss ** v * law_out[v - 1],
                          d[v - 1, np.minimum(c, j_max)] * miss * law_in[c])
         probs += (ell == 1) * p_i * miss ** (v - 1) * (tail_out[v - 1] - tail_in[v - 1])
-    out = {cell: q for cell, q in zip(cells, np.maximum(probs, 0.0).tolist()) if q != 0.0}
+    keep = np.maximum(probs, 0.0, out=probs) != 0.0
+    out = dict(zip(zip(ell[keep].tolist(), v[keep].tolist()), probs[keep].tolist()))
     return JointDistribution(probs=out, node=i, k=k, v_max=v_max)
 
 

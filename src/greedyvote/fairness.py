@@ -220,8 +220,8 @@ def kde_density(samples, bandwidth=None, grid=None, points: int = 512) -> np.nda
         raise InvalidParameterError("cannot estimate a density from no samples")
     if bandwidth is not None:
         h = float(bandwidth)
-        if not h > 0:
-            raise InvalidParameterError("bandwidth must be > 0")
+        if not 0 < h < np.inf:
+            raise InvalidParameterError(f"bandwidth must be finite and > 0, not {h}")
     else:
         h = silverman_bandwidth(x)
         if not h > 0:

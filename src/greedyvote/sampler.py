@@ -22,6 +22,7 @@ from .errors import InvalidParameterError, SamplingError
 from .weights import SamplingDistribution, SplitSpec, _check_k
 
 _MASK64 = (1 << 64) - 1
+_ALIAS_PASS = 1 << 14  # lights per pass of the alias build, and cut heavies per slice
 
 
 def _mix64(x: int) -> int:
@@ -95,7 +96,8 @@ def threshold_stream(rng: RngStream, t: int) -> RngStream:
 
 
 class AliasTable:
-    """Vose alias table over a fixed probability vector, built loop-free in place."""
+    """Vose alias table over a fixed probability vector, built with no per-node
+    loop in passes of _ALIAS_PASS lights: only the heavies' excess spans N."""
 
     def __init__(self, probs: np.ndarray):
         n = int(probs.size)
@@ -104,26 +106,30 @@ class AliasTable:
         light = np.flatnonzero(scaled < 1.0).astype(index)[::-1]  # Vose's loop pops both
         heavy = np.flatnonzero(scaled >= 1.0).astype(index)[::-1]  # in descending index order
         e_hi, e_lo = _prefix_sums(scaled[heavy] - 1.0)  # running excess E
-        x = scaled[light]  # one temporary: 1 - s, then d_lo
-        d_hi, d_lo = _prefix_sums(np.subtract(1.0, x, out=x))  # running deficit D
-        # one merge: c[i + 1] counts the heavies j with E_j < D_i, and c[0] = 0
-        c = np.concatenate(([0], np.searchsorted(e_hi + e_lo, d_hi + d_lo, side="left")),
-                           dtype=index)
-        # light 0 takes heavy 0 and light i the first heavy with E_j >= D_(i-1),
-        # c[i]; the donors grow, so the fed lights are a prefix
-        m = int(np.searchsorted(c[:-1], heavy.size))
-        # heavy j but the last: light i = #{c[1:] <= j}, the first with D_i > E_j,
-        # cuts it to 1 - (D_i - E_j); the cut heavies are a prefix too
-        i = np.cumsum(np.bincount(c[1:], minlength=heavy.size))[:heavy.size - 1]
-        i = i[:np.searchsorted(i, light.size)]
-        j = i.size
-        scaled[light[m:]] = scaled[heavy] = 1.0  # fed lights keep their scaled mass
-        cut = 1.0 - ((d_hi[i] - e_hi[:j]) + (d_lo[i] - e_lo[:j]))  # hi - hi exact
-        scaled[heavy[:j]] = np.clip(cut, 0.0, 1.0, out=cut)  # exact ties give about -4e-16
-        del i, cut, x, d_hi, d_lo, e_hi, e_lo
+        e, cuts = e_hi + e_lo, heavy.size - 1  # heavy j but the last can be cut
+        scaled[heavy] = 1.0
         self.alias = np.arange(n, dtype=np.int64)
-        self.alias[light[:m]] = heavy[c[:m]]
-        self.alias[heavy[:j]] = heavy[1:j + 1]
+        carry, c0 = (0.0, 0.0), 0
+        for a in range(0, light.size, _ALIAS_PASS):
+            lights = light[a:a + _ALIAS_PASS]
+            d_hi, d_lo = _prefix_sums(1.0 - scaled[lights], carry)  # running deficit D
+            carry = d_hi[-1], d_lo[-1]
+            # c[i + 1] counts the heavies j with E_j < D_i, and c[0] the last pass's
+            c = np.concatenate(([c0], np.searchsorted(e, d_hi + d_lo, side="left")))
+            # light i takes the first heavy with E_j >= D_(i-1), c[i]; the donors
+            # grow, so the fed lights are a prefix
+            m = int(np.searchsorted(c[:-1], heavy.size))
+            self.alias[lights[:m]] = heavy[c[:m]]
+            scaled[lights[m:]] = 1.0
+            # heavy j in [c[0], c[-1]): light i = #{c[1:] <= j}, the first with
+            # D_i > E_j, cuts it to 1 - (D_i - E_j) and aliases heavy j + 1
+            first, c0 = c0, int(c[-1])
+            for j0 in range(first, min(c0, cuts), _ALIAS_PASS):
+                j = slice(j0, min(j0 + _ALIAS_PASS, c0, cuts))
+                i = np.searchsorted(c[1:], np.arange(j.start, j.stop), side="right")
+                cut = 1.0 - ((d_hi[i] - e_hi[j]) + (d_lo[i] - e_lo[j]))  # hi - hi exact
+                scaled[heavy[j]] = np.clip(cut, 0.0, 1.0, out=cut)  # exact ties give about -4e-16
+                self.alias[heavy[j]] = heavy[j.start + 1:j.stop + 1]
 
     def draw(self, gen: np.random.Generator, shape) -> np.ndarray:
         """Array of draws using one uniform each: its integer part picks the
@@ -134,14 +140,17 @@ class AliasTable:
         return np.where(u - idx < self.prob[idx], idx, self.alias[idx])
 
 
-def _prefix_sums(x: np.ndarray) -> tuple:
-    """Running sums of x as hi + lo: np.cumsum and its summed TwoSum errors.
-    x is scratch, overwritten by lo, so callers pass a temporary."""
-    buf = np.zeros(x.size + 1)
-    hi, prev = np.cumsum(x, out=buf[1:]), buf[:-1]
+def _prefix_sums(x: np.ndarray, carry=(0.0, 0.0)) -> tuple:
+    """Running sums of x as hi + lo: np.cumsum and its summed TwoSum errors, on
+    from carry, the (hi, lo) of the sums before x, with the bits of one pass
+    over both.  x is scratch, overwritten by lo, so callers pass a temporary."""
+    buf = np.empty(x.size + 1)
+    buf[0], buf[1:] = carry[0], x
+    hi, prev = np.cumsum(buf, out=buf)[1:], buf[:-1]
     step = hi - prev
     x -= step
     x += np.subtract(prev, np.subtract(hi, step, out=step), out=step)  # prev - (hi - step)
+    x[:1] += carry[1]
     return hi, np.cumsum(x, out=x)
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from greedyvote import __version__
+from greedyvote import __version__, fairness
 from greedyvote.cli import ExperimentConfig, main
 from greedyvote.errors import InvalidParameterError
 from greedyvote.sampler import STREAM_LAYOUT
@@ -159,6 +159,26 @@ class TestGain:
         assert "maps every weight to zero" in capsys.readouterr().err
 
 
+class TestOutputPath:
+    def test_missing_directory_refused_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("the estimate ran")
+
+        monkeypatch.setattr(fairness, "estimate_split_gain", no_estimate)
+        out = tmp_path / "no" / "such" / "dir" / "x.csv"
+        rc = main(["gain", "--n", "50", "--k", "5", "--n-runs", "200", "-o", str(out)])
+        assert rc == 2
+        assert str(out) in capsys.readouterr().err
+
+    def test_write_error_exits_2_without_traceback(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        out.mkdir()  # a directory where the CSV goes
+        rc = main(["gain", "--n", "50", "--k", "5", "--n-runs", "200", "-o", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out}" in err and "Traceback" not in err
+
+
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -251,6 +271,13 @@ class TestKdeAndQq:
                    "--grid-points", points])
         assert rc == 2
         assert "at least 1 point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bandwidth", ["inf", "nan"])
+    def test_kde_refuses_a_non_finite_bandwidth(self, bandwidth, capsys):
+        rc = main(["kde", "--n", "50", "--k", "5", "--n-runs", "200",
+                   "--bandwidth", bandwidth])
+        assert rc == 2
+        assert "bandwidth must be finite" in capsys.readouterr().err
 
     def test_qq_rows(self, tmp_path):
         out = tmp_path / "qq.csv"

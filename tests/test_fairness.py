@@ -283,6 +283,9 @@ class TestKdeDensity:
             kde_density([1.0, 1.0, 1.0])  # zero variance, no bandwidth
         with pytest.raises(InvalidParameterError):
             kde_density([1.0, 2.0], bandwidth=0.0)
+        for h in (np.inf, np.nan):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                kde_density([1.0, 2.0], bandwidth=h)
         for points in (0, -1):
             with pytest.raises(InvalidParameterError, match="at least 1 point"):
                 kde_density([1.0, 2.0], bandwidth=0.5, points=points)

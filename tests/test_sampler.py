@@ -109,6 +109,20 @@ def _implied_law(table: AliasTable) -> np.ndarray:
     return (table.prob + np.bincount(table.alias, 1.0 - table.prob, minlength=n)) / n
 
 
+# the alias build's inputs
+_build_probs = st.one_of(
+    st.one_of(
+        st.lists(st.integers(0, 5), min_size=1, max_size=80),  # ties and zeros
+        st.integers(1, 80).map(lambda n: [1] * n),  # all equal
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=80),
+    ).filter(any).map(lambda stakes: SamplingDistribution.from_probs(stakes).probs),
+    # raw masses within a few ulps of 1/N, each side: all lights, all
+    # heavies or a mix, normalized or not
+    st.lists(st.integers(-4, 4), min_size=1, max_size=80).map(
+        lambda ulps: np.array([_ulps_from(1.0 / len(ulps), u) for u in ulps])),
+)
+
+
 class TestAliasBuild:
     @given(st.one_of(
         st.lists(st.integers(0, 5), min_size=1, max_size=60),  # stakes with ties
@@ -125,15 +139,7 @@ class TestAliasBuild:
         assert (table.prob[zero] == 0.0).all()
         assert not zero[table.alias[table.prob < 1.0]].any()
 
-    @given(st.one_of(
-        st.lists(st.integers(0, 5), min_size=1, max_size=80),  # ties and zeros
-        st.integers(1, 80).map(lambda n: [1] * n),  # all equal
-        st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=80),
-    ).filter(any).map(lambda stakes: SamplingDistribution.from_probs(stakes).probs)
-        # raw masses within a few ulps of 1/N, each side: all lights, all
-        # heavies or a mix, normalized or not
-        | st.lists(st.integers(-4, 4), min_size=1, max_size=80).map(
-            lambda ulps: np.array([_ulps_from(1.0 / len(ulps), u) for u in ulps])))
+    @given(_build_probs)
     @example(np.array([1.0]))  # one node
     @example(np.full(7, 1.0 / 7))  # no lights when N/N rounds to 1
     @example(np.full(5, np.nextafter(0.2, 0.0)))  # no heavies
@@ -144,10 +150,31 @@ class TestAliasBuild:
         assert table.prob.tobytes() == ref.prob.tobytes()
         assert table.alias.tobytes() == ref.alias.tobytes()
 
-    @staticmethod
-    def _zipf_law_error():
-        w = zipf_weights(ZipfParams(0.8, 1_000_000))
-        p = sampling_distribution(w, WeightFunction.parse("power:0.5")).probs
+    @given(_build_probs, st.integers(1, 8))
+    @example(np.array([1.0]), 1)
+    @example(np.full(7, 1.0 / 7), 1)
+    @example(np.full(5, np.nextafter(0.2, 0.0)), 2)
+    @example(np.full(6, np.nextafter(1.0 / 6, 1.0)), 3)
+    @settings(max_examples=500, deadline=None)
+    def test_multi_pass_build_matches_two_search_build_bit_for_bit(self, probs, size):
+        # a pass of 1-8 lights: small inputs run many passes, and a light's
+        # cut heavies cross pass and slice bounds
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "_ALIAS_PASS", size)
+            table = AliasTable(probs)
+        ref = TwoSearchAliasTable(probs)
+        assert table.prob.tobytes() == ref.prob.tobytes()
+        assert table.alias.tobytes() == ref.alias.tobytes()
+
+    N = 1_000_000
+
+    @classmethod
+    def _zipf_probs(cls):
+        w = zipf_weights(ZipfParams(0.8, cls.N))
+        return sampling_distribution(w, WeightFunction.parse("power:0.5")).probs
+
+    def _zipf_law_error(self):
+        p = self._zipf_probs()
         return np.abs(_implied_law(AliasTable(p)) - p).max()
 
     def test_law_holds_at_a_million_nodes(self):
@@ -155,23 +182,31 @@ class TestAliasBuild:
 
     def test_uncompensated_prefix_sums_miss_the_law(self, monkeypatch):
         # the lo part is what keeps the cut points exact at this size: a
-        # plain cumsum puts them about 1e-8 off
-        monkeypatch.setattr(sampler, "_prefix_sums", lambda x: (np.cumsum(x), np.zeros(x.size)))
+        # plain cumsum, carried from pass to pass, puts them about 1e-8 off
+        def plain(x, carry=(0.0, 0.0)):
+            return np.cumsum(np.concatenate(([carry[0]], x)))[1:], np.zeros(x.size)
+
+        monkeypatch.setattr(sampler, "_prefix_sums", plain)
         assert self._zipf_law_error() > 2e-15
 
-    def test_alias_build_memory_bound(self):
-        # the build works in place: its traced peak, the table included,
-        # stays under 6.5 x 8N bytes at a million nodes
-        n = 1_000_000
-        w = zipf_weights(ZipfParams(0.8, n))
-        p = sampling_distribution(w, WeightFunction.parse("power:0.5")).probs
+    def _traced_build_peak(self):
+        """The traced peak of one build at a million nodes, the table included."""
+        p = self._zipf_probs()
         tracemalloc.start()
         try:
             AliasTable(p)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6.5 * 8 * n
+
+    def test_alias_build_memory_bound(self):
+        # the build works in place: under 6.5 x 8N bytes
+        assert self._traced_build_peak() <= 6.5 * 8 * self.N
+
+    def test_alias_build_pass_memory_bound(self):
+        # the lights go in passes of a fixed size: beside the table, only
+        # the heavies' running excess spans the network, about 3.5 x 8N
+        assert self._traced_build_peak() <= 3.75 * 8 * self.N
 
 
 def _setup_networks():
