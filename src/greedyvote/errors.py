@@ -10,7 +10,7 @@ class InvalidParameterError(GreedyVoteError, ValueError):
 
 
 class ResourceLimitError(GreedyVoteError):
-    """An exact computation would exceed its term budget, or could not reach
+    """An exact computation would exceed its cell budget, or could not reach
     the requested accuracy.
 
     The message names the count or bound that was exceeded, so callers can

@@ -1,23 +1,14 @@
 """Exact greedy-sampling distributions and voting power.
 
-Deterministic arithmetic: the law of the draws needed to see k distinct nodes,
-the joint law of (a node's occurrences, draws), the distinct-count law of a
-fixed number of draws, untruncated voting power for any k, and the k = 2
-closed forms for voting power and split gain with the equal-split gain curve.
-
-The draw-count law is one sum over the node subsets S of the support with
-|S| < k (Flajolet, Gardy & Thimonier 1992), N counting the nodes of positive
-probability and p_S the mass of S:
-
-    P(V >= v) = sum_S c_S p_S^(v-1),  c_S = sum_{t < k-|S|} (-1)^t C(N-|S|, t),
-
-which is (-1)^(k-1-|S|) C(N-|S|-1, k-1-|S|) for |S| < N, and 1 for the whole
-support (a law that never stops, k > N).  The joint law mixes the other
-nodes' draw-count laws for k - 1 and k distinct nodes with binomial laws of
-node i's hits; it has no sum of its own.
-
-Voting power and the distinct-count law are one pass over the nodes each, with
-every term >= 0, so nothing cancels.
+The draw-count law, the joint law of (a node's occurrences, draws) and the
+distinct-count law come from one pass over the nodes of positive probability.
+It keeps E[u, d], the chance that d draws hit only the nodes so far and u of
+them, and M[u, d], the same weighted by the mass of those nodes not hit; node
+j, hit c >= 1 times, adds C(d, c) p_j^c E[u - 1, d - c] to E[u, d], and M the
+same sum over M plus p_j E[u, d].  Every term is >= 0, so nothing cancels:
+P(V = v) = M[k - 1, v - 1], P(V >= v) = sum_{u < k} E[u, v - 1], and E[1..k, k]
+is the distinct-count law of k draws.  Voting power is the same pass in
+continuous time, beside the k = 2 closed forms.  MAX_CELLS is the one budget.
 """
 
 from __future__ import annotations
@@ -31,17 +22,13 @@ import numpy as np
 from .errors import InvalidParameterError, ResourceLimitError
 from .weights import SamplingDistribution, SplitSpec, _check_k, _check_node, _fsum
 
-# term budget of one subset sum: subsets x cells, checked before anything is
-# allocated.  At the limit the power tables take 32 MB; N=60, k=8 is refused.
-MAX_TERMS = 1 << 22
+# cell budget of every exact request, checked before any table is allocated: the draw
+# pass charges nodes x rows (k) x draw counts^2 plus 512 an output cell (a dict entry and
+# a CSV row, some 4 us), voting power nodes x k x grid points; seconds at the limit.
+MAX_CELLS = 1 << 28
 
-# step budget of one positive-term pass: support nodes x k.  Either pass takes
-# a few seconds at the limit (voting power at k = 2, the U law at k = 170).
-MAX_STEPS = 1 << 18
-
-# cell budget of the voting-power pass: nodes x k x grid points, MAX_STEPS steps of 1024
-# points.  The grid has 700-900 points but nears 12 700 as the mass outside k - 1 nodes nears 0.
-MAX_CELLS = MAX_STEPS << 10
+# weights alive at once in the draw pass: 2 MB an array at any number of draw counts
+_BLOCK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -88,44 +75,97 @@ class UDistribution:
 
 
 # ---------------------------------------------------------------------------
-# the subset sum: the draw-count law, and the joint law as a mixture of it
+# the draw pass and the laws read off it
 # ---------------------------------------------------------------------------
 
 
-def _check_terms(n: int, k: int, cells: int) -> None:
-    """Refuse a law whose subsets of the support x cells pass MAX_TERMS."""
-    subsets = sum(math.comb(n, j) for j in range(min(k - 1, n) + 1))
-    if subsets * cells > MAX_TERMS:
-        raise ResourceLimitError(
-            f"{subsets} subsets (N={n}, up to {k - 1} nodes) x {cells} cells = "
-            f"{subsets * cells} terms exceeds the exact budget of {MAX_TERMS} terms"
-        )
+def _check_cells(what: str, cells: int) -> None:
+    if cells > MAX_CELLS:
+        raise ResourceLimitError(f"{what} = {cells} cells exceeds the exact budget of "
+                                 f"{MAX_CELLS} cells")
 
 
-def _stop_law(probs: np.ndarray, k: int, lo: int, hi: int) -> tuple:
-    """P(V = v) and P(V >= v) for v = lo..hi (lo >= 1), V the draws from probs
-    until k distinct nodes: the sums of c_S p_S^(v-1) (1 - p_S) and c_S p_S^(v-1)
-    over the subset table, |S| < k.  Masses are sums of positive probabilities,
-    the complement's included, so neither loses digits when p_S nears 0 or 1.
+def _outside(probs: np.ndarray, k: int) -> tuple:
+    """r, the mass outside the k - 1 heaviest nodes, and log C(N, k - 1): the
+    draws of a run that has not seen k nodes lie in one of C(N, k-1) sets."""
+    n = int(np.count_nonzero(probs))
+    return (_fsum(np.sort(probs)[::-1][k - 1:]),
+            math.lgamma(n + 1) - math.lgamma(k) - math.lgamma(n - k + 2))
+
+
+def _draw_count(probs: np.ndarray, k: int, v_max: int) -> int:
+    """The last v <= v_max (but >= k) where C(N, k-1) P^(v-1), P the mass of the
+    k - 1 heaviest nodes, reaches 2^-1075: it bounds P(V >= v), so past that v
+    every cell of the draw-count and joint laws rounds to exactly 0."""
+    r, log_c = _outside(probs, k)
+    if r >= 1.0:
+        return k  # k = 1: every run stops at its first draw
+    last = (log_c + 1075 * math.log(2)) / -math.log1p(-r) + 1
+    return v_max if last >= v_max else max(k, math.floor(last))
+
+
+def _rounded(factors: list) -> tuple:
+    """Running products of integer factors as m 2^e, rounded once from exact integers."""
+    m, e = np.empty(len(factors)), np.empty(len(factors), dtype=np.int64)
+    prod = 1
+    for j, factor in enumerate(factors):
+        prod *= factor
+        shift = max(prod.bit_length() - 64, 0)
+        m[j], e[j] = math.frexp(float(prod >> shift))
+        e[j] += shift
+    return m, e
+
+
+def _powers(p: float, n: int) -> tuple:
+    """p^c = m[c] 2^e[c] (m[0] = 0): with p = f 2^g, f^c as (f^512)^a f^b never underflows."""
+    f, g = math.frexp(p)
+    hm, he = math.frexp(f ** 512)
+    a, b = np.divmod(np.arange(n), 512)
+    m, e = np.frexp(hm ** a * f ** b)
+    m[0] = 0.0
+    return m, e + g * np.arange(n) + he * a
+
+
+def _binomials(fm: np.ndarray, fe: np.ndarray, d, e) -> tuple:
+    """c = d - e (0 where e > d) and C(d, c) = m 2^x from d! = fm 2^fe, in two
+    correctly rounded divisions: exact where float64 can hold it."""
+    c = np.maximum(d - e, 0)
+    return c, fm[d] / fm[e] / fm[c], fe[d] - fe[e] - fe[c]
+
+
+def _draw_pass(probs: np.ndarray, rows: int, draws: int, out: int) -> tuple:
+    """E[u, d] and M[u, d] for u < rows and d < draws, over the positive probs,
+    as (table, x): E = table[0] 2^x and M = table[1] 2^x, after charging nodes
+    x rows x draws^2 cells and 512 per caller's output cell to MAX_CELLS.
+
+    x[d] = floor(d log2 m), m the mass of the nodes so far, keeps every cell
+    near its column's scale m^d however small that is, and moving a column to
+    the next exponents y rounds nothing.  The weights C(d, c) p^c 2^(x[d-c] -
+    y[d]) are at most 4; `_BLOCK` bounds how many are alive at once.
     """
-    nodes = probs[probs > 0].tolist()
-    n, top = len(nodes), min(k - 1, len(nodes))
-    size = np.zeros(sum(math.comb(n, j) for j in range(top + 1)), np.int8)  # |S| < 23 by budget
-    rest, comp = np.zeros(size.size), np.zeros(size.size)
-    filled = 1  # the empty set; node j appends S + {j} for each S filled so far
-    for p_j in nodes:
-        grow = size[:filled] < k - 1
-        end = filled + int(np.count_nonzero(grow))
-        size[filled:end] = size[:filled][grow] + 1
-        rest[filled:end] = rest[:filled][grow] + p_j
-        comp[filled:end] = comp[:filled][grow]
-        comp[:filled] += p_j
-        filled = end
-    coef = [sum((-1) ** t * math.comb(n - s, t) for t in range(k - s)) for s in range(top + 1)]
-    coef = np.array(coef, dtype=float)[size]
-    with np.errstate(under="ignore"):
-        powers = np.power(rest[:, None], np.arange(lo - 1, hi))
-    return (coef * comp) @ powers, coef @ powers
+    probs = probs[probs > 0]
+    _check_cells(f"{probs.size} nodes x {rows} rows x {draws}^2 draw counts + 512 x {out} "
+                 "output cells", probs.size * rows * draws * draws + 512 * out)
+    fm, fe = _rounded([1, *range(1, draws)])  # d!
+    n, width = np.arange(draws), max(1, _BLOCK // draws)
+    spans = [(n[d0:d0 + width], n[:d0 + width, None]) for d0 in range(0, draws, width)]
+    fixed = [_binomials(fm, fe, *spans[0])] if len(spans) == 1 else None  # the same every node
+    table = np.zeros((2, rows, draws))  # E and M
+    table[0, 0, 0] = 1.0
+    x, mass = np.zeros(draws, dtype=np.int64), 0.0
+    for p in probs.tolist():
+        mass += p
+        y = np.floor(n * math.log2(mass)).astype(np.int64)
+        pm, pe = _powers(p, draws)
+        new = np.ldexp(table, x - y)  # c = 0: the old table at the new exponents
+        new[1] += p * new[0]
+        for s, (d, e) in enumerate(spans):  # pm[0] = 0 drops c = 0
+            c, cm, ce = fixed[s] if fixed else _binomials(fm, fe, d, e)
+            # the cap only bites on columns of the empty start, whose cells are 0
+            w = np.ldexp(cm * pm[c], np.minimum(ce + pe[c] + x[e] - y[d], 8))
+            new[:, 1:, d] += table[:, :-1, :e.size] @ w
+        table, x = new, y
+    return table, x
 
 
 def _check_law_args(p: SamplingDistribution, k, v_max) -> tuple:
@@ -137,102 +177,65 @@ def _check_law_args(p: SamplingDistribution, k, v_max) -> tuple:
 
 
 def exact_v_distribution(p: SamplingDistribution, k: int, v_max: int) -> VDistribution:
-    """P(total draws = v) for v = k..v_max."""
+    """P(total draws = v) for v = k..v_max; the exact zeros past the last
+    draw count of `_draw_count` are left out."""
     k, v_max = _check_law_args(p, k, v_max)
-    _check_terms(p.support_size, k, v_max - k + 1)
-    probs, _ = _stop_law(p.probs, k, k, v_max)
-    out = dict(zip(range(k, v_max + 1), np.maximum(probs, 0.0).tolist()))
-    return VDistribution(probs=out, k=k, v_max=v_max)
+    draws = _draw_count(p.probs, k, v_max)
+    table, x = _draw_pass(p.probs, k, draws, draws - k + 1)
+    law = np.ldexp(table[1, k - 1, k - 1:], x[k - 1:])
+    return VDistribution(probs=dict(zip(range(k, draws + 1), law.tolist())), k=k, v_max=v_max)
 
 
 def exact_joint_distribution(p: SamplingDistribution, k: int, i: int,
                              v_max: int) -> JointDistribution:
     """Joint law of (occurrences ell of node i, total draws v), truncated at v_max.
 
-    Let V'_m be the draws that the other nodes, with probabilities
-    q = p / (1 - p_i), need to show m distinct nodes.  A run that misses i
-    stops when they show k; one that hits i stops when they show k - 1, at a
-    draw that misses i, unless i comes k-th, at its first hit:
+    With E', M' the pass over the other nodes: a run that misses i stops at a
+    new node once they show k - 1; one that hits i ell times stops there once
+    they show k - 2, or at i's first hit once they show k - 1:
 
-        P(0, v)   = (1 - p_i)^v P(V'_k = v),
-        P(ell, v) = Bin(v - 1, ell; p_i) (1 - p_i) P(V'_(k-1) = v - ell)
-                    + [ell = 1] p_i (1 - p_i)^(v-1) [P(V'_k >= v) - P(V'_(k-1) >= v)].
+        P(0, v) = M'[k-1, v-1],  P(ell, v) = C(v-1, ell) p_i^ell M'[k-2, v-1-ell]
+                                             + [ell = 1] p_i E'[k-1, v-1].
 
-    Cells are formed where a run can stop (ell <= v - k + 1, for k = 2 only
-    ell in {0, 1, v - 1}); those no run reaches come out as exact zeros and
-    are dropped.
+    Cells are formed up to `_draw_count` and where a run can stop (ell <= v -
+    k + 1, for k = 2 only ell in {0, 1, v - 1}); exact zeros are dropped.
     """
     k, v_max = _check_law_args(p, k, v_max)
     i = _check_node(p, i)
     p_i = float(p.probs[i])
-    # the binomial table d has one column for k <= 2: V'_1 = 1, so a run that
-    # hits i and stops on another node missed i at no earlier draw (c = 0)
-    j_max = v_max if k > 2 else 0
-    _check_terms(p.support_size, k, (v_max + 1) * (j_max + 1))
-    v_top = 1 if k == 1 else v_max  # a k = 1 run stops at draw 1
-    others = np.delete(p.probs, i)
-    miss = _fsum(others)  # 1 - p_i
-    # index v - 1 holds P(V'_m = v) and P(V'_m >= v); V'_0 = 0 has no subsets, so zeros
-    (law_in, tail_in), (law_out, tail_out) = (
-        _stop_law(others / (miss or 1.0), m, 1, v_top) for m in (k - 1, k))
-    d = np.zeros((v_top, j_max + 1))  # d[n, c] = Bin(n, c; 1 - p_i)
-    d[0, 0] = 1.0
-    with np.errstate(under="ignore"):
-        if k > 2:
-            cells = [(ell, v) for v in range(k, v_top + 1) for ell in range(v - k + 2)]
-            ell, v = np.array(cells, dtype=np.int64).reshape(-1, 2).T
-            for n in range(1, v_top):
-                d[n] = p_i * d[n - 1]
-                d[n, 1:] += miss * d[n - 1, :-1]
-        else:  # the one column is p_i^n; ell in {0, 1, v - 1}, which is {0, 1} at v = k
-            np.cumprod(np.r_[1.0, np.full(v_top - 1, p_i)], out=d[:, 0])
-            v = np.repeat(np.arange(k, v_top + 1, dtype=np.int64), 3)
-            ell = np.where(np.arange(v.size) % 3 == 2, v - 1, np.arange(v.size) % 3)
-            ell, v = np.delete(ell, 2), np.delete(v, 2)
-        c = v - 1 - ell  # draws before the last that miss i; -1 only where k = 1 and law_in is 0
-        probs = np.where(ell == 0, miss ** v * law_out[v - 1],
-                         d[v - 1, np.minimum(c, j_max)] * miss * law_in[c])
-        probs += (ell == 1) * p_i * miss ** (v - 1) * (tail_out[v - 1] - tail_in[v - 1])
-    keep = np.maximum(probs, 0.0, out=probs) != 0.0
+    v_top = _draw_count(p.probs, k, v_max)
+    others, span = np.delete(p.probs, i), v_top - k + 1  # span: draw counts with cells
+    table, x = _draw_pass(others, k, v_top, (span + 1) ** 2 if k > 2 else 3 * span)
+    if k > 2:  # ell <= v - k + 1
+        v, ell = np.nonzero(np.tri(span, span + 1, 1, dtype=bool))
+        v += k
+    else:  # ell in {v - 1, 0, 1}: the first two agree at v = k, so one goes
+        v, ell = np.repeat(np.arange(k, v_top + 1), 3)[1:], np.tile([-1, 0, 1], span)[1:]
+        ell = np.where(ell < 0, v - 1, ell)
+    d, e = v - 1, v - 1 - ell  # e: draws on the others before the last; -1 only at k = 1
+    _, cm, ce = _binomials(*_rounded([1, *range(1, v_top + 1)]), d, e)
+    pm, pe = _powers(p_i, v_top + 1)
+    below = table[1, k - 2, e] if k > 1 else 0.0
+    probs = np.where(ell == 0, np.ldexp(table[1, k - 1, d], x[d]),
+                     np.ldexp(cm * pm[ell] * below, ce + pe[ell] + x[e]))
+    probs += (ell == 1) * p_i * np.ldexp(table[0, k - 1, d], x[d])
+    keep = probs != 0.0
     out = dict(zip(zip(ell[keep].tolist(), v[keep].tolist()), probs[keep].tolist()))
     return JointDistribution(probs=out, node=i, k=k, v_max=v_max)
 
 
-# ---------------------------------------------------------------------------
-# sums of positive terms: the distinct-count law and voting power
-# ---------------------------------------------------------------------------
-
-
-def _check_steps(n: int, k: int) -> None:
-    if n * k > MAX_STEPS:
-        raise ResourceLimitError(f"{n} nodes x k={k} = {n * k} steps exceeds the "
-                                 f"exact budget of {MAX_STEPS} steps")
-
-
 def exact_u_distribution(p: SamplingDistribution, k: int) -> UDistribution:
-    """P(u distinct nodes in exactly k draws with replacement), u = 1..k.
-
-    P(u) = k! [t^k] e_u(e^(p_j t) - 1), e_u the elementary symmetric polynomial.
-    The pass keeps E[u, d] = d! [t^d] e_u over the nodes so far, the chance that
-    d draws hit only them and u of them; node j, hit c >= 1 times, adds
-    C(d, c) p_j^c E[u - 1, d - c].  k > 170 (k! past float64) is refused.
-    """
+    """P(u distinct nodes in exactly k draws with replacement), u = 1..k: E[u, k]."""
     k = int(k)
     if k < 1:
         raise InvalidParameterError(f"k={k} must be >= 1")
-    if k > 170:
-        raise ResourceLimitError(f"k={k} draws: k! overflows float64 beyond k=170")
-    probs = p.probs[p.probs > 0]
-    _check_steps(probs.size, k)
-    d = np.arange(k + 1)
-    # row d - c, column d: C(d, c) for c >= 1 draws on the node, and c itself
-    binom = np.triu([[float(math.comb(b, a)) for b in range(k + 1)] for a in range(k + 1)], 1)
-    hits = np.abs(d - d[:, None])
-    e = np.zeros((min(probs.size, k) + 1, k + 1))
-    e[0, 0] = 1.0
-    for p_j in probs.tolist():
-        e[1:] += e[:-1] @ (binom * (p_j ** d)[hits])
-    return UDistribution(probs=np.pad(e[1:, k], (0, k + 1 - len(e))))
+    table, x = _draw_pass(p.probs, k + 1, k + 1, k)
+    return UDistribution(probs=np.ldexp(table[0, 1:, k], x[k]))
+
+
+# ---------------------------------------------------------------------------
+# voting power: the pass in continuous time
+# ---------------------------------------------------------------------------
 
 
 def _exp_e1(s: np.ndarray) -> np.ndarray:
@@ -271,17 +274,11 @@ def voting_power_exact(p: SamplingDistribution, k: int, i: int, epsilon: float):
         raise InvalidParameterError("epsilon must be > 0")
     k = _check_k(p, k)
     i = _check_node(p, i)
-    n = p.support_size
-    _check_steps(n, k)
-    p_i = float(p.probs[i])
-    r = _fsum(np.sort(p.probs)[::-1][k - 1:])
-    log_c = math.lgamma(n + 1) - math.lgamma(k) - math.lgamma(n - k + 2)
+    n, p_i = p.support_size, float(p.probs[i])
+    r, log_c = _outside(p.probs, k)
     s_max = (log_c - math.log(r) + 40.0) / r
     fine_steps = 2 * math.ceil(8 * (math.log(s_max) + 40.0))  # even: 1/8 shares the ends
-    cells = n * k * (fine_steps + 1)
-    if cells > MAX_CELLS:
-        raise ResourceLimitError(f"{n} nodes x k={k} x {fine_steps + 1} grid points = {cells} "
-                                 f"cells exceeds the exact budget of {MAX_CELLS} cells")
+    _check_cells(f"{n} nodes x k={k} x {fine_steps + 1} grid points", n * k * (fine_steps + 1))
     s = np.exp(-40.0 + np.arange(fine_steps + 1) / 16)
     # row m + 1 holds order m; row 0 stays zero, so one shifted update covers m = 0
     pi, mu = np.zeros((2, k + 1, s.size))
@@ -298,10 +295,8 @@ def voting_power_exact(p: SamplingDistribution, k: int, i: int, epsilon: float):
     error_bound = (abs(value - coarse) + (8 * n + 32) * sys.float_info.epsilon * value
                    + 2e-16 * p_i)
     if error_bound > epsilon:
-        raise ResourceLimitError(
-            f"quadrature and rounding bound {error_bound:.3e} of the exact voting "
-            f"power exceeds epsilon={epsilon:.3e}"
-        )
+        raise ResourceLimitError(f"quadrature and rounding bound {error_bound:.3e} of the exact "
+                                 f"voting power exceeds epsilon={epsilon:.3e}")
     return value, error_bound
 
 

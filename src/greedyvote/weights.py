@@ -332,20 +332,24 @@ def apply_split(w: WeightDistribution, split: SplitSpec):
 
 
 def load_weights_csv(path) -> WeightDistribution:
-    """Read raw stakes from a CSV with a ``weight`` column; normalized on load."""
+    """Read raw stakes from a CSV with a ``weight`` column; normalized on load.
+    A file that cannot be opened, read or decoded as UTF-8 is invalid."""
     values = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "weight" not in reader.fieldnames:
-            raise InvalidParameterError(f"{path}: expected a 'weight' column")
-        for row in reader:
-            cell = row["weight"]
-            if cell is None or cell.strip() == "":
-                continue
-            try:
-                values.append(float(cell))
-            except ValueError as exc:
-                raise InvalidParameterError(f"{path}: bad weight value {cell!r}") from exc
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or "weight" not in reader.fieldnames:
+                raise InvalidParameterError(f"{path}: expected a 'weight' column")
+            for row in reader:
+                cell = row["weight"]
+                if cell is None or cell.strip() == "":
+                    continue
+                try:
+                    values.append(float(cell))
+                except ValueError as exc:
+                    raise InvalidParameterError(f"{path}: bad weight value {cell!r}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidParameterError(f"cannot read weights CSV {path}: {exc}") from None
     if not values:
         raise InvalidParameterError(f"{path}: no weight rows found")
     return WeightDistribution.from_raw(values)

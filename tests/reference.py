@@ -15,8 +15,9 @@ is the package's one sampling path.  Here it meets a second, per-draw one:
   tables alive, where `estimate_split_gain` runs the two networks in turn;
 - `enumeration_oracle` walks every short draw sequence, the brute-force
   ground truth of the exact engine;
-- `voting_power_subsets` is voting power as a signed sum over node subsets,
-  the way the exact engine computed it before its sums of positive terms.
+- `voting_power_subsets` and `stop_law_subsets` are voting power and the
+  draw-count law as signed sums over node subsets, the way the exact engine
+  computed them before its sums of positive terms.
 """
 
 from __future__ import annotations
@@ -426,3 +427,39 @@ def voting_power_subsets(p: SamplingDistribution, k: int, i: int):
     value = p_i * _fsum(terms)
     error_bound = ((2 * n + 16) * p_i * _fsum(np.abs(terms)) + abs(value)) * sys.float_info.epsilon
     return value, error_bound
+
+
+# ---------------------------------------------------------------------------
+# the draw-count law over node subsets
+# ---------------------------------------------------------------------------
+
+
+def stop_law_subsets(probs: np.ndarray, k: int, lo: int, hi: int) -> tuple:
+    """P(V = v) and P(V >= v) for v = lo..hi (lo >= 1), V the draws from probs
+    until k distinct nodes, as one sum over the subsets S of the support with
+    |S| < k (Flajolet, Gardy & Thimonier 1992), N the support size:
+
+        P(V >= v) = sum_S c_S p_S^(v-1),  c_S = sum_{t < k-|S|} (-1)^t C(N-|S|, t),
+
+    and P(V = v) the same sum with terms c_S p_S^(v-1) (1 - p_S).  Masses are
+    sums of positive probabilities, the complement's included, so neither
+    loses digits when p_S nears 0 or 1; the signed terms still cancel.
+    """
+    nodes = probs[probs > 0].tolist()
+    n, top = len(nodes), min(k - 1, len(nodes))
+    size = np.zeros(sum(math.comb(n, j) for j in range(top + 1)), np.int8)
+    rest, comp = np.zeros(size.size), np.zeros(size.size)
+    filled = 1  # the empty set; node j appends S + {j} for each S filled so far
+    for p_j in nodes:
+        grow = size[:filled] < k - 1
+        end = filled + int(np.count_nonzero(grow))
+        size[filled:end] = size[:filled][grow] + 1
+        rest[filled:end] = rest[:filled][grow] + p_j
+        comp[filled:end] = comp[:filled][grow]
+        comp[:filled] += p_j
+        filled = end
+    coef = [sum((-1) ** t * math.comb(n - s, t) for t in range(k - s)) for s in range(top + 1)]
+    coef = np.array(coef, dtype=float)[size]
+    with np.errstate(under="ignore"):
+        powers = np.power(rest[:, None], np.arange(lo - 1, hi))
+    return (coef * comp) @ powers, coef @ powers

@@ -84,11 +84,11 @@ class TestExact:
         assert lines == ["u,prob", "1,0.5", "2,0.5"]
 
     def test_resource_limit_exit_code(self, capsys):
-        # subsets of up to 7 of 60 nodes: 4.4e8, over the term budget
+        # 60 nodes x 30 rows x 1000^2 draw counts: 1.8e9 cells, over the cell budget
         weights = ",".join(["1"] * 60)
-        assert main(["exact", "--weights", weights, "--k", "8", "--v-max", "8"]) == 3
+        assert main(["exact", "--weights", weights, "--k", "30", "--v-max", "1000"]) == 3
         err = capsys.readouterr().err
-        assert "resource limit" in err and "442255978 subsets" in err
+        assert "resource limit" in err and "60 nodes x 30 rows x 1000^2 draw counts" in err
 
 
 class TestGain:
@@ -150,6 +150,16 @@ class TestGain:
         rc = main(["gain", "--generator", "csv", "--weights-csv", str(wfile),
                    "--k", "2", "--n-runs", "2000", "--seed", "3", "-o", str(out)])
         assert rc == 0
+
+    def test_unreadable_weights_csv_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "none" / "w.csv"
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes("weight\n3\n1 \xe9\n".encode("latin-1"))
+        for wfile in (missing, latin1):
+            assert main(["gain", "--generator", "csv", "--weights-csv", str(wfile),
+                         "--k", "2", "--n-runs", "2000"]) == 2
+            err = capsys.readouterr().err
+            assert f"cannot read weights CSV {wfile}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [["gain"], ["gain", "--coupled", "false"],
                                       ["kde"], ["qq"]])
@@ -337,10 +347,10 @@ class TestSampleAndPower:
         assert node == "1" and float(bound) <= 1e-6
         assert abs(float(value) - 0.1732738674) <= 1e-9
 
-    def test_power_exact_over_the_step_budget(self, monkeypatch, capsys):
-        monkeypatch.setattr("greedyvote.exact.MAX_STEPS", 1000)
+    def test_power_exact_over_a_lowered_cell_budget(self, monkeypatch, capsys):
+        monkeypatch.setattr("greedyvote.exact.MAX_CELLS", 10 ** 6)
         assert main(["power", "--s", "1.1", "--epsilon", "1e-6"]) == 3
-        assert "1000 nodes x k=20 = 20000 steps" in capsys.readouterr().err
+        assert "1000 nodes x k=20 x " in capsys.readouterr().err
 
     def test_power_exact_over_the_cell_budget(self, capsys):
         weights = ",".join(["1"] * 200 + ["1e-300"])

@@ -37,6 +37,7 @@ from reference import (
     ORACLE_MAX_NODES,
     ORACLE_MAX_VMAX,
     enumeration_oracle,
+    stop_law_subsets,
     voting_power_subsets,
 )
 
@@ -68,18 +69,22 @@ class TestVDistribution:
             assert d.probs[v] == pytest.approx(oracle_v.probs.get(v, 0.0), abs=1e-12)
 
     def test_dimension_guards_name_offender(self):
-        # N=60, k=8 sums over 4.4e8 subsets: refused before any allocation
+        # N=60, k=8 is one pass of 60 x 8 x 8^2 cells: eight distinct draws of eight
         uniform60 = SamplingDistribution.from_probs([1.0 / 60] * 60)
+        d = exact_v_distribution(uniform60, 8, 8)
+        assert d.probs[8] == pytest.approx(math.perm(60, 8) / 60 ** 8, rel=1e-14)
+        # at k=30 all 1000 draw counts carry mass: 1.8e9 cells, refused before any allocation
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match="442255978 subsets"):
-                exact_v_distribution(uniform60, 8, 8)
+            with pytest.raises(ResourceLimitError, match=r"60 nodes x 30 rows x 1000\^2 draw counts"):
+                exact_v_distribution(uniform60, 30, 1000)
             assert tracemalloc.get_traced_memory()[1] < 1 << 20
         finally:
             tracemalloc.stop()
-        # the cell count grows with v_max: 3473 subsets x 1995 draw counts
+        # the cells grow with v_max: 2000 draw counts sit under this law's last one, 2130
         p = SamplingDistribution.from_probs(1.0 / np.arange(1, 15))
-        with pytest.raises(ResourceLimitError, match="3473 subsets .* 1995 cells"):
+        with pytest.raises(ResourceLimitError,
+                           match=r"14 nodes x 6 rows x 2000\^2 draw counts .* = 337021440 cells"):
             exact_v_distribution(p, 6, 2000)
 
     def test_formerly_refused_shapes_run(self):
@@ -211,6 +216,30 @@ class TestJointDistribution:
             )
 
 
+class TestDrawPass:
+    """The draw pass against the signed subset sum it replaced."""
+
+    @given(masses=st.lists(st.one_of(st.just(0.0), st.floats(0.001, 10.0)),
+                           min_size=1, max_size=8),
+           head=st.booleans(), v_max=st.integers(1, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_subset_sum(self, masses, head, v_max):
+        assume(any(m > 0 for m in masses))
+        if head:  # one node of at least 0.99
+            masses = [99.5 * sum(masses)] + masses[:7]
+        p = SamplingDistribution.from_probs(masses)
+        for k in range(1, p.support_size + 1):
+            draws = max(v_max, k)
+            table, x = exact._draw_pass(p.probs, k, draws, 0)
+            e, m = np.ldexp(table, x)
+            law, tail = stop_law_subsets(p.probs, k, 1, draws)
+            # below v = k the subset sum leaves cancellation noise, not 0
+            assert np.abs(m[k - 1, k - 1:] - law[k - 1:]).max() <= 1e-13
+            assert np.abs(e.sum(axis=0) - tail).max() <= 1e-13
+            d = exact_v_distribution(p, k, draws)
+            assert all(d.probs[v] == m[k - 1, v - 1] for v in d.probs)
+
+
 class TestUDistribution:
     def test_fair_coin_two_draws(self):
         p = SamplingDistribution.from_probs([0.5, 0.5])
@@ -259,11 +288,11 @@ class TestUDistribution:
         u = exact_u_distribution(p, 5)
         assert u.probs.tolist() == [0.0625, 0.9375, 0.0, 0.0, 0.0]
 
-    def test_refuses_k_past_170(self):
+    def test_answers_k_past_170(self):
+        # no k! in the pass: one distinct node in k fair-coin draws is 2^-(k-1)
         p = SamplingDistribution.from_probs([0.5, 0.5])
-        assert exact_u_distribution(p, 170).probs[0] == pytest.approx(2.0 ** -169, rel=1e-12)
-        with pytest.raises(ResourceLimitError, match="k=171"):
-            exact_u_distribution(p, 171)
+        for k in (170, 171, 300):
+            assert exact_u_distribution(p, k).probs[0] == pytest.approx(2.0 ** (1 - k), rel=1e-12)
 
 
 class TestEnumerationOracle:
@@ -484,15 +513,18 @@ class TestVotingPowerPositiveTerms:
         p = SamplingDistribution.from_probs([0.5, 0.0, 0.3, 0.2])
         assert voting_power_exact(p, 3, 1, 1e-12) == (0.0, 0.0)
 
-    def test_step_budget_refusals_name_the_count(self, monkeypatch):
+    def test_cell_budget_refusals_name_the_count(self, monkeypatch):
         # 25 nodes of positive mass; the five zero-mass nodes cost nothing
         p = SamplingDistribution.from_probs(np.concatenate([1.0 / np.arange(1, 26), np.zeros(5)]))
-        monkeypatch.setattr(exact, "MAX_STEPS", 100)
+        monkeypatch.setattr(exact, "MAX_CELLS", 80_000)
         voting_power_exact(p, 4, 0, 1e-9)
-        exact_u_distribution(p, 4)
-        with pytest.raises(ResourceLimitError, match="25 nodes x k=5 = 125 steps"):
+        with pytest.raises(ResourceLimitError,
+                           match="25 nodes x k=5 x 717 grid points = 89625 cells"):
             voting_power_exact(p, 5, 0, 1e-9)
-        with pytest.raises(ResourceLimitError, match="25 nodes x k=5 = 125 steps"):
+        monkeypatch.setattr(exact, "MAX_CELLS", 6000)
+        exact_u_distribution(p, 4)
+        with pytest.raises(ResourceLimitError, match=r"25 nodes x 6 rows x 6\^2 draw counts "
+                                                     r"\+ 512 x 5 output cells = 7960 cells"):
             exact_u_distribution(p, 5)
 
     def test_cell_budget_counts_the_grid(self):

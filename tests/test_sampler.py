@@ -588,6 +588,15 @@ class TestGreedyRuns:
                                     residual=d.residual)
         assert pval > 0.01
 
+    def test_draw_count_law_at_the_paper_scale(self):
+        # Zipf 1.1, N=1000, k=20: the exact pass against 100 000 kernel runs
+        p = sampling_distribution(zipf_weights(ZipfParams(1.1, 1000)))
+        d = exact_v_distribution(p, 20, 80)
+        runs = greedy_runs(p, 20, RngStream(31339), 100_000)
+        pval = chisquare_gof_pvalue(counts_of(runs.v.tolist()), d.probs, 100_000,
+                                    residual=d.residual)
+        assert pval > 0.01
+
     def test_joint_law_matches_exact_distribution(self):
         p = SamplingDistribution.from_probs([0.4, 0.3, 0.2, 0.1])
         law = exact_joint_distribution(p, 3, 0, 24)
