@@ -308,12 +308,7 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
     if not cfg["axis_values"]:
         raise ConfigError("sweep needs axis_values (comma-separated)")
     axis = cfg["axis"]
-    values = _parse_floats(cfg["axis_values"])
-    if axis in fairness.SWEEP_AXES and fairness.SWEEP_AXES[axis][1] is int:
-        if not all(v.is_integer() for v in values):
-            raise ConfigError(
-                f"sweep axis {axis} takes whole numbers, got {cfg['axis_values']!r}")
-        values = [int(v) for v in values]
+    values = fairness.sweep_values(axis, _parse_floats(cfg["axis_values"]))
     # the split node must exist in the smallest network of the sweep
     smallest = min(values, default=cfg["n"]) if axis == "network_size" else cfg["n"]
     if smallest < 1:
@@ -331,6 +326,7 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_kde(cfg: ExperimentConfig) -> int:
+    fairness.check_kde_args(cfg["bandwidth"], cfg["grid_points"])  # before any draw
     est, _ = _gain_estimate(cfg)
     points = fairness.kde_density(est.retained_samples, bandwidth=cfg["bandwidth"],
                                   points=cfg["grid_points"])

@@ -119,7 +119,7 @@ def estimate_split_gain(w: WeightDistribution, f: WeightFunction, k: int,
     """Estimate the voting power gained by splitting one node.
 
     Coupled mode drives the pre- and post-split runs from a shared draw
-    stream (variance reduction; identity weight function only).  Independent
+    stream (variance reduction; identity f, alpha = 1, only).  Independent
     mode samples the two networks separately and works for any weight
     function, at the price of a noisier estimate.  It runs every chunk's
     pre-split runs first, drops the pre-split distribution and its alias
@@ -129,7 +129,7 @@ def estimate_split_gain(w: WeightDistribution, f: WeightFunction, k: int,
     """
     rng = as_stream(seed)
     chunks = _chunks(n_runs, rng)
-    if coupled:  # greedy_runs refuses a split under any weight function but identity
+    if coupled:  # greedy_runs refuses a split unless f is m ** 1
         values = _per_run(sampling_distribution(w, f), k, chunks, split.node, split)
     else:
         split.check(w.weights)  # a bad split is refused before any draw
@@ -162,12 +162,22 @@ class GainExperiment:
         return zipf_weights(ZipfParams(s=self.zipf_s, n=self.n_nodes))
 
 
-def _apply_axis(base: GainExperiment, axis: str, value) -> GainExperiment:
+def sweep_values(axis: str, values) -> list:
+    """values cast to the type of the field that `axis` sets; a count axis
+    refuses a value with a fraction rather than cutting it."""
     if axis not in SWEEP_AXES:
         raise InvalidParameterError(
             f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
-    name, cast = SWEEP_AXES[axis]
-    return replace(base, **{name: cast(value)})
+    cast = SWEEP_AXES[axis][1]
+    for value in values:
+        if cast is int and not float(value).is_integer():
+            raise InvalidParameterError(f"sweep axis {axis} takes whole numbers, got {value!r}")
+    return [cast(value) for value in values]
+
+
+def _apply_axis(base: GainExperiment, axis: str, value) -> GainExperiment:
+    (value,) = sweep_values(axis, [value])
+    return replace(base, **{SWEEP_AXES[axis][0]: value})
 
 
 def sweep_gain(base: GainExperiment, axis: str, values, seed) -> SweepResult:
@@ -176,7 +186,7 @@ def sweep_gain(base: GainExperiment, axis: str, values, seed) -> SweepResult:
     Point j runs on stream id offset j, so a one-point sweep reproduces a
     plain estimate_split_gain call bit for bit.
     """
-    vals = list(values)
+    vals = sweep_values(axis, list(values))
     if not vals:
         raise InvalidParameterError("sweep needs at least one axis value")
     if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -207,6 +217,17 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     return 1.06 * sd * n ** (-0.2)
 
 
+def check_kde_args(bandwidth, points: int):
+    """The bandwidth as a float (None kept: Silverman's rule), refused unless
+    finite and > 0, and the grid size, refused below 1 point."""
+    if points < 1:
+        raise InvalidParameterError(f"the density grid needs at least 1 point, not {points}")
+    h = None if bandwidth is None else float(bandwidth)
+    if h is not None and not 0 < h < np.inf:
+        raise InvalidParameterError(f"bandwidth must be finite and > 0, not {h}")
+    return h
+
+
 def kde_density(samples, bandwidth=None, grid=None, points: int = 512) -> np.ndarray:
     """Gaussian kernel density estimate, returned as (x, density) rows.
 
@@ -214,23 +235,18 @@ def kde_density(samples, bandwidth=None, grid=None, points: int = 512) -> np.nda
     sample range widened by five bandwidths on each side, which keeps the
     trapezoid integral within about 1e-3 of 1.
     """
+    h = check_kde_args(bandwidth, points)
     x = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples,
                    dtype=float)
     if x.size == 0:
         raise InvalidParameterError("cannot estimate a density from no samples")
-    if bandwidth is not None:
-        h = float(bandwidth)
-        if not 0 < h < np.inf:
-            raise InvalidParameterError(f"bandwidth must be finite and > 0, not {h}")
-    else:
+    if h is None:
         h = silverman_bandwidth(x)
         if not h > 0:
             raise InvalidParameterError(
                 "samples have zero variance; pass an explicit bandwidth"
             )
     if grid is None:
-        if points < 1:
-            raise InvalidParameterError(f"the density grid needs at least 1 point, not {points}")
         lo = float(x.min()) - 5.0 * h
         hi = float(x.max()) + 5.0 * h
         grid = np.linspace(lo, hi, points)

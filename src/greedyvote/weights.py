@@ -1,8 +1,9 @@
 """Node weight distributions and the sampling distributions they induce.
 
 A network of N nodes is described by a normalized stake vector (the node
-weights).  A sampling weight function f maps weights to sampling propensities,
-which after normalization give the probability that a query hits each node.
+weights).  A sampling weight function f, m -> m ** alpha with alpha >= 0
+(`WeightFunction`), maps weights to sampling propensities, which after
+normalization give the probability that a query hits each node.
 Splitting a node replaces it by r positive parts that sum to its weight;
 `SplitSpec` holds where the parts land (`parts`, `part`) and when a split is
 valid (`check`).
@@ -61,39 +62,23 @@ def _normalized(values, what: str) -> np.ndarray:
 # sampling weight functions
 # ---------------------------------------------------------------------------
 
-_KINDS = ("identity", "constant-one", "power")
-
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """One member of the closed family of sampling/averaging weight functions.
+    """The sampling/averaging weight function m -> m ** alpha, alpha finite and
+    >= 0: identity is alpha = 1, constant-one alpha = 0.  No other callables."""
 
-    Supported kinds: ``identity`` (propensity equals the weight),
-    ``constant-one`` (every node equally likely regardless of weight) and
-    ``power`` (propensity ``m ** alpha``).  Arbitrary callables are
-    deliberately not accepted.
-    """
-
-    kind: str
-    alpha: float = 1.0
+    alpha: float
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidParameterError(f"unknown weight function kind: {self.kind!r}")
-        if self.kind == "power" and not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise InvalidParameterError("power weight function needs alpha > 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise InvalidParameterError(f"weight exponent must be finite and >= 0: {self.alpha}")
 
     @property
     def name(self) -> str:
-        if self.kind == "power":
-            return f"power({self.alpha:g})"
-        return self.kind
+        return {1: "identity", 0: "constant-one"}.get(self.alpha, f"power({self.alpha:g})")
 
-    def apply(self, m: np.ndarray) -> np.ndarray:
-        if self.kind == "identity":
-            return np.asarray(m, dtype=float)
-        if self.kind == "constant-one":
-            return np.ones_like(m, dtype=float)
+    def apply(self, m: np.ndarray) -> np.ndarray:  # alpha = 1 keeps m's bits, 0 gives ones
         return np.asarray(m, dtype=float) ** self.alpha
 
     @classmethod
@@ -104,23 +89,22 @@ class WeightFunction:
         if t in ("1", "one", "const", "constant-one", "constant_one"):
             return CONSTANT_ONE
         if t.startswith("power"):
-            inner = t[len("power"):].strip("():= ")
             try:
-                return cls("power", float(inner))
+                return cls(float(t[len("power"):].strip("():= ")))
             except ValueError:
                 pass
         raise InvalidParameterError(
             f"cannot parse weight function {text!r}; "
-            "expected 'identity', 'constant-one' or 'power:ALPHA'"
+            "expected 'identity', 'constant-one' or 'power:ALPHA', ALPHA finite and >= 0"
         )
 
 
-IDENTITY = WeightFunction("identity")
-CONSTANT_ONE = WeightFunction("constant-one")
+IDENTITY = WeightFunction(1.0)
+CONSTANT_ONE = WeightFunction(0.0)
 
 
 def power(alpha: float) -> WeightFunction:
-    return WeightFunction("power", alpha)
+    return WeightFunction(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +242,9 @@ class SplitSpec:
     def check(self, masses: np.ndarray, source_f: str = "identity") -> float:
         """The split node's mass, refusing a node out of range or of zero mass.
 
-        Sampling probabilities split in place keep the fractions only under
-        the identity weight function (`source_f`), the one f whose pre- and
-        post-split normalizers coincide.
+        Sampling probabilities split in place keep the fractions only if f is
+        m ** 1 (`source_f` "identity", however alpha = 1 was spelled): only a
+        linear f keeps the pre- and post-split normalizers equal.
         """
         if source_f != "identity":
             raise UnsupportedConfigurationError(

@@ -6,6 +6,8 @@ is the package's one sampling path.  Here it meets a second, per-draw one:
 - `greedy_sample` and `coupled_greedy_sample` run one sample at a time off
   a batched per-draw stream (`draw_batch`, `stream`) with its own layout,
   two uniforms per draw, and tally each run in a dict;
+- `lockstep_coupled_runs` advances many coupled runs together, one draw per
+  live run per step, with each run's seen-sets as rows of boolean matrices;
 - `remap` builds a row's post-split image, the dense way the kernel no
   longer does;
 - `TwoSearchAliasTable` pairs lights and heavies with two merges, one per
@@ -132,17 +134,17 @@ def interleaved_split_gain(w: WeightDistribution, f: WeightFunction, k: int,
 # ---------------------------------------------------------------------------
 
 
-def draw_batch(table: AliasTable, gen: np.random.Generator, n: int) -> list:
+def draw_batch(table: AliasTable, gen: np.random.Generator, n: int) -> np.ndarray:
     """n draws, two uniforms each: a column, then the accept test."""
     idx = gen.integers(0, table.size, n)
     accept = gen.random(n) < table.prob[idx]
-    return np.where(accept, idx, table.alias[idx]).tolist()
+    return np.where(accept, idx, table.alias[idx])
 
 
 def stream(table: AliasTable, gen: np.random.Generator, batch: int):
     """Draws one at a time, fetched in batches that double up to 4096."""
     while True:
-        yield from draw_batch(table, gen, batch)
+        yield from draw_batch(table, gen, batch).tolist()
         batch = min(2 * batch, 4096)
 
 
@@ -311,6 +313,66 @@ def coupled_greedy_sample(p: SamplingDistribution, split: SplitSpec, k: int,
         pre=pre, post=post,
         extra_draws=extra_draws, extra_split_hits=extra_hits, split=split,
     )
+
+
+# ---------------------------------------------------------------------------
+# coupled runs in lockstep
+# ---------------------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class LockstepRuns:
+    """Per run: the draws v and split-node hits y of the pre-split run and of
+    its post-split twin, and the pre-split run's K draws and L split-node
+    hits after the post-split run had stopped; each tallied on its own."""
+
+    v_pre: np.ndarray
+    v_post: np.ndarray
+    y_pre: np.ndarray
+    y_post: np.ndarray
+    K: np.ndarray
+    L: np.ndarray
+
+
+def lockstep_coupled_runs(p: SamplingDistribution, split: SplitSpec, k: int,
+                          rng: RngStream, n_runs: int) -> LockstepRuns:
+    """n_runs coupled pre/post-split runs, every live run one draw per step.
+
+    Each run's pre- and post-split seen-sets are rows of two boolean
+    matrices, n_runs x N and n_runs x (N + r - 1).  A draw of the split node
+    reaches the post-split run as the part its uniform selects (`remap`).
+    Once the post-split run has k distinct nodes, the pre-split run's
+    further draws count towards K, and those of the split node towards L,
+    until it has k distinct nodes too.
+    """
+    split.check(p.probs, p.source_f)
+    k = _check_k(p, k)
+    table, gen, parts = _alias_table(p), rng.generator, split.parts
+    pre_seen = np.zeros((n_runs, p.size), dtype=bool)
+    post_seen = np.zeros((n_runs, p.size + split.r - 1), dtype=bool)
+    pre_distinct, post_distinct, v_pre, v_post, y_pre, y_post, K, L = np.zeros(
+        (8, n_runs), dtype=np.int64)
+    live = np.arange(n_runs)
+    while live.size:
+        a = draw_batch(table, gen, live.size)
+        hit = a == split.node
+        v_pre[live] += 1
+        y_pre[live] += hit
+        pre_distinct[live] += ~pre_seen[live, a]
+        pre_seen[live, a] = True
+        on = post_distinct[live] < k  # the runs whose post-split run goes on
+        rows = live[on]
+        b = remap(split, a[on], gen.random(np.count_nonzero(hit[on])))
+        v_post[rows] += 1
+        y_post[rows] += (b >= parts.start) & (b < parts.stop)
+        post_distinct[rows] += ~post_seen[rows, b]
+        post_seen[rows, b] = True
+        K[live[~on]] += 1
+        L[live[~on]] += hit[~on]
+        live = live[pre_distinct[live] < k]
+    if (post_distinct < k).any():
+        raise SamplingError("the post-split run outlasted the pre-split run")
+    return LockstepRuns(v_pre=v_pre, v_post=v_post, y_pre=y_pre, y_post=y_post, K=K, L=L)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,12 @@ from greedyvote.weights import (
     sampling_distribution,
     zipf_weights,
 )
-from reference import coupled_greedy_sample, enumeration_oracle, greedy_sample
+from reference import (
+    coupled_greedy_sample,
+    enumeration_oracle,
+    greedy_sample,
+    lockstep_coupled_runs,
+)
 
 
 def _report(number: int, name: str, ok: bool, detail: str = ""):
@@ -104,25 +109,25 @@ def test_04_coupling_invariants():
          SplitSpec.equal(2, 4), 10),
     ]
     runs_per_config = 200_000
+    scalar_runs_per_config = 200  # each also checked by CoupledSample.validate
     violations = 0
     for idx, (p, split, k) in enumerate(configs):
         rng = RngStream(404, idx)
-        node = split.node
-        parts = tuple(range(node, node + split.r))
-        for run in range(runs_per_config):
+        block = 2 ** 22 // p.size  # runs per lockstep call: its seen-sets stay near 8 MB
+        for first in range(0, runs_per_config, block):
+            runs = lockstep_coupled_runs(p, split, k, rng, min(block, runs_per_config - first))
+            ok = ((0 <= runs.L) & (runs.L <= runs.K)
+                  & (runs.v_pre == runs.v_post + runs.K)
+                  & (runs.y_pre == runs.y_post + runs.L))
+            violations += int(np.count_nonzero(~ok))
+        for _ in range(scalar_runs_per_config):
             cs = coupled_greedy_sample(p, split, k, rng)
-            y_pre = cs.pre.counts.get(node, 0)
-            y_post = 0
-            for j in parts:
-                y_post += cs.post.counts.get(j, 0)
-            if not (0 <= cs.L <= cs.K):
-                violations += 1
-            elif cs.pre.total_draws != cs.post.total_draws + cs.K:
-                violations += 1
-            elif y_pre != y_post + cs.L:
-                violations += 1
-            if run % 1000 == 0:
-                cs.validate()
+            y_pre = cs.pre.counts.get(split.node, 0)
+            y_post = sum(cs.post.counts.get(j, 0) for j in split.parts)
+            violations += not (0 <= cs.L <= cs.K
+                               and cs.pre.total_draws == cs.post.total_draws + cs.K
+                               and y_pre == y_post + cs.L)
+            cs.validate()
     elapsed = time.perf_counter() - start
     ok = violations == 0 and elapsed < 120.0
     _report(4, "coupling identities hold on 1e6 runs across 5 configurations",

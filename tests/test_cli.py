@@ -169,6 +169,21 @@ class TestGain:
         assert "maps every weight to zero" in capsys.readouterr().err
 
 
+    def test_power_one_writes_identity_bytes(self, tmp_path):
+        # under the default coupled estimator, which needs alpha = 1
+        args = ["gain", "--s", "1.1", "--n", "100", "--k", "5", "--n-runs", "3000",
+                "--seed", "1"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["--f", "power:1", "-o", str(a)]) == 0
+        assert main(args + ["--f", "identity", "-o", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("f", ["power:-1", "power:nan", "power:inf"])
+    def test_exponent_outside_the_family_exits_2(self, f, capsys):
+        assert main(["gain", "--n", "20", "--k", "3", "--n-runs", "10", "--f", f]) == 2
+        assert "ALPHA finite and >= 0" in capsys.readouterr().err
+
+
 class TestOutputPath:
     def test_missing_directory_refused_before_any_work(self, tmp_path, monkeypatch, capsys):
         def no_estimate(*args, **kwargs):
@@ -282,6 +297,15 @@ class TestKdeAndQq:
         assert rc == 2
         assert "at least 1 point" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--grid-points", "0"], ["--bandwidth", "inf"]])
+    def test_kde_refuses_its_arguments_before_sampling(self, flag, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sampled a refused kde request")
+
+        monkeypatch.setattr(fairness, "estimate_split_gain", unreachable)
+        assert main(["kde", "--n", "50", "--k", "5", "--n-runs", "300000"] + flag) == 2
+        assert "error (invalid configuration)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bandwidth", ["inf", "nan"])
     def test_kde_refuses_a_non_finite_bandwidth(self, bandwidth, capsys):
         rc = main(["kde", "--n", "50", "--k", "5", "--n-runs", "200",
@@ -371,6 +395,16 @@ class TestFpc:
         assert summary["final_agreement"] == 1.0
         sidecar = json.loads((tmp_path / "fpc.csv.config.json").read_text())
         assert sidecar["ones_fraction"] == 0.9
+
+    def test_power_zero_writes_constant_one_bytes(self, tmp_path):
+        args = ["fpc", "--s", "1.1", "--n", "200", "--k", "10", "--max-rounds", "5",
+                "--seed", "4"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["--g", "power:0", "-o", str(a)]) == 0
+        assert main(args + ["--g", "constant-one", "-o", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert (tmp_path / "a.csv.summary.json").read_bytes() == (
+            tmp_path / "b.csv.summary.json").read_bytes()
 
     def test_degenerate_quorum_exit_code(self, capsys):
         weights = ",".join(["1"] + ["0"] * 19)

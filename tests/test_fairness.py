@@ -128,6 +128,15 @@ class TestEstimateSplitGain:
             estimate_split_gain(w, CONSTANT_ONE, 2, SplitSpec.equal(0, 2),
                                 100, seed=1, coupled=True)
 
+    def test_coupled_power_one_is_the_identity_estimate_bit_for_bit(self):
+        w = zipf_weights(ZipfParams(1.1, 100))
+        split = SplitSpec(0, (0.3, 0.7))
+        got = estimate_split_gain(w, WeightFunction(1.0), 5, split, 12_345, seed=9)
+        ref = estimate_split_gain(w, IDENTITY, 5, split, 12_345, seed=9)
+        for name in ("mean", "std_error", "ci_low", "ci_high", "n_runs"):
+            assert getattr(got, name) == getattr(ref, name)
+        assert got.retained_samples.tobytes() == ref.retained_samples.tobytes()
+
     def test_independent_mode_supports_other_weight_functions(self):
         # constant-one sampling makes splitting strictly profitable: the split
         # parts each get a full uniform share
@@ -236,6 +245,24 @@ class TestSweepGain:
         assert str(info.value) == ("unknown sweep axis 'nodes'; expected one of "
                                    "('network_size', 'sample_k', 'split_r', 'zipf_s')")
 
+    @pytest.mark.parametrize("axis, values", [("sample_k", [2.2, 2.7]),
+                                              ("network_size", [40.5, 40.9]),
+                                              ("split_r", [2, 3.5])])
+    def test_count_axis_refuses_fractions_before_any_estimate(self, axis, values,
+                                                              monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("estimated a point of a refused sweep")
+
+        monkeypatch.setattr(fairness, "estimate_split_gain", unreachable)
+        with pytest.raises(InvalidParameterError, match=f"sweep axis {axis} takes whole numbers"):
+            sweep_gain(GainExperiment(n_nodes=60, k=3, n_runs=10), axis, values, seed=0)
+
+    def test_rows_carry_the_values_that_ran(self):
+        base = GainExperiment(zipf_s=1.0, n_nodes=60, k=3, n_runs=100)
+        sweep = sweep_gain(base, "sample_k", [2.0, 4.0], seed=12)
+        assert [value for value, _ in sweep.points] == [2, 4]
+        assert all(type(value) is int for value, _ in sweep.points)
+
     def test_rerun_is_bit_identical(self):
         base = GainExperiment(zipf_s=1.0, n_nodes=60, k=3, n_runs=4_000)
         a = sweep_gain(base, "sample_k", [2, 4], seed=12)
@@ -289,6 +316,18 @@ class TestKdeDensity:
         for points in (0, -1):
             with pytest.raises(InvalidParameterError, match="at least 1 point"):
                 kde_density([1.0, 2.0], bandwidth=0.5, points=points)
+
+    @pytest.mark.parametrize("bandwidth, points, message", [
+        (None, 0, "at least 1 point"), (0.5, -1, "at least 1 point"),
+        (np.inf, 512, "finite"), (0.0, 512, "finite"),
+    ])
+    def test_argument_check_is_the_one_kde_density_runs(self, bandwidth, points, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            fairness.check_kde_args(bandwidth, points)
+        with pytest.raises(InvalidParameterError, match=message):
+            kde_density([1.0, 2.0], bandwidth=bandwidth, points=points)
+        assert fairness.check_kde_args(None, 1) is None
+        assert fairness.check_kde_args(2, 1) == 2.0
 
     def test_silverman_rule(self):
         gen = np.random.Generator(np.random.Philox(key=[62, 0]))

@@ -22,7 +22,13 @@ from greedyvote.weights import (
     sampling_distribution,
     zipf_weights,
 )
-from reference import TwoSearchAliasTable, coupled_greedy_sample, greedy_sample, remap
+from reference import (
+    TwoSearchAliasTable,
+    coupled_greedy_sample,
+    greedy_sample,
+    lockstep_coupled_runs,
+    remap,
+)
 
 
 def _post_split(p: SamplingDistribution, split: SplitSpec) -> SamplingDistribution:
@@ -636,6 +642,23 @@ class TestGreedyRuns:
         kernel_v = counts_of(zip(runs.v_post.tolist(), runs.v.tolist()))
         scalar_v = counts_of((cs.post.total_draws, cs.pre.total_draws) for cs in ref)
         assert chisquare_two_sample_pvalue(kernel_v, scalar_v) > 0.01
+
+    def test_matches_lockstep_coupled_reference(self):
+        # the same two-sample test against the lockstep runs of acceptance
+        # criterion 4, on a network where the split node is one of many
+        p = sampling_distribution(zipf_weights(ZipfParams(2.0, 50)))
+        split = SplitSpec.equal(2, 4)
+        n = 100_000
+        runs = greedy_runs(p, 10, RngStream(608), n, track=2, split=split)
+        ref = lockstep_coupled_runs(p, split, 10, RngStream(609), n)
+        for kernel, lockstep in (((runs.K, runs.L), (ref.K, ref.L)),
+                                 ((runs.y_post, runs.y), (ref.y_post, ref.y_pre))):
+            assert chisquare_two_sample_pvalue(counts_of(zip(*(a.tolist() for a in kernel))),
+                                               counts_of(zip(*(a.tolist() for a in lockstep)))
+                                               ) > 0.01
+        for kernel, lockstep in ((runs.v_post, ref.v_post), (runs.v, ref.v_pre)):
+            se = (kernel.var() / n + lockstep.var() / n) ** 0.5
+            assert abs(kernel.mean() - lockstep.mean()) <= 4 * se
 
     def test_short_rows_are_extended_not_redrawn(self):
         # a uniform coupon collector over 30 nodes needs 30 * H_30 ~ 120 draws

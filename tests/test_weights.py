@@ -168,6 +168,31 @@ class TestSamplingDistribution:
             WeightFunction.parse("cubic")
 
 
+class TestWeightFunction:
+    @given(st.lists(_finite, min_size=1, max_size=80).map(np.array))
+    @settings(max_examples=500, deadline=None)
+    def test_exponents_one_and_zero_bit_for_bit(self, x):
+        # so power:1 and power:0 give identity's and constant-one's laws exactly
+        assert WeightFunction(1.0).apply(x).tobytes() == x.tobytes()
+        assert WeightFunction(0.0).apply(x).tobytes() == np.ones(x.size).tobytes()
+
+    def test_power_one_and_zero_are_identity_and_constant_one(self):
+        for text in ("power:1", "power(1.0)", "power=1e0"):
+            f = WeightFunction.parse(text)
+            assert f == IDENTITY and f.name == "identity"
+        for text in ("power:0", "power:-0"):
+            f = WeightFunction.parse(text)
+            assert f == CONSTANT_ONE and f.name == "constant-one"
+        assert power(0.5).name == "power(0.5)"
+
+    @pytest.mark.parametrize("text", ["power:-1", "power:nan", "power:inf", "power:-inf"])
+    def test_exponent_must_be_finite_and_non_negative(self, text):
+        with pytest.raises(InvalidParameterError, match="ALPHA finite and >= 0"):
+            WeightFunction.parse(text)
+        with pytest.raises(InvalidParameterError, match="finite and >= 0"):
+            WeightFunction(float(text[len("power:"):]))
+
+
 class TestApplySplit:
     def test_simple_split(self):
         w = WeightDistribution.from_raw([0.6, 0.4])
