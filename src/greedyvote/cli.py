@@ -8,7 +8,7 @@ version and the stream layout version, so any result can be reproduced byte
 for byte from its sidecar by a version with the same stream layout.
 
 Exit codes: 0 success, 1 runtime sampling error, 2 validation failure,
-3 exact-computation resource limit.
+3 resource limit (an exact computation's budget, or memory).
 """
 
 from __future__ import annotations
@@ -29,15 +29,11 @@ from .errors import (
 )
 
 
-class ConfigError(InvalidParameterError):
-    """A config key failed validation; message names the key."""
-
-
 def _parse_floats(text: str):
     try:
         return tuple(float(tok) for tok in str(text).split(",") if tok.strip() != "")
     except ValueError as exc:
-        raise ConfigError(f"cannot parse number list from {text!r}") from exc
+        raise InvalidParameterError(f"cannot parse number list from {text!r}") from exc
 
 
 def _parse_bool(value) -> bool:
@@ -48,7 +44,7 @@ def _parse_bool(value) -> bool:
         return True
     if t in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"cannot parse boolean from {value!r}")
+    raise InvalidParameterError(f"cannot parse boolean from {value!r}")
 
 
 def _parse_int(value) -> int:
@@ -97,7 +93,7 @@ class ExperimentConfig:
         """Merge defaults, config-file values and explicit flags (in that
         order of increasing precedence), rejecting unknown keys."""
         if subcommand not in _COMMANDS:
-            raise ConfigError(f"unknown subcommand {subcommand!r}")
+            raise InvalidParameterError(f"unknown subcommand {subcommand!r}")
         schema = _COMMANDS[subcommand].schema
         resolved = {key: default for key, (_, default) in schema.items()}
         if config_path is not None:
@@ -105,29 +101,30 @@ class ExperimentConfig:
                 with open(config_path) as fh:
                     file_values = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
+                raise InvalidParameterError(
+                    f"cannot read config file {config_path}: {exc}") from exc
             if not isinstance(file_values, dict):
-                raise ConfigError("config file must hold a JSON object")
+                raise InvalidParameterError("config file must hold a JSON object")
             for key, value in file_values.items():
                 if key == "subcommand":
                     if value != subcommand:
-                        raise ConfigError(
+                        raise InvalidParameterError(
                             f"config file is for subcommand {value!r}, not {subcommand!r}"
                         )
                     continue
                 if key == "stream_layout" and value != sampler.STREAM_LAYOUT:
-                    raise ConfigError(
+                    raise InvalidParameterError(
                         f"config file was written with stream layout {value!r}; this "
                         f"version uses layout {sampler.STREAM_LAYOUT} and cannot reproduce it"
                     )
                 if key in ("stream_layout", "greedyvote_version"):
                     continue
                 if key not in schema:
-                    raise ConfigError(f"unknown config key {key!r} for {subcommand}")
+                    raise InvalidParameterError(f"unknown config key {key!r} for {subcommand}")
                 resolved[key] = value
         for key, value in flag_values.items():
             if key not in schema:
-                raise ConfigError(f"unknown config key {key!r} for {subcommand}")
+                raise InvalidParameterError(f"unknown config key {key!r} for {subcommand}")
             if value is not None:
                 resolved[key] = value
         # cast everything through the schema so file- and flag-supplied values
@@ -137,10 +134,11 @@ class ExperimentConfig:
                 try:
                     resolved[key] = caster(resolved[key])
                 except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"bad value for {key!r}: {resolved[key]!r}") from exc
+                    raise InvalidParameterError(
+                        f"bad value for {key!r}: {resolved[key]!r}") from exc
         output = resolved.get("output")  # refused before any work, not after it
         if output is not None and not os.path.isdir(os.path.dirname(output) or "."):
-            raise ConfigError(f"cannot write {output}: its directory does not exist")
+            raise InvalidParameterError(f"cannot write {output}: its directory does not exist")
         return cls(subcommand=subcommand, values=resolved)
 
     def provenance(self) -> dict:
@@ -179,7 +177,7 @@ def _write(path, text):
         with open(path, "w", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise InvalidParameterError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -195,24 +193,23 @@ def _weights_from_config(cfg: ExperimentConfig) -> weights.WeightDistribution:
     if generator == "csv" or vals.get("weights_csv"):
         path = vals.get("weights_csv")
         if not path:
-            raise ConfigError("generator 'csv' needs weights_csv")
+            raise InvalidParameterError("generator 'csv' needs weights_csv")
         return weights.load_weights_csv(path)
     if generator == "zipf":
         return weights.zipf_weights(weights.ZipfParams(s=vals["s"], n=vals["n"]))
-    raise ConfigError(f"unknown generator {generator!r}; expected 'zipf' or 'csv'")
+    raise InvalidParameterError(f"unknown generator {generator!r}; expected 'zipf' or 'csv'")
 
 
 def _network(cfg: ExperimentConfig):
-    """The request's weights, weight function and sampling distribution."""
+    """The request's weights and sampling distribution."""
     w = _weights_from_config(cfg)
-    f = weights.WeightFunction.parse(cfg["f"])
-    return w, f, weights.sampling_distribution(w, f)
+    return w, weights.sampling_distribution(w, weights.WeightFunction.parse(cfg["f"]))
 
 
 def _node_index(cfg: ExperimentConfig, size: int) -> int:
     node = int(cfg["node"])  # CLI is 1-based (rank order); library is 0-based
     if not (1 <= node <= size):
-        raise ConfigError(f"node {node} out of range 1..{size}")
+        raise InvalidParameterError(f"node {node} out of range 1..{size}")
     return node - 1
 
 
@@ -249,7 +246,7 @@ def _cmd_tau(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_exact(cfg: ExperimentConfig) -> int:
-    w, _, p = _network(cfg)
+    w, p = _network(cfg)
     dist = cfg["dist"]
     if dist == "v":
         d = exact.exact_v_distribution(p, cfg["k"], cfg["v_max"])
@@ -264,7 +261,7 @@ def _cmd_exact(cfg: ExperimentConfig) -> int:
         d = exact.exact_u_distribution(p, cfg["k"])
         header, rows = ("u", "prob"), [(u + 1, d.probs[u]) for u in range(d.probs.size)]
     else:
-        raise ConfigError(f"unknown dist {dist!r}; expected v, joint or u")
+        raise InvalidParameterError(f"unknown dist {dist!r}; expected v, joint or u")
     _emit_csv(cfg["output"], header, rows, cfg)
     if cfg["output"] is not None and dist != "u":
         print(f"residual={d.residual:.17g}")
@@ -272,7 +269,7 @@ def _cmd_exact(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_sample(cfg: ExperimentConfig) -> int:
-    w, _, p = _network(cfg)
+    w, p = _network(cfg)
     node0 = _node_index(cfg, w.size)
     runs = sampler.greedy_runs(p, cfg["k"], sampler.as_stream(cfg["seed"]),
                                cfg["n_runs"], track=node0)
@@ -282,7 +279,7 @@ def _cmd_sample(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_power(cfg: ExperimentConfig) -> int:
-    w, _, p = _network(cfg)
+    w, p = _network(cfg)
     node0 = _node_index(cfg, w.size)
     if cfg["epsilon"] is not None:
         # the exact Poisson integral instead of Monte Carlo; the bound covers
@@ -306,13 +303,13 @@ def _cmd_gain(cfg: ExperimentConfig) -> int:
 
 def _cmd_sweep(cfg: ExperimentConfig) -> int:
     if not cfg["axis_values"]:
-        raise ConfigError("sweep needs axis_values (comma-separated)")
+        raise InvalidParameterError("sweep needs axis_values (comma-separated)")
     axis = cfg["axis"]
     values = fairness.sweep_values(axis, _parse_floats(cfg["axis_values"]))
     # the split node must exist in the smallest network of the sweep
     smallest = min(values, default=cfg["n"]) if axis == "network_size" else cfg["n"]
     if smallest < 1:
-        raise ConfigError(f"sweep needs networks of at least 1 node, not {smallest}")
+        raise InvalidParameterError(f"sweep needs networks of at least 1 node, not {smallest}")
     base = fairness.GainExperiment(
         zipf_s=cfg["s"], n_nodes=cfg["n"], k=cfg["k"],
         node=_node_index(cfg, smallest), split_r=cfg["split_r"],
@@ -481,8 +478,10 @@ def main(argv=None) -> int:
     try:
         config = ExperimentConfig.resolve(args.subcommand, flag_values, args.config)
         return command.run(config)
-    except ResourceLimitError as exc:
-        print(f"error (resource limit): {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        # MemoryError: a network or run count too large to allocate
+        oom = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error (resource limit): {oom}{exc}", file=sys.stderr)
         return 3
     except (InvalidParameterError, UnsupportedConfigurationError) as exc:
         print(f"error (invalid configuration): {exc}", file=sys.stderr)

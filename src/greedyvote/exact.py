@@ -336,7 +336,7 @@ def split_gain_k2(p: SamplingDistribution, split: SplitSpec) -> float:
     Positive for every genuine split (r >= 2): the scheme is robust to
     merging but not to splitting.
     """
-    p_i = split.check(p.probs, p.source_f)
+    p_i = split.check(p.probs, p.f)
     if p_i >= 1.0:
         raise InvalidParameterError("split gain needs p_i < 1")
     r = split.r
@@ -366,14 +366,14 @@ def tau_limit(p: float) -> float:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def tau_argmax(lo: float = 0.01, hi: float = 0.99, tol: float = 1e-8):
+def tau_argmax():
     """Locate the maximum of the limiting equal-split gain curve.
 
-    Golden-section search; the curve is unimodal on (0, 1), rising from 0 and
-    falling back towards 0 at full concentration.
-    Returns (argmax, value).
+    Golden-section search on [0.01, 0.99] down to width 1e-8; the curve is
+    unimodal on (0, 1), rising from 0 and falling back towards 0 at full
+    concentration.  Returns (argmax, value).
     """
-    a, b = float(lo), float(hi)
+    a, b, tol = 0.01, 0.99, 1e-8
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = tau_limit(c), tau_limit(d)

@@ -210,7 +210,7 @@ def greedy_runs(p: SamplingDistribution, k: int, rng: RngStream, n_runs: int,
     """
     k = _check_k(p, k)
     if split is not None:
-        split.check(p.probs, p.source_f)
+        split.check(p.probs, p.f)
     n_runs = int(n_runs)
     if n_runs < 0:
         raise InvalidParameterError("n_runs must be >= 0")
@@ -288,15 +288,15 @@ def _post_split(in_run, draws, first, k, split, gen):
     and the row and column of each in-run split-node draw.  Each such draw
     takes a part by its own uniform, in row-major order; the parts' first
     columns join the rows' first occurrences (`first`), less the earliest of
-    them: the node's own, which `first` holds already."""
+    them: the node's own, which `first` holds already.  The joined matrix is
+    wider than its fill value w, so a run left unfinished reads w + 1 > v."""
     hr, hc = np.nonzero(in_run & (draws == split.node))
     n, w = draws.shape
     parts = np.full((n, split.r), w, dtype=first.dtype)
     pick = split.part(gen.random(hr.size))
     np.minimum.at(parts, (hr, pick), hc.astype(parts.dtype))
     parts[np.arange(n), parts.argmin(axis=1)] = w
-    kth = np.partition(np.concatenate([first, parts], axis=1), k - 1, axis=1)[:, k - 1]
-    return kth + 1, hr, hc
+    return _kth_stop(np.concatenate([first, parts], axis=1), k), hr, hc
 
 
 def _p90(v: np.ndarray) -> int:

@@ -3,10 +3,12 @@
 A network of N nodes is described by a normalized stake vector (the node
 weights).  A sampling weight function f, m -> m ** alpha with alpha >= 0
 (`WeightFunction`), maps weights to sampling propensities, which after
-normalization give the probability that a query hits each node.
-Splitting a node replaces it by r positive parts that sum to its weight;
-`SplitSpec` holds where the parts land (`parts`, `part`) and when a split is
-valid (`check`).
+normalization give the probability that a query hits each node; a
+`SamplingDistribution` carries the f that made it.  Splitting a node replaces
+it by r positive parts that sum to its weight; `SplitSpec` holds where the
+parts land (`parts`, `part`) and when a split is valid (`check`), which for
+probabilities split in place reads the f they carry.  Weights, probabilities
+and split fractions are all vectors of masses summing to 1 (`_unit_sum`).
 """
 
 from __future__ import annotations
@@ -41,6 +43,15 @@ def _masses(values, what: str) -> np.ndarray:
         raise InvalidParameterError(f"{what} must be a non-empty 1-d vector")
     if not np.isfinite(x).all() or bool((x < 0).any()):
         raise InvalidParameterError(f"{what} must be finite and non-negative")
+    return x
+
+
+def _unit_sum(values, what: str) -> np.ndarray:
+    """`_masses(values, what)`, refused unless they sum to 1 within NORM_TOL."""
+    x = _masses(values, what)
+    total = float(x.sum())  # only checked: no output depends on its rounding
+    if abs(total - 1.0) > NORM_TOL:
+        raise InvalidParameterError(f"{what} sum to {total!r}, not 1")
     return x
 
 
@@ -123,13 +134,7 @@ class WeightDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _masses(self.weights, "weights")
-        object.__setattr__(self, "weights", w)
-        total = float(w.sum())  # only checked: no output depends on its rounding
-        if abs(total - 1.0) > NORM_TOL:
-            raise InvalidParameterError(
-                f"weights sum to {total!r}, not 1; use WeightDistribution.from_raw"
-            )
+        object.__setattr__(self, "weights", _unit_sum(self.weights, "weights"))
 
     @classmethod
     def from_raw(cls, values) -> "WeightDistribution":
@@ -143,24 +148,22 @@ class WeightDistribution:
 
 @dataclass(frozen=True, eq=False)
 class SamplingDistribution:
-    """Per-node sampling probabilities plus the identifier of the f that made them."""
+    """Per-node sampling probabilities plus the weight function f that made
+    them from node weights; probabilities given directly count as identity's."""
 
     probs: np.ndarray
-    source_f: str = "identity"
+    f: WeightFunction = IDENTITY
 
     def __post_init__(self):
-        p = _masses(self.probs, "probs")
+        p = _unit_sum(self.probs, "probs")
         object.__setattr__(self, "probs", p)
         if bool((p > 1).any()):
             raise InvalidParameterError("probs must lie in [0, 1]")
-        total = float(p.sum())
-        if abs(total - 1.0) > NORM_TOL:
-            raise InvalidParameterError(f"probs sum to {total!r}, not 1")
 
     @classmethod
-    def from_probs(cls, values, source_f: str = "identity") -> "SamplingDistribution":
+    def from_probs(cls, values) -> "SamplingDistribution":
         """Build directly from probabilities (normalizing tiny rounding slack)."""
-        return cls(_normalized(values, "probs"), source_f=source_f)
+        return cls(_normalized(values, "probs"))
 
     @property
     def size(self) -> int:
@@ -199,16 +202,11 @@ class SplitSpec:
     fractions: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.fractions, dtype=float)
+        x = _unit_sum(self.fractions, "split fractions")
         object.__setattr__(self, "fractions", x)
         object.__setattr__(self, "node", int(self.node))
-        if x.ndim != 1 or x.size < 1:
-            raise InvalidParameterError("fractions must be a non-empty 1-d vector")
-        if not np.isfinite(x).all() or bool((x <= 0).any()):
+        if bool((x == 0).any()):
             raise InvalidParameterError("all split fractions must be > 0")
-        total = float(x.sum())
-        if abs(total - 1.0) > NORM_TOL:
-            raise InvalidParameterError(f"split fractions sum to {total!r}, not 1")
         if self.node < 0:
             raise InvalidParameterError("split node index must be >= 0")
 
@@ -239,17 +237,17 @@ class SplitSpec:
         """Offset (0 .. r-1) of the part that each uniform in [0, 1) selects."""
         return np.searchsorted(self.cum, u, side="right")
 
-    def check(self, masses: np.ndarray, source_f: str = "identity") -> float:
+    def check(self, masses: np.ndarray, f: WeightFunction = IDENTITY) -> float:
         """The split node's mass, refusing a node out of range or of zero mass.
 
-        Sampling probabilities split in place keep the fractions only if f is
-        m ** 1 (`source_f` "identity", however alpha = 1 was spelled): only a
-        linear f keeps the pre- and post-split normalizers equal.
+        Sampling probabilities made by f and split in place keep the fractions
+        only if f.alpha is 1: only a linear f keeps the pre- and post-split
+        normalizers equal.  Weights themselves split under the default.
         """
-        if source_f != "identity":
+        if f.alpha != 1:
             raise UnsupportedConfigurationError(
                 "splitting sampling probabilities in place requires the identity "
-                f"weight function (got {source_f}); use independent estimation instead"
+                f"weight function (got {f.name}); use independent estimation instead"
             )
         if not (0 <= self.node < masses.size):
             raise InvalidParameterError(
@@ -299,7 +297,7 @@ def sampling_distribution(w: WeightDistribution, f: WeightFunction = IDENTITY
         raise InvalidParameterError(
             f"weight function {f.name} maps every weight to zero"
         )
-    return SamplingDistribution(image / total, source_f=f.name)
+    return SamplingDistribution(image / total, f)
 
 
 def apply_split(w: WeightDistribution, split: SplitSpec):

@@ -255,7 +255,7 @@ def coupled_greedy_sample(p: SamplingDistribution, split: SplitSpec, k: int,
     it stops first and the remaining draws are tallied as extra_draws /
     extra_split_hits.
     """
-    split.check(p.probs, p.source_f)
+    split.check(p.probs, p.f)
     k = _check_k(p, k)
     node = split.node
     r = split.r
@@ -345,7 +345,7 @@ def lockstep_coupled_runs(p: SamplingDistribution, split: SplitSpec, k: int,
     further draws count towards K, and those of the split node towards L,
     until it has k distinct nodes too.
     """
-    split.check(p.probs, p.source_f)
+    split.check(p.probs, p.f)
     k = _check_k(p, k)
     table, gen, parts = _alias_table(p), rng.generator, split.parts
     pre_seen = np.zeros((n_runs, p.size), dtype=bool)

@@ -83,6 +83,10 @@ class TestExact:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["u,prob", "1,0.5", "2,0.5"]
 
+    def test_unknown_dist_exits_2(self, capsys):
+        assert main(["exact", "--weights", "0.5,0.5", "--dist", "w"]) == 2
+        assert "unknown dist 'w'; expected v, joint or u" in capsys.readouterr().err
+
     def test_resource_limit_exit_code(self, capsys):
         # 60 nodes x 30 rows x 1000^2 draw counts: 1.8e9 cells, over the cell budget
         weights = ",".join(["1"] * 60)
@@ -178,6 +182,23 @@ class TestGain:
         assert main(args + ["--f", "identity", "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_network_past_the_address_space_exits_3(self, capsys):
+        # 10^15 float64 weights are 7.1 PiB, so the allocation fails untouched
+        assert main(["gain", "--n", "1000000000000000", "--n-runs", "10"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error (resource limit): out of memory: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--fractions", "0.5,half"], "cannot parse number list from '0.5,half'"),
+        (["--coupled", "maybe"], "bad value for 'coupled': 'maybe'"),
+        (["--generator", "csv"], "generator 'csv' needs weights_csv"),
+        (["--generator", "pareto"], "unknown generator 'pareto'; expected 'zipf' or 'csv'"),
+    ], ids=["fractions", "coupled", "csv-without-file", "generator"])
+    def test_bad_option_exits_2(self, argv, message, capsys):
+        assert main(["gain", "--n", "20", "--k", "2", "--n-runs", "10"] + argv) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("f", ["power:-1", "power:nan", "power:inf"])
     def test_exponent_outside_the_family_exits_2(self, f, capsys):
         assert main(["gain", "--n", "20", "--k", "3", "--n-runs", "10", "--f", f]) == 2
@@ -236,6 +257,24 @@ class TestConfigFile:
 
     def test_missing_file_rejected(self, capsys):
         assert main(["gain", "--config", "/nonexistent/config.json"]) == 2
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "config file must hold a JSON object"),
+        ({"subcommand": "fpc", "k": 2}, "config file is for subcommand 'fpc', not 'gain'"),
+    ], ids=["not-an-object", "other-subcommand"])
+    def test_file_refused(self, tmp_path, doc, message, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["gain", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_resolve_rejects_unknown_flag_key(self):
+        with pytest.raises(InvalidParameterError, match="unknown config key 'zipf_s' for gain"):
+            ExperimentConfig.resolve("gain", {"zipf_s": 1.0})
+
+    @pytest.mark.parametrize("text, value", [("yes", True), ("on", True), ("no", False)])
+    def test_coupled_spellings(self, text, value):
+        assert ExperimentConfig.resolve("gain", {"coupled": text})["coupled"] is value
 
     def test_resolve_rejects_unknown_subcommand(self):
         with pytest.raises(InvalidParameterError):
@@ -395,6 +434,17 @@ class TestFpc:
         assert summary["final_agreement"] == 1.0
         sidecar = json.loads((tmp_path / "fpc.csv.config.json").read_text())
         assert sidecar["ones_fraction"] == 0.9
+
+    def test_summary_goes_to_stdout_without_output(self, tmp_path, capsys):
+        args = ["fpc", "--s", "0", "--n", "60", "--k", "10", "--seed", "4"]
+        assert main(args) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == "round,u_t,ones_fraction"
+        out = tmp_path / "fpc.csv"
+        assert main(args + ["-o", str(out)]) == 0
+        assert printed[:-1] == out.read_text().splitlines()
+        assert json.loads(printed[-1]) == json.loads(
+            (tmp_path / "fpc.csv.summary.json").read_text())
 
     def test_power_zero_writes_constant_one_bytes(self, tmp_path):
         args = ["fpc", "--s", "1.1", "--n", "200", "--k", "10", "--max-rounds", "5",

@@ -336,6 +336,12 @@ class TestVotingPowerK2:
         with pytest.raises(InvalidParameterError):
             voting_power_k2(p, 0)
 
+    def test_probability_one_node_inside_a_wider_support_rejected(self):
+        # two nodes of positive mass pass the support check; one of them is 1
+        p = SamplingDistribution.from_probs([1.0, 1e-300])
+        with pytest.raises(InvalidParameterError, match="a probability-1 node"):
+            voting_power_k2(p, 1)
+
 
 class TestSplitGainK2:
     def test_degenerate_split_is_exactly_zero(self):
@@ -376,6 +382,11 @@ class TestSplitGainK2:
         w = WeightDistribution.from_raw([0.6, 0.4])
         p = sampling_distribution(w, CONSTANT_ONE)
         with pytest.raises(UnsupportedConfigurationError):
+            split_gain_k2(p, SplitSpec.equal(0, 2))
+
+    def test_probability_one_node_rejected(self):
+        p = SamplingDistribution.from_probs([1.0, 1e-300])
+        with pytest.raises(InvalidParameterError, match="split gain needs p_i < 1"):
             split_gain_k2(p, SplitSpec.equal(0, 2))
 
 
@@ -425,6 +436,12 @@ class TestTau:
             tau_limit(1.0)
         with pytest.raises(InvalidParameterError):
             tau_r_value(0.5, 0)
+
+    def test_finite_split_curve_domain(self):
+        for p in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(InvalidParameterError,
+                               match=r"p must lie strictly inside \(0, 1\)"):
+                tau_r_value(p, 2)
 
 
 class TestVotingPowerTruncated:
@@ -608,3 +625,18 @@ class TestPrecision:
             for ell, v in cells:
                 ref = (1 - p_i) * g(v - 1, ell) + p_i * g(v - 1, ell - 1) - g(v, ell)
                 assert abs(d.probs[(ell, v)] - float(ref)) <= 1e-13
+
+
+class TestLawArguments:
+    def test_v_max_below_k_rejected(self):
+        p = SamplingDistribution.from_probs([0.5, 0.3, 0.2])
+        for law in (lambda: exact_v_distribution(p, 3, 2),
+                    lambda: exact_joint_distribution(p, 3, 0, 2)):
+            with pytest.raises(InvalidParameterError, match="v_max must be at least k"):
+                law()
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_distinct_count_law_needs_a_draw(self, k):
+        p = SamplingDistribution.from_probs([0.5, 0.5])
+        with pytest.raises(InvalidParameterError, match=f"k={k} must be >= 1"):
+            exact_u_distribution(p, k)

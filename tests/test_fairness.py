@@ -75,6 +75,12 @@ class TestEstimateVotingPower:
         g = est.retained_samples
         assert (g >= 0).all() and (g <= 1).all()
 
+    @pytest.mark.parametrize("n_runs", [0, -3])
+    def test_needs_a_run(self, n_runs):
+        p = SamplingDistribution.from_probs([0.5, 0.5])
+        with pytest.raises(InvalidParameterError, match="n_runs must be >= 1"):
+            estimate_voting_power(p, 2, 0, n_runs, seed=1)
+
 
 class TestEstimateSplitGain:
     def test_degenerate_split_exactly_zero(self):
@@ -199,6 +205,11 @@ class TestEstimateSplitGain:
 
 
 class TestSweepGain:
+    def test_empty_sweep_rejected(self):
+        base = GainExperiment(zipf_s=1.1, n_nodes=100, k=2, n_runs=100)
+        with pytest.raises(InvalidParameterError, match="at least one axis value"):
+            sweep_gain(base, "network_size", [], seed=1)
+
     def test_single_point_sweep_equals_plain_estimate(self):
         base = GainExperiment(zipf_s=1.1, n_nodes=100, k=2, n_runs=5_000)
         sweep = sweep_gain(base, "network_size", [100], seed=5)

@@ -70,6 +70,15 @@ class TestFpcConfig:
         with pytest.raises(InvalidParameterError):
             FpcConfig(k=2, finality_l=0)
 
+    def test_needs_a_round(self):
+        with pytest.raises(InvalidParameterError, match="max_rounds must be >= 1"):
+            FpcConfig(k=2, max_rounds=0)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+    def test_initial_ones_fraction_must_lie_in_the_unit_interval(self, fraction):
+        with pytest.raises(InvalidParameterError, match=r"ones_fraction must lie in \[0, 1\]"):
+            majority_initial_opinions(10, fraction)
+
 
 class TestRunFpc:
     def test_degenerate_quorum_raises(self):

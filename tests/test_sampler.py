@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import chisquare_gof_pvalue, chisquare_two_sample_pvalue, counts_of
 from greedyvote import sampler
-from greedyvote.errors import InvalidParameterError, UnsupportedConfigurationError
+from greedyvote.errors import (
+    InvalidParameterError,
+    SamplingError,
+    UnsupportedConfigurationError,
+)
 from greedyvote.exact import exact_joint_distribution, exact_v_distribution
 from greedyvote.sampler import AliasTable, RngStream, greedy_runs
 from greedyvote.weights import (
@@ -363,7 +367,7 @@ class TestSplitProbs:
         w = WeightDistribution.from_raw([0.6, 0.4])
         p = sampling_distribution(w, CONSTANT_ONE)
         with pytest.raises(UnsupportedConfigurationError):
-            SplitSpec.equal(0, 2).check(p.probs, p.source_f)
+            SplitSpec.equal(0, 2).check(p.probs, p.f)
 
 
 class TestCoupledGreedySample:
@@ -422,11 +426,10 @@ class TestCoupledGreedySample:
                 assert y_pre == y_post + cs.L
 
     def test_marginals_match_plain_greedy_sampling(self):
-        # pre marginal vs sampling the original network, post marginal vs
-        # sampling the split network, both on the draw-count law
+        # pre marginal against plain greedy sampling's exact draw-count law on
+        # the original network, post marginal against it on the split network
         p = SamplingDistribution.from_probs([0.4, 0.35, 0.25])
         split = SplitSpec.equal(0, 2)
-        p_hat = _post_split(p, split)
         n = 100_000
         rng = RngStream(2718)
         pre_v, post_v = [], []
@@ -434,11 +437,10 @@ class TestCoupledGreedySample:
             cs = coupled_greedy_sample(p, split, 2, rng)
             pre_v.append(cs.pre.total_draws)
             post_v.append(cs.post.total_draws)
-        rng2 = RngStream(31415)
-        plain_pre = [greedy_sample(p, 2, rng2).total_draws for _ in range(n)]
-        plain_post = [greedy_sample(p_hat, 2, rng2).total_draws for _ in range(n)]
-        assert chisquare_two_sample_pvalue(counts_of(pre_v), counts_of(plain_pre)) > 0.01
-        assert chisquare_two_sample_pvalue(counts_of(post_v), counts_of(plain_post)) > 0.01
+        for law_of, sample in ((p, pre_v), (_post_split(p, split), post_v)):
+            law = exact_v_distribution(law_of, 2, 80)
+            assert chisquare_gof_pvalue(counts_of(sample), law.probs, n,
+                                        residual=law.residual) > 0.01
 
     def test_non_identity_rejected(self):
         w = WeightDistribution.from_raw([0.6, 0.4])
@@ -585,6 +587,26 @@ class TestGreedyRuns:
             assert np.array_equal(runs.y, runs.y_post + runs.L)
             assert ((runs.L >= 0) & (runs.L <= runs.K)).all()
             assert (runs.v_post >= k).all()
+
+    @pytest.mark.parametrize("broken, message", [
+        # every post-split run one draw past its pre-split run
+        (lambda v_post, hr, hc: (v_post + 10**6, hr, hc), "outlasted its pre-split run"),
+        # every split-node draw counted after the post-split stop, so L counts
+        # them all while K is 0 wherever both runs stop together
+        (lambda v_post, hr, hc: (v_post, hr, hc + 10**6), r"broke 0 <= L <= K"),
+    ], ids=["v_post", "L"])
+    def test_broken_coupling_is_refused(self, broken, message, monkeypatch):
+        post_split = sampler._post_split
+        monkeypatch.setattr(sampler, "_post_split",
+                            lambda *args: broken(*post_split(*args)))
+        p = SamplingDistribution.from_probs([0.6, 0.4])
+        with pytest.raises(SamplingError, match=message):
+            greedy_runs(p, 2, RngStream(8), 1000, split=SplitSpec.equal(0, 2))
+
+    def test_negative_run_count_rejected(self):
+        p = SamplingDistribution.from_probs([0.6, 0.4])
+        with pytest.raises(InvalidParameterError, match="n_runs must be >= 0"):
+            greedy_runs(p, 2, RngStream(8), -1)
 
     def test_draw_count_law_matches_exact_distribution(self):
         p = SamplingDistribution.from_probs([0.9, 0.1])

@@ -1,11 +1,13 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greedyvote.errors import InvalidParameterError
+from greedyvote.errors import InvalidParameterError, UnsupportedConfigurationError
 from greedyvote.weights import (
     CONSTANT_ONE,
     IDENTITY,
@@ -19,6 +21,7 @@ from greedyvote.weights import (
     power,
     sampling_distribution,
     zipf_weights,
+    _check_k,
     _fsum,
 )
 from reference import remap
@@ -63,6 +66,11 @@ class TestZipfWeights:
     def test_zero_nodes_rejected(self):
         with pytest.raises(InvalidParameterError):
             ZipfParams(s=1.0, n=0)
+
+    @pytest.mark.parametrize("s", [-0.5, float("nan"), float("inf")])
+    def test_bad_exponent_rejected(self, s):
+        with pytest.raises(InvalidParameterError, match="Zipf exponent s must be finite and >= 0"):
+            ZipfParams(s=s, n=10)
 
     @given(s=st.floats(0.0, 3.0), n=st.integers(1, 2000))
     @settings(max_examples=30, deadline=None)
@@ -127,7 +135,7 @@ class TestSamplingDistribution:
         w = WeightDistribution.from_raw([0.5, 0.3, 0.2])
         p = sampling_distribution(w, IDENTITY)
         assert np.allclose(p.probs, w.weights, atol=1e-15)
-        assert p.source_f == "identity"
+        assert p.f is IDENTITY
 
     def test_constant_one_erases_weights(self):
         w = WeightDistribution.from_raw([0.9, 0.1])
@@ -138,7 +146,7 @@ class TestSamplingDistribution:
         w = WeightDistribution.from_raw([0.5, 0.5])
         p = sampling_distribution(w, power(2.0))
         assert np.allclose(p.probs, [0.5, 0.5], atol=1e-15)
-        assert p.source_f == "power(2)"
+        assert p.f == power(2.0) and p.f.name == "power(2)"
 
     def test_zero_image_rejected(self):
         # no member of the closed family maps a valid distribution to an
@@ -153,6 +161,29 @@ class TestSamplingDistribution:
         w = WeightDistribution.from_raw([1.0, 1.0])
         with pytest.raises(InvalidParameterError):
             sampling_distribution(w, ZeroFn())
+
+    def test_carries_its_weight_function(self):
+        assert [field.name for field in dataclasses.fields(SamplingDistribution)] == [
+            "probs", "f"]
+        assert SamplingDistribution.from_probs([0.5, 0.5]).f is IDENTITY
+        w = WeightDistribution.from_raw([0.9, 0.1])
+        assert sampling_distribution(w, WeightFunction.parse("power:1")).f.alpha == 1
+        assert sampling_distribution(w, CONSTANT_ONE).f is CONSTANT_ONE
+
+    def test_constructor_refuses_probabilities_above_one(self):
+        # within NORM_TOL of a total of 1, but one entry past it
+        with pytest.raises(InvalidParameterError, match=r"probs must lie in \[0, 1\]"):
+            SamplingDistribution(np.array([1.0 + 4 * 2.0 ** -52, 0.0]))
+
+    def test_constructor_refuses_unnormalized_probabilities(self):
+        with pytest.raises(InvalidParameterError, match="probs sum to 0.9, not 1"):
+            SamplingDistribution(np.array([0.5, 0.4]))
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_must_be_positive(self, k):
+        p = SamplingDistribution.from_probs([0.5, 0.5])
+        with pytest.raises(InvalidParameterError, match=f"k={k} must be >= 1"):
+            _check_k(p, k)
 
     def test_support_matches_positive_image(self):
         w = WeightDistribution.from_raw([1.0, 0.0, 3.0])
@@ -246,8 +277,37 @@ class TestApplySplit:
         with pytest.raises(InvalidParameterError):
             SplitSpec(0, np.array([1.5, -0.5]))
 
+    def test_fraction_refusals_name_their_rule(self):
+        with pytest.raises(InvalidParameterError, match="all split fractions must be > 0"):
+            SplitSpec(0, np.array([1.0, 0.0]))
+        with pytest.raises(InvalidParameterError, match="split fractions sum to 0.9, not 1"):
+            SplitSpec(0, np.array([0.5, 0.4]))
+
 
 class TestSplitSpec:
+    def test_fractions_must_be_one_dimensional(self):
+        with pytest.raises(InvalidParameterError,
+                           match="split fractions must be a non-empty 1-d vector"):
+            SplitSpec(0, np.full((2, 2), 0.25))
+
+    def test_node_must_be_non_negative(self):
+        with pytest.raises(InvalidParameterError, match="split node index must be >= 0"):
+            SplitSpec(-1, np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_equal_split_needs_a_part(self, r):
+        with pytest.raises(InvalidParameterError, match="split arity r must be >= 1"):
+            SplitSpec.equal(0, r)
+
+    def test_check_reads_the_exponent(self):
+        masses = np.array([0.5, 0.5])
+        for text in ("identity", "power:1", "power(1.0)"):
+            assert SplitSpec.equal(0, 2).check(masses, WeightFunction.parse(text)) == 0.5
+        for f in (power(2.0), power(0.5), CONSTANT_ONE):
+            with pytest.raises(UnsupportedConfigurationError,
+                               match=re.escape(f"(got {f.name})")):
+                SplitSpec.equal(0, 2).check(masses, f)
+
     def test_check_refuses_node_out_of_range_or_without_mass(self):
         masses = np.array([0.5, 0.0, 0.5])
         assert SplitSpec.equal(2, 2).check(masses) == 0.5
@@ -301,4 +361,21 @@ class TestCsvLoading:
         path = tmp_path / "w.csv"
         path.write_text("stake\n3\n1\n")
         with pytest.raises(InvalidParameterError):
+            load_weights_csv(path)
+
+    def test_blank_cells_are_skipped(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("weight,node\n3,a\n ,b\n1,c\n")
+        assert np.allclose(load_weights_csv(path).weights, [0.75, 0.25])
+
+    def test_bad_value_refused(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("weight\n3\nlots\n")
+        with pytest.raises(InvalidParameterError, match="bad weight value 'lots'"):
+            load_weights_csv(path)
+
+    def test_file_without_rows_refused(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("weight\n")
+        with pytest.raises(InvalidParameterError, match="no weight rows found"):
             load_weights_csv(path)
