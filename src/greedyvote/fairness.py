@@ -180,21 +180,41 @@ def _apply_axis(base: GainExperiment, axis: str, value) -> GainExperiment:
     return replace(base, **{SWEEP_AXES[axis][0]: value})
 
 
+def _check_point(cfg: GainExperiment) -> None:
+    """Refuse a sweep point that cannot run, without building its network:
+    bad Zipf parameters or split, a split node or k beyond the network's
+    nodes, or weights too large to allocate (np.empty touches no page, so
+    a network past the address space fails at once)."""
+    n = ZipfParams(s=cfg.zipf_s, n=cfg.n_nodes).n
+    node = SplitSpec.equal(cfg.node, cfg.split_r).node
+    if node >= n:
+        raise InvalidParameterError(f"split node {node} out of range for {n} nodes")
+    if cfg.k < 1:
+        raise InvalidParameterError(f"k={cfg.k} must be >= 1")
+    if cfg.k > n:
+        raise InvalidParameterError(
+            f"k={cfg.k} exceeds the network's {n} nodes; sampling would never terminate")
+    np.empty(n)
+
+
 def sweep_gain(base: GainExperiment, axis: str, values, seed) -> SweepResult:
     """One gain estimate per axis value, all derived from a single master seed.
 
-    Point j runs on stream id offset j, so a one-point sweep reproduces a
-    plain estimate_split_gain call bit for bit.
+    Every point is checked before the first one runs, so a refused point
+    costs no estimate.  Point j runs on stream id offset j, so a one-point
+    sweep reproduces a plain estimate_split_gain call bit for bit.
     """
     vals = sweep_values(axis, list(values))
     if not vals:
         raise InvalidParameterError("sweep needs at least one axis value")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise InvalidParameterError("axis values must be strictly increasing")
+    configs = [_apply_axis(base, axis, value) for value in vals]
+    for cfg in configs:
+        _check_point(cfg)
     master = as_stream(seed)
     points = []
-    for j, value in enumerate(vals):
-        cfg = _apply_axis(base, axis, value)
+    for j, (value, cfg) in enumerate(zip(vals, configs)):
         est = estimate_split_gain(
             cfg.weight_distribution(), cfg.f, cfg.k, SplitSpec.equal(cfg.node, cfg.split_r),
             cfg.n_runs, sweep_stream(master, j), coupled=cfg.coupled,

@@ -97,39 +97,52 @@ def threshold_stream(rng: RngStream, t: int) -> RngStream:
 
 class AliasTable:
     """Vose alias table over a fixed probability vector, built with no per-node
-    loop in passes of _ALIAS_PASS lights: only the heavies' excess spans N."""
+    loop in passes of _ALIAS_PASS lights: only the heavies' excess spans N.
+
+    Lights (scaled mass below 1) and heavies are taken in descending index
+    order, as Vose's loop pops them; E is the heavies' running excess and D
+    the lights' running deficit, both carried as hi + lo so the cut points are
+    exact.  Heavy j is cut by the first light i with D_i > E_j, to
+    1 - (D_i - E_j), and aliases heavy j + 1; light i aliases the first heavy
+    with E_j >= D_(i-1).  Each pass finds both pairings with one search: the
+    heavies it reaches, E_j below its last D, searched in its D.
+    """
 
     def __init__(self, probs: np.ndarray):
         n = int(probs.size)
         self.size, self.prob = n, np.asarray(probs, dtype=float) * n
         scaled, index = self.prob, np.int32 if n < 2**31 else np.int64
-        light = np.flatnonzero(scaled < 1.0).astype(index)[::-1]  # Vose's loop pops both
-        heavy = np.flatnonzero(scaled >= 1.0).astype(index)[::-1]  # in descending index order
+        light = np.flatnonzero(scaled < 1.0)[::-1].astype(index)
+        heavy = np.flatnonzero(scaled >= 1.0)[::-1].astype(index)
         e_hi, e_lo = _prefix_sums(scaled[heavy] - 1.0)  # running excess E
         e, cuts = e_hi + e_lo, heavy.size - 1  # heavy j but the last can be cut
-        scaled[heavy] = 1.0
         self.alias = np.arange(n, dtype=np.int64)
         carry, c0 = (0.0, 0.0), 0
         for a in range(0, light.size, _ALIAS_PASS):
-            lights = light[a:a + _ALIAS_PASS]
+            lights = light[a:a + _ALIAS_PASS].astype(np.intp)  # intp indexes fastest
             d_hi, d_lo = _prefix_sums(1.0 - scaled[lights], carry)  # running deficit D
-            carry = d_hi[-1], d_lo[-1]
-            # c[i + 1] counts the heavies j with E_j < D_i, and c[0] the last pass's
-            c = np.concatenate(([c0], np.searchsorted(e, d_hi + d_lo, side="left")))
-            # light i takes the first heavy with E_j >= D_(i-1), c[i]; the donors
-            # grow, so the fed lights are a prefix
-            m = int(np.searchsorted(c[:-1], heavy.size))
-            self.alias[lights[:m]] = heavy[c[:m]]
-            scaled[lights[m:]] = 1.0
-            # heavy j in [c[0], c[-1]): light i = #{c[1:] <= j}, the first with
-            # D_i > E_j, cuts it to 1 - (D_i - E_j) and aliases heavy j + 1
-            first, c0 = c0, int(c[-1])
-            for j0 in range(first, min(c0, cuts), _ALIAS_PASS):
-                j = slice(j0, min(j0 + _ALIAS_PASS, c0, cuts))
-                i = np.searchsorted(c[1:], np.arange(j.start, j.stop), side="right")
+            carry, d = (d_hi[-1], d_lo[-1]), d_hi + d_lo  # never falls: each light adds >= 2**-53
+            # the pass reaches heavies [c0, c1), those with E_j < D_last: light
+            # i = #{D <= E_j} cuts heavy j, and light i takes heavy c[i] = c0 +
+            # #{reached heavies cut before light i}
+            c1 = int(np.searchsorted(e, d[-1], side="left"))
+            c = np.zeros(lights.size, np.int64)
+            c[0] = c0
+            for j0 in range(c0, c1, _ALIAS_PASS):
+                j1 = min(j0 + _ALIAS_PASS, c1)
+                i = np.searchsorted(d, e[j0:j1], side="right")
+                c[1:] += np.bincount(i, minlength=lights.size)[:-1]
+                j, i = slice(j0, min(j1, cuts)), i[:cuts - j0]
                 cut = 1.0 - ((d_hi[i] - e_hi[j]) + (d_lo[i] - e_lo[j]))  # hi - hi exact
-                scaled[heavy[j]] = np.clip(cut, 0.0, 1.0, out=cut)  # exact ties give about -4e-16
-                self.alias[heavy[j]] = heavy[j.start + 1:j.stop + 1]
+                h = heavy[j.start:j.stop + 1].astype(np.intp)  # heavy j and j + 1
+                scaled[h[:-1]] = np.clip(cut, 0.0, 1.0, out=cut)  # exact ties give about -4e-16
+                self.alias[h[:-1]] = h[1:]
+            np.cumsum(c, out=c)  # the donors grow, so the fed lights are a prefix
+            m = int(np.searchsorted(c, heavy.size))
+            self.alias[lights[:m]] = heavy[c[:m]].astype(np.intp)
+            scaled[lights[m:]] = 1.0
+            c0 = c1
+        scaled[heavy[min(c0, cuts):]] = 1.0  # the last heavy and those no light reached
 
     def draw(self, gen: np.random.Generator, shape) -> np.ndarray:
         """Array of draws using one uniform each: its integer part picks the

@@ -23,16 +23,44 @@ import numpy as np
 from .errors import InvalidParameterError, UnsupportedConfigurationError
 
 NORM_TOL = 1e-12
+_FSUM_MIN = 2048  # shorter vectors go to math.fsum, which is faster there
+_FSUM_SLICE = 1 << 16  # values per extraction slice: bounds its temporaries
 
 
 def _fsum(values) -> float:
-    """Exactly rounded sum of a 1-d vector; keeps Zipf tails from losing mass.
+    """Exactly rounded sum of a 1-d vector, with the bits of `math.fsum` over
+    a list of its values; keeps Zipf tails from losing mass.
 
-    `math.fsum` iterates the float64 buffer itself, so no list of Python
-    floats is built; it sees the values a list of them would hold, so the
-    sum has the same bits.
+    From _FSUM_MIN values on it sums by error-free extraction (Rump, Ogita
+    and Oishi, "Accurate floating-point summation part I", SIAM J. Sci.
+    Comput. 31(1), 2008): in a slice of n values below 2**e in magnitude,
+    sigma = 2**(e + bit_length(n)) splits x exactly into q = (x + sigma) -
+    sigma and x - q.  The q are multiples of ulp(sigma) / 2 that sum below
+    sigma, so numpy sums them exactly; the remainders go round again, and
+    `math.fsum` rounds the partial sums once.  `math.fsum` itself sums short
+    vectors, those with a non-finite value or large enough to overflow, and
+    zero totals, whose sign it decides.
     """
-    return math.fsum(memoryview(np.ascontiguousarray(values, dtype=float)))
+    x = np.ascontiguousarray(values, dtype=float)
+    if x.size < _FSUM_MIN:
+        return math.fsum(memoryview(x))
+    limit, parts = 2.0 ** 1000 / x.size, []
+    for start in range(0, x.size, _FSUM_SLICE):
+        r = x[start:start + _FSUM_SLICE].copy()
+        q, width = np.empty_like(r), r.size.bit_length()
+        while True:
+            top = float(np.max(np.abs(r, out=q)))
+            if not top <= limit:  # NaN, inf or too large
+                return math.fsum(memoryview(x))
+            if top == 0.0:
+                break
+            sigma = math.ldexp(1.0, math.frexp(top)[1] + width)
+            np.add(r, sigma, out=q)
+            q -= sigma
+            parts.append(float(np.sum(q)))
+            r -= q
+    total = math.fsum(parts)
+    return total if total != 0.0 else math.fsum(memoryview(x))
 
 
 def _masses(values, what: str) -> np.ndarray:

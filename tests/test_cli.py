@@ -310,6 +310,24 @@ class TestSweep:
         assert rc == 2
         assert "takes whole numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, code, message", [
+        # 10^15 float64 weights are 7.1 PiB: refused before the N = 100 point runs
+        (["--axis", "network_size", "--axis-values", "100,1e15", "--k", "2",
+          "--n-runs", "10"], 3, "error (resource limit): out of memory: "),
+        (["--axis", "sample_k", "--axis-values", "2,5000", "--n", "1000",
+          "--n-runs", "200000"], 2, "k=5000 exceeds the network's 1000 nodes"),
+    ], ids=["network-past-memory", "k-past-network"])
+    def test_later_point_refused_before_any_estimate(self, argv, code, message, capsys,
+                                                     monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("estimated a point of a refused sweep")
+
+        monkeypatch.setattr(fairness, "estimate_split_gain", unreachable)
+        assert main(["sweep"] + argv) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_count_axis_accepts_integral_spellings(self, capsys):
         args = ["sweep", "--axis", "network_size", "--n-runs", "50", "--seed", "3"]
         assert main(args + ["--axis-values", "1e2,2.0e2"]) == 0
@@ -484,13 +502,15 @@ class TestConsoleScript:
         assert proc.stdout.strip() == "False"
 
     def test_exact_paths_leave_scipy_unloaded(self):
-        # the exact engine is numpy only; a fresh interpreter shows what it loads
+        # the exact engine is numpy only, without its random module, and runs
+        # in one process; a fresh interpreter shows what it loads
         code = "\n".join([
             "import sys",
             "from greedyvote.cli import main",
             "assert main(['power', '--n', '8', '--k', '4', '--epsilon', '1e-9']) == 0",
             "assert main(['exact', '--n', '14', '--k', '10', '--dist', 'u']) == 0",
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])",
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith(('numpy.random', 'multiprocessing'))])",
         ])
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

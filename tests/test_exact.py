@@ -331,9 +331,11 @@ class TestVotingPowerK2:
         total = math.fsum(voting_power_k2(p, i) for i in range(6))
         assert total == pytest.approx(1.0, abs=1e-9)
 
-    def test_probability_one_node_rejected(self):
+    def test_k_beyond_a_one_node_support_rejected(self):
+        # k = 2 needs two nodes of positive mass; the probability-1 rule is
+        # the next test's
         p = SamplingDistribution.from_probs([1.0, 0.0])
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="exceeds support size"):
             voting_power_k2(p, 0)
 
     def test_probability_one_node_inside_a_wider_support_rejected(self):

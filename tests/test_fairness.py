@@ -268,6 +268,23 @@ class TestSweepGain:
         with pytest.raises(InvalidParameterError, match=f"sweep axis {axis} takes whole numbers"):
             sweep_gain(GainExperiment(n_nodes=60, k=3, n_runs=10), axis, values, seed=0)
 
+    @pytest.mark.parametrize("axis, values, node, error, message", [
+        ("sample_k", [2, 70], 0, InvalidParameterError, "k=70 exceeds the network's 60 nodes"),
+        ("sample_k", [2, 3], 70, InvalidParameterError, "split node 70 out of range for 60"),
+        ("zipf_s", [1.0, float("inf")], 0, InvalidParameterError,
+         "Zipf exponent s must be finite"),
+        ("network_size", [60, 10**15], 0, MemoryError, "PiB"),  # 7.1 PiB of weights
+    ], ids=["k", "split-node", "zipf-s", "network-size"])
+    def test_later_point_refused_before_any_estimate(self, axis, values, node, error, message,
+                                                     monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("estimated a point of a refused sweep")
+
+        monkeypatch.setattr(fairness, "estimate_split_gain", unreachable)
+        base = GainExperiment(n_nodes=60, k=3, node=node, n_runs=10)
+        with pytest.raises(error, match=message):
+            sweep_gain(base, axis, values, seed=0)
+
     def test_rows_carry_the_values_that_ran(self):
         base = GainExperiment(zipf_s=1.0, n_nodes=60, k=3, n_runs=100)
         sweep = sweep_gain(base, "sample_k", [2.0, 4.0], seed=12)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greedyvote import weights
 from greedyvote.errors import InvalidParameterError, UnsupportedConfigurationError
 from greedyvote.weights import (
     CONSTANT_ONE,
@@ -35,6 +36,33 @@ _finite = st.one_of(
 )
 
 
+# finite values below the extraction's limit of 2**1000 / 200, of both signs,
+# with subnormals and signed zeros
+_extractable = st.one_of(
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-320, 290)),
+    st.floats(-1e-306, 1e-306),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+)
+# values that send a vector to math.fsum: above that limit, up to the largest
+# float64, and the non-finite ones
+_wild = st.one_of(
+    st.builds(lambda m, e: m * 2.0 ** e, st.floats(-1.0, 1.0), st.integers(990, 1023)),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+)
+
+
+def _assert_list_fsum_bits(x):
+    """_fsum(x) has the bits of math.fsum over a list of x, or raises as it does."""
+    try:
+        want = math.fsum(x.tolist())
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            _fsum(x)
+    else:
+        assert np.float64(_fsum(x)).tobytes() == np.float64(want).tobytes()
+
+
 class TestFsum:
     @given(st.one_of(
         st.lists(_finite, max_size=80).map(np.array),
@@ -46,6 +74,29 @@ class TestFsum:
     def test_fsum_matches_list_fsum_bit_for_bit(self, x):
         # the sign of a zero sum included
         assert np.float64(_fsum(x)).tobytes() == np.float64(math.fsum(x.tolist())).tobytes()
+
+    @given(st.one_of(
+        st.lists(_extractable, max_size=200),
+        st.lists(st.one_of(_extractable, _extractable, _extractable, _wild), max_size=200),
+        st.lists(st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.0, -0.0]), max_size=200),  # zero sums
+        st.lists(st.floats(-2.0, -1.0), max_size=200),  # one sign and size: the largest sums
+    ).map(np.array))
+    @settings(max_examples=500, deadline=None)
+    def test_extraction_matches_list_fsum_bit_for_bit(self, x):
+        # extraction from 4 values on, in slices of 16: many slices and rounds
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weights, "_FSUM_MIN", 4)
+            mp.setattr(weights, "_FSUM_SLICE", 16)
+            _assert_list_fsum_bits(x)
+
+    def test_sweep_wide_sums_match_list_fsum_bit_for_bit(self):
+        # the raw Zipf 0.8 stakes at N = 10^6 and the power:0.5 image of their
+        # weights, which sweep-wide normalizes
+        raw = np.arange(1, 1_000_001, dtype=float) ** -0.8
+        image = WeightFunction.parse("power:0.5").apply(WeightDistribution.from_raw(raw).weights)
+        for x in (raw, image, -image[::-1]):
+            assert x.size >= 8 * weights._FSUM_SLICE
+            _assert_list_fsum_bits(x)
 
 
 class TestZipfWeights:
