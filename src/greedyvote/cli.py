@@ -249,22 +249,18 @@ def _cmd_exact(cfg: ExperimentConfig) -> int:
     w, p = _network(cfg)
     dist = cfg["dist"]
     if dist == "v":
-        d = exact.exact_v_distribution(p, cfg["k"], cfg["v_max"])
-        header, rows = ("v", "prob"), [(v, d.probs[v]) for v in sorted(d.probs)]
+        law = exact.exact_v_distribution(p, cfg["k"], cfg["v_max"])
     elif dist == "joint":
-        node0 = _node_index(cfg, w.size)
-        d = exact.exact_joint_distribution(p, cfg["k"], node0, cfg["v_max"])
-        header = ("ell", "v", "prob")
-        rows = [(ell, v, d.probs[(ell, v)])
-                for (ell, v) in sorted(d.probs, key=lambda key: (key[1], key[0]))]
+        law = exact.exact_joint_distribution(p, cfg["k"], _node_index(cfg, w.size), cfg["v_max"])
     elif dist == "u":
-        d = exact.exact_u_distribution(p, cfg["k"])
-        header, rows = ("u", "prob"), [(u + 1, d.probs[u]) for u in range(d.probs.size)]
+        law = exact.exact_u_distribution(p, cfg["k"])
     else:
         raise InvalidParameterError(f"unknown dist {dist!r}; expected v, joint or u")
-    _emit_csv(cfg["output"], header, rows, cfg)
-    if cfg["output"] is not None and dist != "u":
-        print(f"residual={d.residual:.17g}")
+    # the law's cells come in output order
+    columns = [column.tolist() for column in (*law.index, law.probs)]
+    _emit_csv(cfg["output"], (*law.names, "prob"), zip(*columns), cfg)
+    if cfg["output"] is not None and law.residual is not None:
+        print(f"residual={law.residual:.17g}")
     return 0
 
 

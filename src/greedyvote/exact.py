@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,55 +23,30 @@ from .errors import InvalidParameterError, ResourceLimitError
 from .weights import SamplingDistribution, SplitSpec, _check_k, _check_node, _fsum
 
 # cell budget of every exact request, checked before any table is allocated: the draw
-# pass charges nodes x rows (k) x draw counts^2 plus 512 an output cell (a dict entry and
-# a CSV row, some 4 us), voting power nodes x k x grid points; seconds at the limit.
+# pass charges nodes x rows (k) x draw counts^2 plus 512 an output cell (the CSV row it
+# becomes, some 4.6 us), voting power nodes x k x grid points; seconds at the limit.
 MAX_CELLS = 1 << 28
 
 # weights alive at once in the draw pass: 2 MB an array at any number of draw counts
 _BLOCK = 1 << 18
 
 
-# ---------------------------------------------------------------------------
-# distribution records
-# ---------------------------------------------------------------------------
+class Law(NamedTuple):
+    """An exact law with its cells in output order: one integer array per index
+    column in `names` (v; ell, v; or u), the probabilities, and the mass past
+    v_max (None for the distinct-count law, which is not truncated)."""
+
+    names: tuple
+    index: tuple
+    probs: np.ndarray
+    residual: float | None
 
 
-@dataclass(eq=False)
-class _TruncatedLaw:
-    """Probabilities over a truncated support plus the tail mass beyond it."""
-
-    probs: dict
-    k: int
-    v_max: int
-    residual: float = field(init=False)
-
-    def __post_init__(self):
-        residual = 1.0 - _fsum(list(self.probs.values()))
-        if residual < -1e-9:
-            raise AssertionError(f"negative residual {residual}")
-        self.residual = max(0.0, residual)
-
-
-class VDistribution(_TruncatedLaw):
-    """Truncated law of the total number of draws, plus the tail mass."""
-
-
-@dataclass(eq=False)
-class JointDistribution(_TruncatedLaw):
-    """Truncated joint law of (occurrences of one node, total draws)."""
-
-    node: int
-
-
-@dataclass(eq=False)
-class UDistribution:
-    """Law of the number of distinct nodes seen in exactly k draws."""
-
-    probs: np.ndarray  # index u-1 holds P(u distinct), u = 1..k
-
-    def __post_init__(self):
-        if abs(_fsum(self.probs) - 1.0) > 1e-10:
-            raise AssertionError("distinct-count probabilities must sum to 1")
+def _truncated(names: tuple, index: tuple, probs: np.ndarray) -> Law:
+    residual = 1.0 - _fsum(probs)
+    if residual < -1e-9:
+        raise AssertionError(f"negative residual {residual}")
+    return Law(names, index, probs, max(0.0, residual))
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +151,17 @@ def _check_law_args(p: SamplingDistribution, k, v_max) -> tuple:
     return k, v_max
 
 
-def exact_v_distribution(p: SamplingDistribution, k: int, v_max: int) -> VDistribution:
+def exact_v_distribution(p: SamplingDistribution, k: int, v_max: int) -> Law:
     """P(total draws = v) for v = k..v_max; the exact zeros past the last
     draw count of `_draw_count` are left out."""
     k, v_max = _check_law_args(p, k, v_max)
     draws = _draw_count(p.probs, k, v_max)
     table, x = _draw_pass(p.probs, k, draws, draws - k + 1)
     law = np.ldexp(table[1, k - 1, k - 1:], x[k - 1:])
-    return VDistribution(probs=dict(zip(range(k, draws + 1), law.tolist())), k=k, v_max=v_max)
+    return _truncated(("v",), (np.arange(k, draws + 1),), law)
 
 
-def exact_joint_distribution(p: SamplingDistribution, k: int, i: int,
-                             v_max: int) -> JointDistribution:
+def exact_joint_distribution(p: SamplingDistribution, k: int, i: int, v_max: int) -> Law:
     """Joint law of (occurrences ell of node i, total draws v), truncated at v_max.
 
     With E', M' the pass over the other nodes: a run that misses i stops at a
@@ -198,7 +172,8 @@ def exact_joint_distribution(p: SamplingDistribution, k: int, i: int,
                                              + [ell = 1] p_i E'[k-1, v-1].
 
     Cells are formed up to `_draw_count` and where a run can stop (ell <= v -
-    k + 1, for k = 2 only ell in {0, 1, v - 1}); exact zeros are dropped.
+    k + 1, for k = 2 only ell in {0, 1, v - 1}), in (v, ell) order; exact
+    zeros are dropped.
     """
     k, v_max = _check_law_args(p, k, v_max)
     i = _check_node(p, i)
@@ -209,9 +184,10 @@ def exact_joint_distribution(p: SamplingDistribution, k: int, i: int,
     if k > 2:  # ell <= v - k + 1
         v, ell = np.nonzero(np.tri(span, span + 1, 1, dtype=bool))
         v += k
-    else:  # ell in {v - 1, 0, 1}: the first two agree at v = k, so one goes
-        v, ell = np.repeat(np.arange(k, v_top + 1), 3)[1:], np.tile([-1, 0, 1], span)[1:]
+    else:  # ell in {0, 1, v - 1}: the last repeats one of the others at v = k, so it goes
+        v, ell = np.repeat(np.arange(k, v_top + 1), 3), np.tile([0, 1, -1], span)
         ell = np.where(ell < 0, v - 1, ell)
+        v, ell = np.delete(v, 2), np.delete(ell, 2)
     d, e = v - 1, v - 1 - ell  # e: draws on the others before the last; -1 only at k = 1
     _, cm, ce = _binomials(*_rounded([1, *range(1, v_top + 1)]), d, e)
     pm, pe = _powers(p_i, v_top + 1)
@@ -220,17 +196,19 @@ def exact_joint_distribution(p: SamplingDistribution, k: int, i: int,
                      np.ldexp(cm * pm[ell] * below, ce + pe[ell] + x[e]))
     probs += (ell == 1) * p_i * np.ldexp(table[0, k - 1, d], x[d])
     keep = probs != 0.0
-    out = dict(zip(zip(ell[keep].tolist(), v[keep].tolist()), probs[keep].tolist()))
-    return JointDistribution(probs=out, node=i, k=k, v_max=v_max)
+    return _truncated(("ell", "v"), (ell[keep], v[keep]), probs[keep])
 
 
-def exact_u_distribution(p: SamplingDistribution, k: int) -> UDistribution:
+def exact_u_distribution(p: SamplingDistribution, k: int) -> Law:
     """P(u distinct nodes in exactly k draws with replacement), u = 1..k: E[u, k]."""
     k = int(k)
     if k < 1:
         raise InvalidParameterError(f"k={k} must be >= 1")
     table, x = _draw_pass(p.probs, k + 1, k + 1, k)
-    return UDistribution(probs=np.ldexp(table[0, 1:, k], x[k]))
+    probs = np.ldexp(table[0, 1:, k], x[k])
+    if abs(_fsum(probs) - 1.0) > 1e-10:
+        raise AssertionError("distinct-count probabilities must sum to 1")
+    return Law(("u",), (np.arange(1, k + 1),), probs, None)
 
 
 # ---------------------------------------------------------------------------

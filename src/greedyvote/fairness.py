@@ -60,9 +60,10 @@ class SweepResult:
 
 
 def _chunks(n_runs: int, rng: RngStream) -> list:
-    """The chunk plan: (stream, run count) per fixed-size chunk, in order."""
-    if n_runs < 1:
-        raise InvalidParameterError("n_runs must be >= 1")
+    """The chunk plan: (stream, run count) per fixed-size chunk, in order.
+    One run has no sample variance, so it would claim a zero-width interval."""
+    if n_runs < 2:
+        raise InvalidParameterError("n_runs must be >= 2: one run gives no standard error")
     return [(chunk_stream(rng, ci), min(CHUNK_RUNS, n_runs - start))
             for ci, start in enumerate(range(0, n_runs, CHUNK_RUNS))]
 
@@ -81,11 +82,7 @@ def _per_run(p: SamplingDistribution, k: int, chunks: list, track, split=None) -
 def _summarize(values: np.ndarray, rng: RngStream) -> GainEstimate:
     n = int(values.size)
     mean = float(values.sum() / n)
-    if n > 1:
-        var = float(np.sum((values - mean) ** 2) / (n - 1))
-        se = (var / n) ** 0.5
-    else:
-        se = 0.0
+    se = (float(np.sum((values - mean) ** 2) / (n - 1)) / n) ** 0.5
     retained = values
     if n > RETAINED_CAP:
         keep = retained_stream(rng).generator.choice(n, RETAINED_CAP, replace=False)

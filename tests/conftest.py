@@ -1,13 +1,23 @@
+import numpy as np
 import pytest
 from scipy.stats import chi2
 
 
-def chisquare_gof_pvalue(observed: dict, expected_probs: dict, n_runs: int,
+def chisquare_gof_pvalue(observed: dict, index: tuple, probs: np.ndarray, n_runs: int,
                          residual: float = 0.0, min_expected: float = 5.0) -> float:
-    """Goodness-of-fit p-value, pooling low-expectation bins into a tail bin."""
-    keys = sorted(expected_probs)
-    exp = [n_runs * expected_probs[key] for key in keys]
-    obs = [float(observed.get(key, 0)) for key in keys]
+    """Goodness-of-fit p-value of counts keyed v or (ell, v) against a law's
+    index columns and probabilities, pooling low-expectation bins in key order
+    into a tail bin.  Anything but a tuple of index arrays and a probability
+    array of one length is refused: sorted() of an array would sort its
+    values, not its keys, and pool the wrong bins."""
+    if not (isinstance(index, tuple) and index and isinstance(probs, np.ndarray)
+            and all(isinstance(c, np.ndarray) and c.shape == probs.shape for c in index)):
+        raise TypeError("expected a law's index columns and its probability array")
+    columns = [column.tolist() for column in index]
+    keys = columns[0] if len(columns) == 1 else list(zip(*columns))
+    cells = sorted(zip(keys, probs.tolist()))
+    exp = [n_runs * q for _, q in cells]
+    obs = [float(observed.get(key, 0)) for key, _ in cells]
     # everything beyond the modelled support goes into one tail bin
     tail_obs = float(n_runs) - sum(obs)
     tail_exp = n_runs * residual

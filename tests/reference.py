@@ -16,7 +16,8 @@ is the package's one sampling path.  Here it meets a second, per-draw one:
   chunk's pre-split runs and then its post-split runs, with both networks'
   tables alive, where `estimate_split_gain` runs the two networks in turn;
 - `enumeration_oracle` walks every short draw sequence, the brute-force
-  ground truth of the exact engine;
+  ground truth of the exact engine, and `cells` keys a law's probabilities
+  by their index for comparisons across supports;
 - `voting_power_subsets` and `stop_law_subsets` are voting power and the
   draw-count law as signed sums over node subsets, the way the exact engine
   computed them before its sums of positive terms.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from greedyvote.errors import ResourceLimitError, SamplingError
-from greedyvote.exact import JointDistribution, VDistribution, _check_law_args
+from greedyvote.exact import Law, _check_law_args, _truncated
 from greedyvote.fairness import CHUNK_RUNS, GainEstimate, _summarize
 from greedyvote.sampler import (
     AliasTable,
@@ -430,9 +431,22 @@ def enumeration_oracle(p: SamplingDistribution, k: int, v_max: int):
                 counts[a] -= 1
 
     walk(0, 0, 1.0)
-    v_dist = VDistribution(probs=v_probs, k=k, v_max=v_max)
-    joints = {u: JointDistribution(probs=joint[u], node=u, k=k, v_max=v_max) for u in range(n)}
-    return v_dist, joints
+    return _law(("v",), v_probs), {u: _law(("ell", "v"), joint[u]) for u in range(n)}
+
+
+def _law(names: tuple, probs: dict) -> Law:
+    """The law record of {key: probability}, its cells in the engine's order:
+    v ascending, and the joint law's (ell, v) keys by v, then ell."""
+    keys = sorted(probs, key=lambda key: key[::-1] if isinstance(key, tuple) else key)
+    index = np.array(keys, dtype=np.int64).reshape(len(keys), len(names)).T
+    return _truncated(names, tuple(index), np.array([probs[key] for key in keys]))
+
+
+def cells(law: Law) -> dict:
+    """A law's probabilities keyed by index: v, (ell, v) or u."""
+    columns = [column.tolist() for column in law.index]
+    keys = columns[0] if len(columns) == 1 else zip(*columns)
+    return dict(zip(keys, law.probs.tolist()))
 
 
 # ---------------------------------------------------------------------------

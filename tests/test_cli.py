@@ -407,6 +407,20 @@ class TestSampleAndPower:
         mean, se = float(rows[0][1]), float(rows[0][2])
         assert abs(mean - 0.650948) <= 4 * se
 
+    @pytest.mark.parametrize("argv", [
+        ["power", "--n", "5", "--k", "2"],
+        ["gain", "--n", "5", "--k", "2"],
+        ["sweep", "--axis", "network_size", "--axis-values", "5,10", "--k", "2"],
+    ], ids=["power", "gain", "sweep"])
+    def test_one_run_refused_before_any_draw(self, argv, monkeypatch, capsys):
+        # a single run has no standard error: it would print a zero-width interval
+        def unreachable(*args, **kwargs):
+            raise AssertionError("drew runs for a refused estimate")
+
+        monkeypatch.setattr(fairness, "greedy_runs", unreachable)
+        assert main(argv + ["--n-runs", "1"]) == 2
+        assert "n_runs must be >= 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("subcommand", ["power", "exact"])
     def test_weights_summing_past_float64_refused(self, subcommand, capsys):
         assert main([subcommand, "--weights", "1e308,1e308", "--k", "2"]) == 2

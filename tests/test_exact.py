@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import chisquare_gof_pvalue
 from greedyvote import exact
 from greedyvote.errors import (
     InvalidParameterError,
@@ -36,6 +37,7 @@ from greedyvote.weights import (
 from reference import (
     ORACLE_MAX_NODES,
     ORACLE_MAX_VMAX,
+    cells,
     enumeration_oracle,
     stop_law_subsets,
     voting_power_subsets,
@@ -51,28 +53,31 @@ class TestVDistribution:
     def test_geometric_case(self):
         p = SamplingDistribution.from_probs([0.5, 0.5])
         d = exact_v_distribution(p, 2, 12)
-        for v in range(2, 13):
-            assert d.probs[v] == 0.5 ** (v - 1)
+        assert d.names == ("v",)
+        assert d.index[0].tolist() == list(range(2, 13))
+        assert d.probs.tolist() == [0.5 ** (v - 1) for v in range(2, 13)]
         assert d.residual == 0.5 ** 11
 
     def test_k1_single_draw(self):
         p = SamplingDistribution.from_probs([0.3, 0.7])
         d = exact_v_distribution(p, 1, 5)
-        assert d.probs[1] == pytest.approx(1.0, abs=1e-15)
+        assert d.index[0].tolist() == [1]
+        assert d.probs[0] == pytest.approx(1.0, abs=1e-15)
         assert d.residual == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_enumeration_oracle(self):
         p = SamplingDistribution.from_probs([0.7, 0.2, 0.1])
-        d = exact_v_distribution(p, 3, 16)
+        d = cells(exact_v_distribution(p, 3, 16))
         oracle_v, _ = enumeration_oracle(p, 3, 10)
+        oracle_v = cells(oracle_v)
         for v in range(3, 11):
-            assert d.probs[v] == pytest.approx(oracle_v.probs.get(v, 0.0), abs=1e-12)
+            assert d[v] == pytest.approx(oracle_v.get(v, 0.0), abs=1e-12)
 
     def test_dimension_guards_name_offender(self):
         # N=60, k=8 is one pass of 60 x 8 x 8^2 cells: eight distinct draws of eight
         uniform60 = SamplingDistribution.from_probs([1.0 / 60] * 60)
         d = exact_v_distribution(uniform60, 8, 8)
-        assert d.probs[8] == pytest.approx(math.perm(60, 8) / 60 ** 8, rel=1e-14)
+        assert d.probs[0] == pytest.approx(math.perm(60, 8) / 60 ** 8, rel=1e-14)
         # at k=30 all 1000 draw counts carry mass: 1.8e9 cells, refused before any allocation
         tracemalloc.start()
         try:
@@ -92,7 +97,7 @@ class TestVDistribution:
         d = exact_v_distribution(p, 5, 2000)
         assert d.residual == pytest.approx(0.0, abs=1e-14)
         q = SamplingDistribution.from_probs([1.0 / 8] * 8)
-        assert exact_v_distribution(q, 7, 10).probs[7] > 0.0
+        assert exact_v_distribution(q, 7, 10).probs[0] > 0.0
 
     def test_k_beyond_support_rejected(self):
         p = SamplingDistribution.from_probs([1.0, 0.0])
@@ -105,33 +110,28 @@ class TestJointDistribution:
         # brute force over sequences of length <= 3: {12, 21} and {112, 221}
         p = SamplingDistribution.from_probs([0.5, 0.5])
         d = exact_joint_distribution(p, 2, 0, 12)
-        assert d.probs[(1, 2)] == pytest.approx(0.5, abs=1e-15)
-        assert d.probs[(2, 3)] == pytest.approx(0.125, abs=1e-15)
-        assert d.probs[(1, 3)] == pytest.approx(0.125, abs=1e-15)
+        assert d.names == ("ell", "v")
+        d = cells(d)
+        assert d[(1, 2)] == pytest.approx(0.5, abs=1e-15)
+        assert d[(2, 3)] == pytest.approx(0.125, abs=1e-15)
+        assert d[(1, 3)] == pytest.approx(0.125, abs=1e-15)
 
     def test_matches_enumeration_oracle(self):
         p = SamplingDistribution.from_probs([0.6, 0.4])
         _, oracle_joint = enumeration_oracle(p, 2, 10)
         for i in (0, 1):
-            d = exact_joint_distribution(p, 2, i, 10)
-            keys = set(d.probs) | set(oracle_joint[i].probs)
-            for key in keys:
-                assert d.probs.get(key, 0.0) == pytest.approx(
-                    oracle_joint[i].probs.get(key, 0.0), abs=1e-12
-                )
+            d, oracle = cells(exact_joint_distribution(p, 2, i, 10)), cells(oracle_joint[i])
+            for key in set(d) | set(oracle):
+                assert d.get(key, 0.0) == pytest.approx(oracle.get(key, 0.0), abs=1e-12)
 
     def test_marginal_reproduces_v_distribution(self):
         gen = np.random.Generator(np.random.Philox(key=[11, 0]))
         p = _random_distribution(gen, 4)
         d_v = exact_v_distribution(p, 3, 14)
-        marg = {}
         for i in range(4):
             joint = exact_joint_distribution(p, 3, i, 14)
-            if i == 0:
-                for (_, v), q in joint.probs.items():
-                    marg[v] = marg.get(v, 0.0) + q
-        for v, q in d_v.probs.items():
-            assert marg.get(v, 0.0) == pytest.approx(q, abs=1e-12)
+            marg = np.bincount(joint.index[1], weights=joint.probs, minlength=15)
+            assert np.abs(marg[d_v.index[0]] - d_v.probs).max() <= 1e-12
 
     def test_occurrences_sum_to_draw_count(self):
         # sum_i E[A(i)] must equal E[v] on the shared truncation
@@ -142,8 +142,8 @@ class TestJointDistribution:
         lhs = 0.0
         for i in range(4):
             joint = exact_joint_distribution(p, 3, i, v_max)
-            lhs += math.fsum(ell * q for (ell, _), q in joint.probs.items())
-        rhs = math.fsum(v * q for v, q in d_v.probs.items())
+            lhs += math.fsum((joint.index[0] * joint.probs).tolist())
+        rhs = math.fsum((d_v.index[0] * d_v.probs).tolist())
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_support_property(self):
@@ -151,10 +151,9 @@ class TestJointDistribution:
         for k in (2, 3):
             p = _random_distribution(gen, 4)
             joint = exact_joint_distribution(p, k, 1, 12)
-            for (ell, v), q in joint.probs.items():
-                if ell >= 1:
-                    assert v >= ell + k - 1
-                assert q >= 0.0
+            ell, v = joint.index
+            assert (v[ell >= 1] >= ell[ell >= 1] + k - 1).all()
+            assert (joint.probs >= 0.0).all()
 
     def test_emits_exactly_the_feasible_support(self):
         # the oracle walks every sequence, so its keys are the cells of positive mass
@@ -164,17 +163,17 @@ class TestJointDistribution:
                 _, oracle_joint = enumeration_oracle(p, k, 9)
                 for i in range(p.size):
                     joint = exact_joint_distribution(p, k, i, 9)
-                    assert set(joint.probs) == set(oracle_joint[i].probs)
+                    assert set(cells(joint)) == set(cells(oracle_joint[i]))
         # with k = N every node is drawn; cancellation must not put mass on ell = 0
         p = SamplingDistribution.from_probs(1.0 / np.arange(1, 6))
         for i in range(5):
-            assert all(ell >= 1 for ell, _ in exact_joint_distribution(p, 5, i, 20).probs)
+            assert (exact_joint_distribution(p, 5, i, 20).index[0] >= 1).all()
 
     def test_k1_joint(self):
         p = SamplingDistribution.from_probs([0.3, 0.7])
-        joint = exact_joint_distribution(p, 1, 0, 4)
-        assert joint.probs[(1, 1)] == pytest.approx(0.3, abs=1e-15)
-        assert joint.probs[(0, 1)] == pytest.approx(0.7, abs=1e-15)
+        joint = cells(exact_joint_distribution(p, 1, 0, 4))
+        assert joint[(1, 1)] == pytest.approx(0.3, abs=1e-15)
+        assert joint[(0, 1)] == pytest.approx(0.7, abs=1e-15)
 
     def test_k1_joint_at_a_million_draws(self):
         # a k = 1 run stops at draw 1, so nothing is sized to v_max
@@ -185,7 +184,7 @@ class TestJointDistribution:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert joint.probs == {(0, 1): 1.0 - 0.3, (1, 1): 0.3}
+        assert cells(joint) == {(0, 1): 1.0 - 0.3, (1, 1): 0.3}
         assert peak < 32 << 20
 
     def test_node_out_of_range(self):
@@ -203,17 +202,56 @@ class TestJointDistribution:
         gen = np.random.Generator(np.random.Philox(key=[seed, 99]))
         p = _random_distribution(gen, n)
         k = min(k, n)
-        d = exact_v_distribution(p, k, 8)
+        d = cells(exact_v_distribution(p, k, 8))
         oracle_v, oracle_joint = enumeration_oracle(p, k, 8)
-        for v in d.probs:
-            assert d.probs[v] == pytest.approx(oracle_v.probs.get(v, 0.0), abs=1e-12)
+        oracle_v = cells(oracle_v)
+        for v in d:
+            assert d[v] == pytest.approx(oracle_v.get(v, 0.0), abs=1e-12)
         i = seed % n
-        joint = exact_joint_distribution(p, k, i, 8)
-        keys = set(joint.probs) | set(oracle_joint[i].probs)
-        for key in keys:
-            assert joint.probs.get(key, 0.0) == pytest.approx(
-                oracle_joint[i].probs.get(key, 0.0), abs=1e-12
-            )
+        joint, oracle = cells(exact_joint_distribution(p, k, i, 8)), cells(oracle_joint[i])
+        for key in set(joint) | set(oracle):
+            assert joint.get(key, 0.0) == pytest.approx(oracle.get(key, 0.0), abs=1e-12)
+
+
+class TestLawOrder:
+    """The CLI writes a law's cells as they come: the order is the contract."""
+
+    @given(masses=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.0]),
+                                     st.floats(0.001, 10.0)), min_size=1, max_size=8),
+           extra=st.integers(0, 30))
+    @settings(max_examples=30, deadline=None)
+    def test_cells_come_in_output_order(self, masses, extra):
+        assume(any(m > 0 for m in masses))
+        p = SamplingDistribution.from_probs(masses)
+        for k in range(1, p.support_size + 1):
+            v_max = k + extra
+            d = exact_v_distribution(p, k, v_max)
+            v_top = exact._draw_count(p.probs, k, v_max)
+            assert d.index[0].tolist() == list(range(k, v_top + 1))
+            # the oracle walks every sequence of up to 7 draws on up to 5 nodes
+            depth = min(v_max, 7)
+            oracle = enumeration_oracle(p, k, depth)[1] if p.size <= ORACLE_MAX_NODES else None
+            for i in range(p.size):
+                joint = exact_joint_distribution(p, k, i, v_max)
+                ell, v = joint.index
+                assert ((v[1:] > v[:-1]) | ((v[1:] == v[:-1]) & (ell[1:] > ell[:-1]))).all()
+                assert (joint.probs != 0.0).all()
+                if oracle is None:
+                    continue
+                ours, theirs = cells(joint), cells(oracle[i])
+                assert {key for key in ours if key[1] <= depth} == set(theirs)
+                for key, q in theirs.items():
+                    assert ours[key] == pytest.approx(q, abs=1e-12)
+
+    def test_goodness_of_fit_takes_only_law_arrays(self):
+        law = exact_v_distribution(SamplingDistribution.from_probs([0.5, 0.5]), 2, 12)
+        observed = {2: 50, 3: 25, 4: 25}
+        assert 0.0 < chisquare_gof_pvalue(observed, law.index, law.probs, 100) <= 1.0
+        for index, probs in ((law.index[0], law.probs), (law.index, dict(cells(law))),
+                             (law.index, law.probs.tolist()), ((), law.probs),
+                             ((law.index[0][1:],), law.probs)):
+            with pytest.raises(TypeError, match="index columns"):
+                chisquare_gof_pvalue(observed, index, probs, 100)
 
 
 class TestDrawPass:
@@ -237,13 +275,14 @@ class TestDrawPass:
             assert np.abs(m[k - 1, k - 1:] - law[k - 1:]).max() <= 1e-13
             assert np.abs(e.sum(axis=0) - tail).max() <= 1e-13
             d = exact_v_distribution(p, k, draws)
-            assert all(d.probs[v] == m[k - 1, v - 1] for v in d.probs)
+            assert (d.probs == m[k - 1, d.index[0] - 1]).all()
 
 
 class TestUDistribution:
     def test_fair_coin_two_draws(self):
         p = SamplingDistribution.from_probs([0.5, 0.5])
         u = exact_u_distribution(p, 2)
+        assert u.names == ("u",) and u.index[0].tolist() == [1, 2] and u.residual is None
         assert np.allclose(u.probs, [0.5, 0.5], atol=1e-15)
 
     def test_k1(self):
@@ -299,8 +338,8 @@ class TestEnumerationOracle:
     def test_k1_mass_on_single_draws(self):
         p = SamplingDistribution.from_probs([0.4, 0.6])
         v_dist, joints = enumeration_oracle(p, 1, 6)
-        assert v_dist.probs == {1: pytest.approx(1.0, abs=1e-15)}
-        assert joints[0].probs[(1, 1)] == pytest.approx(0.4, abs=1e-15)
+        assert cells(v_dist) == {1: pytest.approx(1.0, abs=1e-15)}
+        assert cells(joints[0])[(1, 1)] == pytest.approx(0.4, abs=1e-15)
 
     def test_guards(self):
         p = SamplingDistribution.from_probs([1.0 / 6] * 6)
@@ -499,7 +538,8 @@ class TestVotingPowerTruncated:
             for i in range(n):
                 value, bound = voting_power_exact(p, k, i, 1e-9)
                 joint = joints[i]
-                truncated = math.fsum((ell / v) * q for (ell, v), q in joint.probs.items())
+                ell, v = joint.index
+                truncated = math.fsum((ell / v * joint.probs).tolist())
                 assert -bound - 1e-12 <= value - truncated <= joint.residual + bound + 1e-12
 
 
@@ -599,10 +639,10 @@ class TestPrecision:
 
     def test_v_law_cells(self):
         mpmath, p, coef, _, subsets = self._setup()
-        d = exact_v_distribution(p, self.K, 24)
+        d = cells(exact_v_distribution(p, self.K, 24))
         for v in (6, 7, 12, 24):
             ref = mpmath.fsum([coef[size] * x ** (v - 1) * (1 - x) for size, x, _ in subsets])
-            assert abs(d.probs[v] - float(ref)) <= 1e-13
+            assert abs(d[v] - float(ref)) <= 1e-13
 
     def test_joint_law_cells(self):
         # the signed sum the joint law was once taken from, with
@@ -610,7 +650,7 @@ class TestPrecision:
         # if i is in S, else [ell = 0] p_S^v:
         # P(ell, v) = (1 - p_i) G(v-1, ell) + p_i G(v-1, ell-1) - G(v, ell)
         mpmath, p, coef, probs, subsets = self._setup()
-        cells = ((0, 6), (1, 6), (1, 7), (2, 9), (3, 12), (0, 24), (1, 24), (10, 24), (19, 24))
+        keys = ((0, 6), (1, 6), (1, 7), (2, 9), (3, 12), (0, 24), (1, 24), (10, 24), (19, 24))
         for i in (0, 1, 13):
             p_i = probs[i]
             inside = [(coef[size], x - p_i) for size, x, subset in subsets if i in subset]
@@ -623,10 +663,10 @@ class TestPrecision:
                     [c * y ** (v - ell) for c, y in inside])
                 return total + (mpmath.fsum([c * x ** v for c, x in outside]) if ell == 0 else 0)
 
-            d = exact_joint_distribution(p, self.K, i, 24)
-            for ell, v in cells:
+            d = cells(exact_joint_distribution(p, self.K, i, 24))
+            for ell, v in keys:
                 ref = (1 - p_i) * g(v - 1, ell) + p_i * g(v - 1, ell - 1) - g(v, ell)
-                assert abs(d.probs[(ell, v)] - float(ref)) <= 1e-13
+                assert abs(d[(ell, v)] - float(ref)) <= 1e-13
 
 
 class TestLawArguments:

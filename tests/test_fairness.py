@@ -75,10 +75,11 @@ class TestEstimateVotingPower:
         g = est.retained_samples
         assert (g >= 0).all() and (g <= 1).all()
 
-    @pytest.mark.parametrize("n_runs", [0, -3])
+    @pytest.mark.parametrize("n_runs", [1, 0, -3])
     def test_needs_a_run(self, n_runs):
         p = SamplingDistribution.from_probs([0.5, 0.5])
-        with pytest.raises(InvalidParameterError, match="n_runs must be >= 1"):
+        with pytest.raises(InvalidParameterError,
+                           match="n_runs must be >= 2: one run gives no standard error"):
             estimate_voting_power(p, 2, 0, n_runs, seed=1)
 
 
@@ -171,7 +172,7 @@ class TestEstimateSplitGain:
 
     @pytest.mark.parametrize("f", ["identity", "power:0.5", "constant-one"])
     @pytest.mark.parametrize("n_runs, fractions", [
-        (1, (0.5, 0.5)),
+        (2, (0.5, 0.5)),  # the fewest runs an estimate takes
         (23_456, (0.5, 0.5)),  # not a multiple of CHUNK_RUNS
         (23_456, (0.5, 0.3, 0.2)),
     ])
@@ -179,7 +180,7 @@ class TestEstimateSplitGain:
                                                                       fractions):
         # all pre-split runs, then all post-split runs on the same chunk
         # streams: each stream goes on where its pre-split runs stopped
-        # a small network, so that even a single run's shares are rarely 0
+        # a small network, so that even two runs' shares are rarely 0
         w = zipf_weights(ZipfParams(0.9, 12))
         f, split = WeightFunction.parse(f), SplitSpec(0, fractions)
         got = estimate_split_gain(w, f, 8, split, n_runs, seed=31, coupled=False)

@@ -170,7 +170,7 @@ class TestRunFpc:
         assert len(draws) == 40 * 12
         p = sampling_distribution(w, IDENTITY)
         law = exact_v_distribution(p, 3, 30)
-        pval = chisquare_gof_pvalue(counts_of(draws), law.probs, len(draws),
+        pval = chisquare_gof_pvalue(counts_of(draws), law.index, law.probs, len(draws),
                                     residual=law.residual)
         assert pval > 0.01
 

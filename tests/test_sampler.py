@@ -310,7 +310,7 @@ class TestGreedySample:
         observed = counts_of(
             greedy_sample(p, 2, rng).total_draws for _ in range(100_000)
         )
-        pval = chisquare_gof_pvalue(observed, d.probs, 100_000, residual=d.residual)
+        pval = chisquare_gof_pvalue(observed, d.index, d.probs, 100_000, residual=d.residual)
         assert pval > 0.01
 
     def test_invariants_across_configurations(self):
@@ -338,7 +338,7 @@ class TestGreedySample:
         for _ in range(100_000):
             s = greedy_sample(p, 3, rng)
             pairs.append((s.counts.get(node, 0), s.total_draws))
-        pval = chisquare_gof_pvalue(counts_of(pairs), law.probs, 100_000,
+        pval = chisquare_gof_pvalue(counts_of(pairs), law.index, law.probs, 100_000,
                                     residual=law.residual)
         assert pval > 0.01
 
@@ -439,7 +439,7 @@ class TestCoupledGreedySample:
             post_v.append(cs.post.total_draws)
         for law_of, sample in ((p, pre_v), (_post_split(p, split), post_v)):
             law = exact_v_distribution(law_of, 2, 80)
-            assert chisquare_gof_pvalue(counts_of(sample), law.probs, n,
+            assert chisquare_gof_pvalue(counts_of(sample), law.index, law.probs, n,
                                         residual=law.residual) > 0.01
 
     def test_non_identity_rejected(self):
@@ -612,7 +612,7 @@ class TestGreedyRuns:
         p = SamplingDistribution.from_probs([0.9, 0.1])
         d = exact_v_distribution(p, 2, 120)
         runs = greedy_runs(p, 2, RngStream(31338), 100_000)
-        pval = chisquare_gof_pvalue(counts_of(runs.v.tolist()), d.probs, 100_000,
+        pval = chisquare_gof_pvalue(counts_of(runs.v.tolist()), d.index, d.probs, 100_000,
                                     residual=d.residual)
         assert pval > 0.01
 
@@ -621,7 +621,7 @@ class TestGreedyRuns:
         p = sampling_distribution(zipf_weights(ZipfParams(1.1, 1000)))
         d = exact_v_distribution(p, 20, 80)
         runs = greedy_runs(p, 20, RngStream(31339), 100_000)
-        pval = chisquare_gof_pvalue(counts_of(runs.v.tolist()), d.probs, 100_000,
+        pval = chisquare_gof_pvalue(counts_of(runs.v.tolist()), d.index, d.probs, 100_000,
                                     residual=d.residual)
         assert pval > 0.01
 
@@ -630,7 +630,7 @@ class TestGreedyRuns:
         law = exact_joint_distribution(p, 3, 0, 24)
         runs = greedy_runs(p, 3, RngStream(90211), 100_000, track=0)
         pairs = zip(runs.y.tolist(), runs.v.tolist())
-        pval = chisquare_gof_pvalue(counts_of(pairs), law.probs, 100_000,
+        pval = chisquare_gof_pvalue(counts_of(pairs), law.index, law.probs, 100_000,
                                     residual=law.residual)
         assert pval > 0.01
 
@@ -643,11 +643,11 @@ class TestGreedyRuns:
         runs = greedy_runs(p, 3, RngStream(4242), 100_000, track=0, split=split)
         joint = exact_joint_distribution(p, 3, 0, 24)
         pairs = zip(runs.y.tolist(), runs.v.tolist())
-        assert chisquare_gof_pvalue(counts_of(pairs), joint.probs, 100_000,
+        assert chisquare_gof_pvalue(counts_of(pairs), joint.index, joint.probs, 100_000,
                                     residual=joint.residual) > 0.01
         post_law = exact_v_distribution(_post_split(p, split), 3, 24)
-        assert chisquare_gof_pvalue(counts_of(runs.v_post.tolist()), post_law.probs,
-                                    100_000, residual=post_law.residual) > 0.01
+        assert chisquare_gof_pvalue(counts_of(runs.v_post.tolist()), post_law.index,
+                                    post_law.probs, 100_000, residual=post_law.residual) > 0.01
 
     def test_matches_scalar_coupled_reference(self):
         # two-sample test of the kernel's (K, L) and draw-count laws against
