@@ -1,6 +1,6 @@
 """greedyvote: voting power and split/merge fairness under greedy weighted sampling.
 
-Subpackages:
+Modules:
 
 * ``weights``  - weight distributions, sampling distributions, splits, Zipf laws
 * ``sampler``  - reproducible greedy sampling and the coupled pre/post-split sampler

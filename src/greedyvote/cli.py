@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import __version__, exact, fairness, fpc, sampler, weights
-from .errors import (
-    GreedyVoteError,
-    InvalidParameterError,
-    ResourceLimitError,
-    UnsupportedConfigurationError,
-)
+from .errors import GreedyVoteError, InvalidParameterError, ResourceLimitError
 
 
 def _parse_floats(text: str):
@@ -187,10 +182,10 @@ def _write(path, text):
 
 def _weights_from_config(cfg: ExperimentConfig) -> weights.WeightDistribution:
     vals = cfg.values
-    if vals.get("weights"):
+    if vals.get("weights") is not None:
         return weights.WeightDistribution.from_raw(_parse_floats(vals["weights"]))
     generator = vals.get("generator", "zipf")
-    if generator == "csv" or vals.get("weights_csv"):
+    if generator == "csv" or vals.get("weights_csv") is not None:
         path = vals.get("weights_csv")
         if not path:
             raise InvalidParameterError("generator 'csv' needs weights_csv")
@@ -479,7 +474,7 @@ def main(argv=None) -> int:
         oom = "out of memory: " if isinstance(exc, MemoryError) else ""
         print(f"error (resource limit): {oom}{exc}", file=sys.stderr)
         return 3
-    except (InvalidParameterError, UnsupportedConfigurationError) as exc:
+    except InvalidParameterError as exc:
         print(f"error (invalid configuration): {exc}", file=sys.stderr)
         return 2
     except GreedyVoteError as exc:

@@ -6,7 +6,8 @@ class GreedyVoteError(Exception):
 
 
 class InvalidParameterError(GreedyVoteError, ValueError):
-    """An argument violates a precondition (bad weights, bad k, bad split...)."""
+    """An argument, or a combination of them, violates a precondition (bad
+    weights, bad k, bad split, coupled sampling under a non-identity f...)."""
 
 
 class ResourceLimitError(GreedyVoteError):
@@ -16,11 +17,6 @@ class ResourceLimitError(GreedyVoteError):
     The message names the count or bound that was exceeded, so callers can
     tell which input to shrink (or switch to Monte Carlo estimation instead).
     """
-
-
-class UnsupportedConfigurationError(GreedyVoteError):
-    """A combination of options is outside what the implementation supports,
-    e.g. coupled sampling with a non-identity sampling weight function."""
 
 
 class DegenerateSampleError(GreedyVoteError):

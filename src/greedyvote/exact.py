@@ -144,7 +144,7 @@ def _draw_pass(probs: np.ndarray, rows: int, draws: int, out: int) -> tuple:
 
 
 def _check_law_args(p: SamplingDistribution, k, v_max) -> tuple:
-    k = _check_k(p, k)
+    k = _check_k(k, p.support_size)
     v_max = int(v_max)
     if v_max < k:
         raise InvalidParameterError("v_max must be at least k")
@@ -176,7 +176,7 @@ def exact_joint_distribution(p: SamplingDistribution, k: int, i: int, v_max: int
     zeros are dropped.
     """
     k, v_max = _check_law_args(p, k, v_max)
-    i = _check_node(p, i)
+    i = _check_node(i, p.size)
     p_i = float(p.probs[i])
     v_top = _draw_count(p.probs, k, v_max)
     others, span = np.delete(p.probs, i), v_top - k + 1  # span: draw counts with cells
@@ -201,9 +201,7 @@ def exact_joint_distribution(p: SamplingDistribution, k: int, i: int, v_max: int
 
 def exact_u_distribution(p: SamplingDistribution, k: int) -> Law:
     """P(u distinct nodes in exactly k draws with replacement), u = 1..k: E[u, k]."""
-    k = int(k)
-    if k < 1:
-        raise InvalidParameterError(f"k={k} must be >= 1")
+    k = _check_k(k)  # k may pass the support: u counts draws, not distinct nodes
     table, x = _draw_pass(p.probs, k + 1, k + 1, k)
     probs = np.ldexp(table[0, 1:, k], x[k])
     if abs(_fsum(probs) - 1.0) > 1e-10:
@@ -250,8 +248,8 @@ def voting_power_exact(p: SamplingDistribution, k: int, i: int, epsilon: float):
     """
     if not (epsilon > 0.0):
         raise InvalidParameterError("epsilon must be > 0")
-    k = _check_k(p, k)
-    i = _check_node(p, i)
+    k = _check_k(k, p.support_size)
+    i = _check_node(i, p.size)
     n, p_i = p.support_size, float(p.probs[i])
     r, log_c = _outside(p.probs, k)
     s_max = (log_c - math.log(r) + 40.0) / r
@@ -296,8 +294,8 @@ def voting_power_k2(p: SamplingDistribution, i: int) -> float:
     Closed form obtained by summing the geometric runs that precede the second
     distinct node; needs every probability strictly below 1 to terminate.
     """
-    i = _check_node(p, i)
-    _check_k(p, 2)
+    i = _check_node(i, p.size)
+    _check_k(2, p.support_size)
     probs = p.probs.tolist()
     if any(q >= 1.0 for q in probs):
         raise InvalidParameterError(

@@ -21,6 +21,7 @@ from .weights import (
     WeightDistribution,
     WeightFunction,
     ZipfParams,
+    _check_k,
     _check_node,
     apply_split,
     sampling_distribution,
@@ -105,7 +106,7 @@ def _summarize(values: np.ndarray, rng: RngStream) -> GainEstimate:
 def estimate_voting_power(p: SamplingDistribution, k: int, i: int, n_runs: int,
                           seed) -> GainEstimate:
     """Average occupancy share of node i over independent greedy samples."""
-    i = _check_node(p, i)
+    i = _check_node(i, p.size)
     rng = as_stream(seed)
     return _summarize(_per_run(p, k, _chunks(n_runs, rng), i), rng)
 
@@ -155,9 +156,6 @@ class GainExperiment:
     coupled: bool = True
     f: WeightFunction = IDENTITY
 
-    def weight_distribution(self) -> WeightDistribution:
-        return zipf_weights(ZipfParams(s=self.zipf_s, n=self.n_nodes))
-
 
 def sweep_values(axis: str, values) -> list:
     """values cast to the type of the field that `axis` sets; a count axis
@@ -172,50 +170,40 @@ def sweep_values(axis: str, values) -> list:
     return [cast(value) for value in values]
 
 
-def _apply_axis(base: GainExperiment, axis: str, value) -> GainExperiment:
-    (value,) = sweep_values(axis, [value])
-    return replace(base, **{SWEEP_AXES[axis][0]: value})
-
-
-def _check_point(cfg: GainExperiment) -> None:
-    """Refuse a sweep point that cannot run, without building its network:
-    bad Zipf parameters or split, a split node or k beyond the network's
-    nodes, or weights too large to allocate (np.empty touches no page, so
-    a network past the address space fails at once)."""
-    n = ZipfParams(s=cfg.zipf_s, n=cfg.n_nodes).n
-    node = SplitSpec.equal(cfg.node, cfg.split_r).node
-    if node >= n:
-        raise InvalidParameterError(f"split node {node} out of range for {n} nodes")
-    if cfg.k < 1:
-        raise InvalidParameterError(f"k={cfg.k} must be >= 1")
-    if cfg.k > n:
-        raise InvalidParameterError(
-            f"k={cfg.k} exceeds the network's {n} nodes; sampling would never terminate")
-    np.empty(n)
+def _plan(cfg: GainExperiment) -> tuple:
+    """A sweep point's Zipf parameters and split, refused if the point cannot
+    run, without building its network: bad Zipf parameters or split, a split
+    node or k beyond the network's nodes, or weights too large to allocate
+    (np.empty touches no page, so a network past the address space fails at
+    once)."""
+    zipf = ZipfParams(s=cfg.zipf_s, n=cfg.n_nodes)
+    split = SplitSpec.equal(cfg.node, cfg.split_r)
+    _check_node(split.node, zipf.n, "split node")
+    _check_k(cfg.k, zipf.n)
+    np.empty(zipf.n)
+    return zipf, split
 
 
 def sweep_gain(base: GainExperiment, axis: str, values, seed) -> SweepResult:
     """One gain estimate per axis value, all derived from a single master seed.
 
-    Every point is checked before the first one runs, so a refused point
-    costs no estimate.  Point j runs on stream id offset j, so a one-point
-    sweep reproduces a plain estimate_split_gain call bit for bit.
+    Every point is planned before the first one runs, so a refused point
+    costs no estimate, and each runs from its plan.  Point j runs on stream
+    id offset j, so a one-point sweep reproduces a plain estimate_split_gain
+    call bit for bit.
     """
     vals = sweep_values(axis, list(values))
     if not vals:
         raise InvalidParameterError("sweep needs at least one axis value")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise InvalidParameterError("axis values must be strictly increasing")
-    configs = [_apply_axis(base, axis, value) for value in vals]
-    for cfg in configs:
-        _check_point(cfg)
+    configs = [replace(base, **{SWEEP_AXES[axis][0]: value}) for value in vals]
+    plans = [_plan(cfg) for cfg in configs]
     master = as_stream(seed)
     points = []
-    for j, (value, cfg) in enumerate(zip(vals, configs)):
-        est = estimate_split_gain(
-            cfg.weight_distribution(), cfg.f, cfg.k, SplitSpec.equal(cfg.node, cfg.split_r),
-            cfg.n_runs, sweep_stream(master, j), coupled=cfg.coupled,
-        )
+    for j, (value, cfg, (zipf, split)) in enumerate(zip(vals, configs, plans)):
+        est = estimate_split_gain(zipf_weights(zipf), cfg.f, cfg.k, split, cfg.n_runs,
+                                  sweep_stream(master, j), coupled=cfg.coupled)
         points.append((value, est))
     return SweepResult(axis=axis, points=points)
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, InvalidParameterError
-from .weights import CONSTANT_ONE, IDENTITY, WeightDistribution, WeightFunction, sampling_distribution
+from .weights import (CONSTANT_ONE, IDENTITY, WeightDistribution, WeightFunction, _check_k,
+                      sampling_distribution)
 from .sampler import as_stream, greedy_runs, round_stream, threshold_stream
 
 
@@ -32,8 +33,7 @@ class FpcConfig:
     scheme_g: WeightFunction = CONSTANT_ONE
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InvalidParameterError("quorum size k must be >= 1")
+        _check_k(self.k)
         if not (0.0 <= self.beta <= 0.5):
             raise InvalidParameterError("beta must lie in [0, 0.5]")
         if not (0.0 <= self.theta <= 1.0):

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParameterError, SamplingError
-from .weights import SamplingDistribution, SplitSpec, _check_k
+from .weights import SamplingDistribution, SplitSpec, _check_k, _check_node
 
 _MASK64 = (1 << 64) - 1
 _ALIAS_PASS = 1 << 14  # lights per pass of the alias build, and cut heavies per slice
@@ -216,12 +216,13 @@ def greedy_runs(p: SamplingDistribution, k: int, rng: RngStream, n_runs: int,
     groups of rows extended together, at most BLOCK_CELLS draws unless a
     single row needs more.
 
-    `track` is a node index or range counted into y.  With a split, each
-    in-run split-node draw takes a part by its own uniform, in row-major
+    `track` is a node index or range of nodes counted into y.  With a split,
+    each in-run split-node draw takes a part by its own uniform, in row-major
     order; the post-split run is counted from those draws (_post_split).
-    `totals` holds per-node value vectors to sum over each run's draws.
+    `totals` holds per-node value vectors, one value per node of p, to sum
+    over each run's draws.
     """
-    k = _check_k(p, k)
+    k = _check_k(k, p.support_size)
     if split is not None:
         split.check(p.probs, p.f)
     n_runs = int(n_runs)
@@ -229,7 +230,11 @@ def greedy_runs(p: SamplingDistribution, k: int, rng: RngStream, n_runs: int,
         raise InvalidParameterError("n_runs must be >= 0")
     if not isinstance(track, range):
         track = range(int(track), int(track) + 1)
+    _check_node(track.start, p.size, "tracked node")
+    _check_node(track.stop - 1, p.size, "tracked node")
     values = [np.asarray(t, dtype=float) for t in totals]
+    if any(value.shape != (p.size,) for value in values):
+        raise InvalidParameterError(f"totals must hold one value per node ({p.size})")
     counts = [np.empty(n_runs, dtype=np.int64) for _ in range(2 if split is None else 6)]
     out = GreedyRuns(*counts, totals=np.empty((len(values), n_runs)))
     blocks = _Blocks(_alias_table(p), k, rng.generator, track, split, values, out)

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnsupportedConfigurationError
+from .errors import InvalidParameterError
 
 NORM_TOL = 1e-12
 _FSUM_MIN = 2048  # shorter vectors go to math.fsum, which is faster there
@@ -202,23 +202,24 @@ class SamplingDistribution:
         return int(np.count_nonzero(self.probs))
 
 
-def _check_k(p: SamplingDistribution, k) -> int:
-    """k as an int, refused unless 1 <= k <= the support size of p."""
+def _check_k(k, support=math.inf) -> int:
+    """k as an int, refused unless 1 <= k <= support, the count of nodes a
+    run can draw: past it, sampling would never terminate."""
     k = int(k)
     if k < 1:
         raise InvalidParameterError(f"k={k} must be >= 1")
-    if k > p.support_size:
+    if k > support:
         raise InvalidParameterError(
-            f"k={k} exceeds support size {p.support_size}; sampling would never terminate"
+            f"k={k} exceeds support size {support}; sampling would never terminate"
         )
     return k
 
 
-def _check_node(p: SamplingDistribution, i) -> int:
-    """i as an int, refused unless it indexes a node of p."""
+def _check_node(i, size: int, what: str = "node") -> int:
+    """i as an int, refused unless it indexes one of `size` nodes."""
     i = int(i)
-    if not (0 <= i < p.size):
-        raise InvalidParameterError(f"node {i} out of range for {p.size} nodes")
+    if not (0 <= i < size):
+        raise InvalidParameterError(f"{what} {i} out of range for {size} nodes")
     return i
 
 
@@ -273,14 +274,11 @@ class SplitSpec:
         normalizers equal.  Weights themselves split under the default.
         """
         if f.alpha != 1:
-            raise UnsupportedConfigurationError(
+            raise InvalidParameterError(
                 "splitting sampling probabilities in place requires the identity "
                 f"weight function (got {f.name}); use independent estimation instead"
             )
-        if not (0 <= self.node < masses.size):
-            raise InvalidParameterError(
-                f"split node {self.node} out of range for {masses.size} nodes"
-            )
+        _check_node(self.node, masses.size, "split node")
         mass = float(masses[self.node])
         if mass <= 0.0:
             raise InvalidParameterError(f"cannot split node {self.node}: it has zero mass")

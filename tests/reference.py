@@ -229,7 +229,7 @@ class CoupledSample:
 
 def greedy_sample(p: SamplingDistribution, k: int, rng: RngStream) -> GreedySample:
     """Sample with replacement until k distinct nodes have been seen."""
-    k = _check_k(p, k)
+    k = _check_k(k, p.support_size)
     counts: dict = {}
     seen = 0
     draws = 0
@@ -257,7 +257,7 @@ def coupled_greedy_sample(p: SamplingDistribution, split: SplitSpec, k: int,
     extra_split_hits.
     """
     split.check(p.probs, p.f)
-    k = _check_k(p, k)
+    k = _check_k(k, p.support_size)
     node = split.node
     r = split.r
     cum = split.cum.tolist()
@@ -347,7 +347,7 @@ def lockstep_coupled_runs(p: SamplingDistribution, split: SplitSpec, k: int,
     until it has k distinct nodes too.
     """
     split.check(p.probs, p.f)
-    k = _check_k(p, k)
+    k = _check_k(k, p.support_size)
     table, gen, parts = _alias_table(p), rng.generator, split.parts
     pre_seen = np.zeros((n_runs, p.size), dtype=bool)
     post_seen = np.zeros((n_runs, p.size + split.r - 1), dtype=bool)
@@ -487,8 +487,8 @@ def voting_power_subsets(p: SamplingDistribution, k: int, i: int):
     probabilities) plus 16 eps (logarithm, series, products), and the sum is
     exactly rounded.  Returns (value, error_bound).
     """
-    k = _check_k(p, k)
-    i = _check_node(p, i)
+    k = _check_k(k, p.support_size)
+    i = _check_node(i, p.size)
     p_i = float(p.probs[i])
     support = np.flatnonzero(p.probs).tolist()
     n = len(support)

@@ -165,6 +165,24 @@ class TestGain:
             err = capsys.readouterr().err
             assert f"cannot read weights CSV {wfile}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("key, message", [
+        ("weights", "weights must be a non-empty 1-d vector"),
+        ("weights_csv", "generator 'csv' needs weights_csv"),
+    ], ids=["weights", "weights-csv"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_weights_source_exits_2(self, key, message, source, tmp_path, capsys):
+        # an empty source is refused, not read as absent (a 5-node Zipf network here)
+        argv = ["power", "--n", "5", "--k", "2", "--n-runs", "10"]
+        if source == "flag":
+            argv += ["--" + key.replace("_", "-"), ""]
+        else:
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps({key: ""}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [["gain"], ["gain", "--coupled", "false"],
                                       ["kde"], ["qq"]])
     def test_weight_function_mapping_every_weight_to_zero(self, argv, capsys):
@@ -315,7 +333,8 @@ class TestSweep:
         (["--axis", "network_size", "--axis-values", "100,1e15", "--k", "2",
           "--n-runs", "10"], 3, "error (resource limit): out of memory: "),
         (["--axis", "sample_k", "--axis-values", "2,5000", "--n", "1000",
-          "--n-runs", "200000"], 2, "k=5000 exceeds the network's 1000 nodes"),
+          "--n-runs", "200000"], 2,
+         "k=5000 exceeds support size 1000; sampling would never terminate"),
     ], ids=["network-past-memory", "k-past-network"])
     def test_later_point_refused_before_any_estimate(self, argv, code, message, capsys,
                                                      monkeypatch):

@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import chisquare_gof_pvalue
 from greedyvote import exact
-from greedyvote.errors import (
-    InvalidParameterError,
-    ResourceLimitError,
-    UnsupportedConfigurationError,
-)
+from greedyvote.errors import InvalidParameterError, ResourceLimitError
 from greedyvote.exact import (
     exact_joint_distribution,
     exact_u_distribution,
@@ -422,7 +418,7 @@ class TestSplitGainK2:
     def test_non_identity_rejected(self):
         w = WeightDistribution.from_raw([0.6, 0.4])
         p = sampling_distribution(w, CONSTANT_ONE)
-        with pytest.raises(UnsupportedConfigurationError):
+        with pytest.raises(InvalidParameterError, match="requires the identity weight function"):
             split_gain_k2(p, SplitSpec.equal(0, 2))
 
     def test_probability_one_node_rejected(self):

@@ -1,13 +1,14 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from greedyvote import fairness
-from greedyvote.errors import InvalidParameterError, UnsupportedConfigurationError
+from greedyvote.errors import InvalidParameterError
 from greedyvote.exact import split_gain_k2, voting_power_exact, voting_power_k2
 from greedyvote.fairness import (
     GainExperiment,
@@ -131,7 +132,7 @@ class TestEstimateSplitGain:
 
     def test_coupled_requires_identity(self):
         w = WeightDistribution.from_raw([0.6, 0.4])
-        with pytest.raises(UnsupportedConfigurationError):
+        with pytest.raises(InvalidParameterError, match="requires the identity weight function"):
             estimate_split_gain(w, CONSTANT_ONE, 2, SplitSpec.equal(0, 2),
                                 100, seed=1, coupled=True)
 
@@ -243,17 +244,36 @@ class TestSweepGain:
         with pytest.raises(InvalidParameterError):
             sweep_gain(base, "nodes", [10], seed=0)
 
-    def test_axis_table_sets_one_typed_field(self):
+    def test_axis_table_sets_one_typed_field(self, monkeypatch):
+        planned, estimated, plan = [], [], fairness._plan
+
+        def record_plan(cfg):
+            planned.append(cfg)
+            return plan(cfg)
+
+        def record_estimate(*args, **kwargs):
+            estimated.append(args)
+
+        monkeypatch.setattr(fairness, "_plan", record_plan)
+        monkeypatch.setattr(fairness, "estimate_split_gain", record_estimate)
         base = GainExperiment(n_runs=10)
         for axis, value, field, expected in (("network_size", 50.0, "n_nodes", 50),
                                              ("sample_k", 7.0, "k", 7),
                                              ("split_r", 3.0, "split_r", 3),
                                              ("zipf_s", 2, "zipf_s", 2.0)):
-            point = fairness._apply_axis(base, axis, value)
+            sweep_gain(base, axis, [value], seed=0)
+            point = planned[-1]
             assert getattr(point, field) == expected
             assert type(getattr(point, field)) is type(expected)
+            assert replace(point, **{field: getattr(base, field)}) == base
+            # the estimate runs from the point's plan
+            w, f, k, split, n_runs = estimated[-1][:5]
+            assert w.weights.tobytes() == zipf_weights(
+                ZipfParams(point.zipf_s, point.n_nodes)).weights.tobytes()
+            assert (f, k, n_runs) == (point.f, point.k, point.n_runs)
+            assert (split.node, split.r) == (point.node, point.split_r)
         with pytest.raises(InvalidParameterError) as info:
-            fairness._apply_axis(base, "nodes", 10)
+            sweep_gain(base, "nodes", [10], seed=0)
         assert str(info.value) == ("unknown sweep axis 'nodes'; expected one of "
                                    "('network_size', 'sample_k', 'split_r', 'zipf_s')")
 
@@ -270,12 +290,14 @@ class TestSweepGain:
             sweep_gain(GainExperiment(n_nodes=60, k=3, n_runs=10), axis, values, seed=0)
 
     @pytest.mark.parametrize("axis, values, node, error, message", [
-        ("sample_k", [2, 70], 0, InvalidParameterError, "k=70 exceeds the network's 60 nodes"),
+        ("sample_k", [2, 70], 0, InvalidParameterError,
+         "k=70 exceeds support size 60; sampling would never terminate"),
+        ("sample_k", [0, 2], 0, InvalidParameterError, "k=0 must be >= 1"),
         ("sample_k", [2, 3], 70, InvalidParameterError, "split node 70 out of range for 60"),
         ("zipf_s", [1.0, float("inf")], 0, InvalidParameterError,
          "Zipf exponent s must be finite"),
         ("network_size", [60, 10**15], 0, MemoryError, "PiB"),  # 7.1 PiB of weights
-    ], ids=["k", "split-node", "zipf-s", "network-size"])
+    ], ids=["k", "k-zero", "split-node", "zipf-s", "network-size"])
     def test_later_point_refused_before_any_estimate(self, axis, values, node, error, message,
                                                      monkeypatch):
         def unreachable(*args, **kwargs):

@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import chisquare_gof_pvalue, chisquare_two_sample_pvalue, counts_of
 from greedyvote import sampler
-from greedyvote.errors import (
-    InvalidParameterError,
-    SamplingError,
-    UnsupportedConfigurationError,
-)
+from greedyvote.errors import InvalidParameterError, SamplingError
 from greedyvote.exact import exact_joint_distribution, exact_v_distribution
 from greedyvote.sampler import AliasTable, RngStream, greedy_runs
 from greedyvote.weights import (
@@ -366,7 +362,7 @@ class TestSplitProbs:
     def test_non_identity_rejected(self):
         w = WeightDistribution.from_raw([0.6, 0.4])
         p = sampling_distribution(w, CONSTANT_ONE)
-        with pytest.raises(UnsupportedConfigurationError):
+        with pytest.raises(InvalidParameterError, match="requires the identity weight function"):
             SplitSpec.equal(0, 2).check(p.probs, p.f)
 
 
@@ -445,7 +441,7 @@ class TestCoupledGreedySample:
     def test_non_identity_rejected(self):
         w = WeightDistribution.from_raw([0.6, 0.4])
         p = sampling_distribution(w, CONSTANT_ONE)
-        with pytest.raises(UnsupportedConfigurationError):
+        with pytest.raises(InvalidParameterError, match="requires the identity weight function"):
             coupled_greedy_sample(p, SplitSpec.equal(0, 2), 2, RngStream(0))
 
     def test_k_beyond_pre_support_rejected(self):
@@ -809,5 +805,28 @@ class TestGreedyRuns:
             greedy_runs(p, 2, RngStream(0), 10, split=SplitSpec.equal(2, 2))
         w = WeightDistribution.from_raw([0.6, 0.4])
         q = sampling_distribution(w, CONSTANT_ONE)
-        with pytest.raises(UnsupportedConfigurationError):
+        with pytest.raises(InvalidParameterError, match="requires the identity weight function"):
             greedy_runs(q, 2, RngStream(0), 10, split=SplitSpec.equal(0, 2))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"track": 7}, "tracked node 7 out of range for 3 nodes"),
+        ({"track": -1}, "tracked node -1 out of range for 3 nodes"),
+        ({"track": range(2, 4)}, "tracked node 3 out of range for 3 nodes"),
+        ({"track": range(-1, 2)}, "tracked node -1 out of range for 3 nodes"),
+        ({"totals": [np.ones(2)]}, r"one value per node \(3\)"),
+        ({"totals": [np.ones(3), np.ones(9)]}, r"one value per node \(3\)"),
+        ({"totals": [np.ones((1, 3))]}, r"one value per node \(3\)"),
+    ], ids=["track-past", "track-negative", "range-past", "range-negative",
+            "totals-short", "totals-long", "totals-2d"])
+    def test_track_and_totals_outside_the_network_refused_before_any_draw(
+            self, kwargs, message, monkeypatch):
+        p = SamplingDistribution.from_probs([0.5, 0.3, 0.2])
+        runs = greedy_runs(p, 2, RngStream(0), 10, track=range(0, 3), totals=[np.ones(3)])
+        assert np.array_equal(runs.y, runs.v) and np.array_equal(runs.totals[0], runs.v)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("drew for a refused request")
+
+        monkeypatch.setattr(AliasTable, "draw", unreachable)
+        with pytest.raises(InvalidParameterError, match=message):
+            greedy_runs(p, 2, RngStream(0), 10, **kwargs)

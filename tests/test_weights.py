@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedyvote import weights
-from greedyvote.errors import InvalidParameterError, UnsupportedConfigurationError
+from greedyvote.errors import InvalidParameterError
 from greedyvote.weights import (
     CONSTANT_ONE,
     IDENTITY,
@@ -234,7 +234,7 @@ class TestSamplingDistribution:
     def test_k_must_be_positive(self, k):
         p = SamplingDistribution.from_probs([0.5, 0.5])
         with pytest.raises(InvalidParameterError, match=f"k={k} must be >= 1"):
-            _check_k(p, k)
+            _check_k(k, p.support_size)
 
     def test_support_matches_positive_image(self):
         w = WeightDistribution.from_raw([1.0, 0.0, 3.0])
@@ -355,8 +355,9 @@ class TestSplitSpec:
         for text in ("identity", "power:1", "power(1.0)"):
             assert SplitSpec.equal(0, 2).check(masses, WeightFunction.parse(text)) == 0.5
         for f in (power(2.0), power(0.5), CONSTANT_ONE):
-            with pytest.raises(UnsupportedConfigurationError,
-                               match=re.escape(f"(got {f.name})")):
+            with pytest.raises(InvalidParameterError,
+                               match="requires the identity weight function "
+                                     + re.escape(f"(got {f.name})")):
                 SplitSpec.equal(0, 2).check(masses, f)
 
     def test_check_refuses_node_out_of_range_or_without_mass(self):
