@@ -181,18 +181,22 @@ def _write(path, text):
 
 
 def _weights_from_config(cfg: ExperimentConfig) -> weights.WeightDistribution:
-    vals = cfg.values
-    if vals.get("weights") is not None:
-        return weights.WeightDistribution.from_raw(_parse_floats(vals["weights"]))
-    generator = vals.get("generator", "zipf")
-    if generator == "csv" or vals.get("weights_csv") is not None:
-        path = vals.get("weights_csv")
+    """The request's one weight source: weights, weights_csv or the generator; the
+    default generator 'zipf' gives way to either file or list, 'csv' to the file only."""
+    generator, inline, path = cfg["generator"], cfg["weights"], cfg["weights_csv"]
+    if generator not in ("zipf", "csv"):
+        raise InvalidParameterError(f"unknown generator {generator!r}; expected 'zipf' or 'csv'")
+    if inline is not None and path is not None:
+        raise InvalidParameterError("weights and weights_csv are two weight sources; give one")
+    if inline is not None:
+        if generator == "csv":
+            raise InvalidParameterError("generator 'csv' reads weights_csv, not weights")
+        return weights.WeightDistribution.from_raw(_parse_floats(inline))
+    if generator == "csv" or path is not None:
         if not path:
             raise InvalidParameterError("generator 'csv' needs weights_csv")
         return weights.load_weights_csv(path)
-    if generator == "zipf":
-        return weights.zipf_weights(weights.ZipfParams(s=vals["s"], n=vals["n"]))
-    raise InvalidParameterError(f"unknown generator {generator!r}; expected 'zipf' or 'csv'")
+    return weights.zipf_weights(weights.ZipfParams(s=cfg["s"], n=cfg["n"]))
 
 
 def _network(cfg: ExperimentConfig):

@@ -7,8 +7,10 @@ them, and M[u, d], the same weighted by the mass of those nodes not hit; node
 j, hit c >= 1 times, adds C(d, c) p_j^c E[u - 1, d - c] to E[u, d], and M the
 same sum over M plus p_j E[u, d].  Every term is >= 0, so nothing cancels:
 P(V = v) = M[k - 1, v - 1], P(V >= v) = sum_{u < k} E[u, v - 1], and E[1..k, k]
-is the distinct-count law of k draws.  Voting power is the same pass in
-continuous time, beside the k = 2 closed forms.  MAX_CELLS is the one budget.
+is the distinct-count law of k draws.  Voting power, `voting_power_exact`, is
+the same pass in continuous time and serves k = 2 too.  At k = 2 the module
+adds the split gain `split_gain_k2`, the limit curve `tau_limit` and its
+maximum `tau_argmax`.  MAX_CELLS is the one budget.
 """
 
 from __future__ import annotations
@@ -277,7 +279,7 @@ def voting_power_exact(p: SamplingDistribution, k: int, i: int, epsilon: float):
 
 
 # ---------------------------------------------------------------------------
-# k = 2 closed forms and the equal-split gain curve
+# k = 2: the split gain, the equal-split limit curve and its maximum
 # ---------------------------------------------------------------------------
 
 
@@ -286,24 +288,6 @@ def _log_ratio(p: float) -> float:
     if p == 0.0:
         return -1.0
     return math.log1p(-p) / p
-
-
-def voting_power_k2(p: SamplingDistribution, i: int) -> float:
-    """Expected occupancy share of node i when sampling until 2 distinct nodes.
-
-    Closed form obtained by summing the geometric runs that precede the second
-    distinct node; needs every probability strictly below 1 to terminate.
-    """
-    i = _check_node(i, p.size)
-    _check_k(2, p.support_size)
-    probs = p.probs.tolist()
-    if any(q >= 1.0 for q in probs):
-        raise InvalidParameterError(
-            "a probability-1 node makes k=2 greedy sampling non-terminating"
-        )
-    p_i = probs[i]
-    other_sum = _fsum([_log_ratio(q) + 1.0 for j, q in enumerate(probs) if j != i])
-    return -p_i * other_sum + (1.0 - p_i) * _log_ratio(p_i) + 1.0
 
 
 def split_gain_k2(p: SamplingDistribution, split: SplitSpec) -> float:
@@ -318,17 +302,6 @@ def split_gain_k2(p: SamplingDistribution, split: SplitSpec) -> float:
     r = split.r
     parts_sum = _fsum([_log_ratio(p_i * float(x)) for x in split.fractions])
     return (1.0 - p_i) * ((r - 1) + parts_sum - _log_ratio(p_i))
-
-
-def tau_r_value(p: float, r: int) -> float:
-    """k=2 gain from splitting a probability-p node into r equal parts."""
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise InvalidParameterError("p must lie strictly inside (0, 1)")
-    r = int(r)
-    if r < 1:
-        raise InvalidParameterError("r must be >= 1")
-    return (1.0 - p) * (r + r * r * math.log1p(-p / r) / p - math.log1p(-p) / p - 1.0)
 
 
 def tau_limit(p: float) -> float:

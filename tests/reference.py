@@ -20,7 +20,10 @@ is the package's one sampling path.  Here it meets a second, per-draw one:
   by their index for comparisons across supports;
 - `voting_power_subsets` and `stop_law_subsets` are voting power and the
   draw-count law as signed sums over node subsets, the way the exact engine
-  computed them before its sums of positive terms.
+  computed them before its sums of positive terms;
+- `voting_power_k2` and `tau_r_value` are k = 2 voting power and the
+  equal-split gain in closed form, where the package serves the first with
+  `voting_power_exact` and the second with `split_gain_k2`.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from greedyvote.errors import ResourceLimitError, SamplingError
-from greedyvote.exact import Law, _check_law_args, _truncated
+from greedyvote.errors import InvalidParameterError, ResourceLimitError, SamplingError
+from greedyvote.exact import Law, _check_law_args, _log_ratio, _truncated
 from greedyvote.fairness import CHUNK_RUNS, GainEstimate, _summarize
 from greedyvote.sampler import (
     AliasTable,
@@ -539,3 +542,37 @@ def stop_law_subsets(probs: np.ndarray, k: int, lo: int, hi: int) -> tuple:
     with np.errstate(under="ignore"):
         powers = np.power(rest[:, None], np.arange(lo - 1, hi))
     return (coef * comp) @ powers, coef @ powers
+
+
+# ---------------------------------------------------------------------------
+# k = 2 closed forms
+# ---------------------------------------------------------------------------
+
+
+def voting_power_k2(p: SamplingDistribution, i: int) -> float:
+    """Expected occupancy share of node i when sampling until 2 distinct nodes.
+
+    Closed form obtained by summing the geometric runs that precede the second
+    distinct node; needs every probability strictly below 1 to terminate.
+    """
+    i = _check_node(i, p.size)
+    _check_k(2, p.support_size)
+    probs = p.probs.tolist()
+    if any(q >= 1.0 for q in probs):
+        raise InvalidParameterError(
+            "a probability-1 node makes k=2 greedy sampling non-terminating"
+        )
+    p_i = probs[i]
+    other_sum = _fsum([_log_ratio(q) + 1.0 for j, q in enumerate(probs) if j != i])
+    return -p_i * other_sum + (1.0 - p_i) * _log_ratio(p_i) + 1.0
+
+
+def tau_r_value(p: float, r: int) -> float:
+    """k=2 gain from splitting a probability-p node into r equal parts."""
+    p = float(p)
+    if not (0.0 < p < 1.0):
+        raise InvalidParameterError("p must lie strictly inside (0, 1)")
+    r = int(r)
+    if r < 1:
+        raise InvalidParameterError("r must be >= 1")
+    return (1.0 - p) * (r + r * r * math.log1p(-p / r) / p - math.log1p(-p) / p - 1.0)

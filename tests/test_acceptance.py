@@ -17,7 +17,6 @@ from greedyvote.exact import (
     split_gain_k2,
     tau_argmax,
     tau_limit,
-    tau_r_value,
     voting_power_exact,
 )
 from greedyvote.fairness import estimate_split_gain, sweep_gain, GainExperiment
@@ -37,6 +36,7 @@ from reference import (
     enumeration_oracle,
     greedy_sample,
     lockstep_coupled_runs,
+    tau_r_value,
 )
 
 

@@ -212,7 +212,14 @@ class TestGain:
         (["--coupled", "maybe"], "bad value for 'coupled': 'maybe'"),
         (["--generator", "csv"], "generator 'csv' needs weights_csv"),
         (["--generator", "pareto"], "unknown generator 'pareto'; expected 'zipf' or 'csv'"),
-    ], ids=["fractions", "coupled", "csv-without-file", "generator"])
+        (["--generator", "bogus", "--weights", "1,2"],
+         "unknown generator 'bogus'; expected 'zipf' or 'csv'"),
+        (["--weights", "1,2,3", "--weights-csv", "w.csv"],
+         "weights and weights_csv are two weight sources; give one"),
+        (["--generator", "csv", "--weights", "1,2"],
+         "generator 'csv' reads weights_csv, not weights"),
+    ], ids=["fractions", "coupled", "csv-without-file", "generator", "generator-with-weights",
+            "weights-with-csv", "csv-with-weights"])
     def test_bad_option_exits_2(self, argv, message, capsys):
         assert main(["gain", "--n", "20", "--k", "2", "--n-runs", "10"] + argv) == 2
         assert message in capsys.readouterr().err

@@ -18,8 +18,6 @@ from greedyvote.exact import (
     split_gain_k2,
     tau_argmax,
     tau_limit,
-    tau_r_value,
-    voting_power_k2,
     voting_power_exact,
 )
 from greedyvote.weights import (
@@ -36,6 +34,8 @@ from reference import (
     cells,
     enumeration_oracle,
     stop_law_subsets,
+    tau_r_value,
+    voting_power_k2,
     voting_power_subsets,
 )
 

@@ -9,7 +9,7 @@ import pytest
 
 from greedyvote import fairness
 from greedyvote.errors import InvalidParameterError
-from greedyvote.exact import split_gain_k2, voting_power_exact, voting_power_k2
+from greedyvote.exact import split_gain_k2, voting_power_exact
 from greedyvote.fairness import (
     GainExperiment,
     estimate_split_gain,
@@ -32,7 +32,7 @@ from greedyvote.weights import (
     sampling_distribution,
     zipf_weights,
 )
-from reference import greedy_sample, interleaved_split_gain
+from reference import greedy_sample, interleaved_split_gain, voting_power_k2
 
 
 class TestEstimateVotingPower:
