@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import __version__, exact, fairness, fpc, sampler, weights
@@ -43,10 +42,19 @@ def _parse_bool(value) -> bool:
 
 
 def _parse_int(value) -> int:
-    """value as an int; a boolean or a number with a fraction is refused, not cut."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """value as an int; a whole-number spelling (1e3, 20.0) is read as its integer,
+    and a boolean, a fraction or a non-finite number is refused, not cut."""
+    if isinstance(value, bool):
         raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    if not isinstance(value, float):
+        try:
+            return int(value)  # exact for any integer spelling, however long
+        except ValueError:
+            pass
+    number = float(value)
+    if not number.is_integer():  # nor are inf and nan
+        raise ValueError(f"{value!r} is not an integer")
+    return int(number)
 
 
 # one row per key: caster, default
@@ -72,76 +80,53 @@ _GAIN_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A validated, fully resolved flat configuration for one subcommand."""
-
-    subcommand: str
-    values: dict
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    @classmethod
-    def resolve(cls, subcommand: str, flag_values: dict, config_path=None
-                ) -> "ExperimentConfig":
-        """Merge defaults, config-file values and explicit flags (in that
-        order of increasing precedence), rejecting unknown keys."""
-        if subcommand not in _COMMANDS:
-            raise InvalidParameterError(f"unknown subcommand {subcommand!r}")
-        schema = _COMMANDS[subcommand].schema
-        resolved = {key: default for key, (_, default) in schema.items()}
-        if config_path is not None:
-            try:
-                with open(config_path) as fh:
-                    file_values = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+def resolve(subcommand: str, flag_values: dict, config_path=None) -> dict:
+    """The validated, fully resolved flat configuration of one subcommand run:
+    defaults, config-file values and explicit flags merged in that order of
+    increasing precedence, unknown keys rejected, and the subcommand named."""
+    if subcommand not in _COMMANDS:
+        raise InvalidParameterError(f"unknown subcommand {subcommand!r}")
+    schema = _COMMANDS[subcommand].schema
+    resolved = {key: default for key, (_, default) in schema.items()}
+    if config_path is not None:
+        try:
+            with open(config_path) as fh:
+                file_values = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise InvalidParameterError(f"cannot read config file {config_path}: {exc}") from exc
+        if not isinstance(file_values, dict):
+            raise InvalidParameterError("config file must hold a JSON object")
+        for key, value in file_values.items():
+            if key == "subcommand" and value != subcommand:
                 raise InvalidParameterError(
-                    f"cannot read config file {config_path}: {exc}") from exc
-            if not isinstance(file_values, dict):
-                raise InvalidParameterError("config file must hold a JSON object")
-            for key, value in file_values.items():
-                if key == "subcommand":
-                    if value != subcommand:
-                        raise InvalidParameterError(
-                            f"config file is for subcommand {value!r}, not {subcommand!r}"
-                        )
-                    continue
-                if key == "stream_layout" and value != sampler.STREAM_LAYOUT:
-                    raise InvalidParameterError(
-                        f"config file was written with stream layout {value!r}; this "
-                        f"version uses layout {sampler.STREAM_LAYOUT} and cannot reproduce it"
-                    )
-                if key in ("stream_layout", "greedyvote_version"):
-                    continue
-                if key not in schema:
-                    raise InvalidParameterError(f"unknown config key {key!r} for {subcommand}")
-                resolved[key] = value
-        for key, value in flag_values.items():
+                    f"config file is for subcommand {value!r}, not {subcommand!r}")
+            if key == "stream_layout" and value != sampler.STREAM_LAYOUT:
+                raise InvalidParameterError(
+                    f"config file was written with stream layout {value!r}; this "
+                    f"version uses layout {sampler.STREAM_LAYOUT} and cannot reproduce it")
+            if key in ("subcommand", "stream_layout", "greedyvote_version"):
+                continue
             if key not in schema:
                 raise InvalidParameterError(f"unknown config key {key!r} for {subcommand}")
-            if value is not None:
-                resolved[key] = value
-        # cast everything through the schema so file- and flag-supplied values
-        # end up with identical types
-        for key, (caster, _) in schema.items():
-            if resolved[key] is not None:
-                try:
-                    resolved[key] = caster(resolved[key])
-                except (TypeError, ValueError) as exc:
-                    raise InvalidParameterError(
-                        f"bad value for {key!r}: {resolved[key]!r}") from exc
-        output = resolved.get("output")  # refused before any work, not after it
-        if output is not None and not os.path.isdir(os.path.dirname(output) or "."):
-            raise InvalidParameterError(f"cannot write {output}: its directory does not exist")
-        return cls(subcommand=subcommand, values=resolved)
-
-    def provenance(self) -> dict:
-        doc = dict(sorted(self.values.items()))
-        doc["subcommand"] = self.subcommand
-        doc["stream_layout"] = sampler.STREAM_LAYOUT
-        doc["greedyvote_version"] = __version__
-        return doc
+            resolved[key] = value
+    for key, value in flag_values.items():
+        if key not in schema:
+            raise InvalidParameterError(f"unknown config key {key!r} for {subcommand}")
+        if value is not None:
+            resolved[key] = value
+    # cast everything through the schema so file- and flag-supplied values
+    # end up with identical types
+    for key, (caster, _) in schema.items():
+        if resolved[key] is not None:
+            try:
+                resolved[key] = caster(resolved[key])
+            except (TypeError, ValueError) as exc:
+                raise InvalidParameterError(f"bad value for {key!r}: {resolved[key]!r}") from exc
+    output = resolved.get("output")  # refused before any work, not after it
+    if output is not None and not os.path.isdir(os.path.dirname(output) or "."):
+        raise InvalidParameterError(f"cannot write {output}: its directory does not exist")
+    resolved["subcommand"] = subcommand
+    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +140,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit_csv(output, header, rows, config: ExperimentConfig):
+def _emit_csv(cfg: dict, header, columns):
+    """One CSV row per entry of the columns, to stdout or to cfg["output"] with
+    its sidecar; a column shorter than the others is an error, not a cut."""
+    columns = [c.tolist() if hasattr(c, "tolist") else c for c in columns]  # numpy, once
     text = ",".join(header) + "\n"
-    for row in rows:
+    for row in zip(*columns, strict=True):
         text += ",".join(_fmt(v) for v in row) + "\n"
+    output = cfg["output"]
     if output is None:
         sys.stdout.write(text)
         return
     _write(output, text)
-    _write(f"{output}.config.json",
-           json.dumps(config.provenance(), sort_keys=True, indent=2) + "\n")
+    sidecar = {**cfg, "stream_layout": sampler.STREAM_LAYOUT, "greedyvote_version": __version__}
+    _write(f"{output}.config.json", json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
 
 
 def _write(path, text):
@@ -180,7 +169,7 @@ def _write(path, text):
 # ---------------------------------------------------------------------------
 
 
-def _weights_from_config(cfg: ExperimentConfig) -> weights.WeightDistribution:
+def _weights_from_config(cfg: dict) -> weights.WeightDistribution:
     """The request's one weight source: weights, weights_csv or the generator; the
     default generator 'zipf' gives way to either file or list, 'csv' to the file only."""
     generator, inline, path = cfg["generator"], cfg["weights"], cfg["weights_csv"]
@@ -199,28 +188,26 @@ def _weights_from_config(cfg: ExperimentConfig) -> weights.WeightDistribution:
     return weights.zipf_weights(weights.ZipfParams(s=cfg["s"], n=cfg["n"]))
 
 
-def _network(cfg: ExperimentConfig):
-    """The request's weights and sampling distribution."""
-    w = _weights_from_config(cfg)
-    return w, weights.sampling_distribution(w, weights.WeightFunction.parse(cfg["f"]))
+def _network(cfg: dict) -> weights.SamplingDistribution:
+    """The request's sampling distribution."""
+    return weights.sampling_distribution(_weights_from_config(cfg),
+                                         weights.WeightFunction.parse(cfg["f"]))
 
 
-def _node_index(cfg: ExperimentConfig, size: int) -> int:
-    node = int(cfg["node"])  # CLI is 1-based (rank order); library is 0-based
+def _node_index(cfg: dict, size: int) -> int:
+    node = cfg["node"]  # CLI is 1-based (rank order); library is 0-based
     if not (1 <= node <= size):
         raise InvalidParameterError(f"node {node} out of range 1..{size}")
     return node - 1
 
 
-def _gain_estimate(cfg: ExperimentConfig):
+def _gain_estimate(cfg: dict):
     # the estimate builds its own sampling distributions from w and f
     w, f = _weights_from_config(cfg), weights.WeightFunction.parse(cfg["f"])
     node0 = _node_index(cfg, w.size)
     split = weights.SplitSpec(node0, _parse_floats(cfg["fractions"]))
-    return fairness.estimate_split_gain(
-        w, f, cfg["k"], split, cfg["n_runs"], cfg["seed"],
-        coupled=cfg["coupled"],
-    ), w
+    return fairness.estimate_split_gain(w, f, cfg["k"], split, cfg["n_runs"], cfg["seed"],
+                                        coupled=cfg["coupled"]), w
 
 
 # ---------------------------------------------------------------------------
@@ -230,73 +217,64 @@ def _gain_estimate(cfg: ExperimentConfig):
 _GAIN_HEADER = ("axis_value", "mean", "std_error", "ci_low", "ci_high", "n_runs")
 
 
-def _row_for(estimate: fairness.GainEstimate, axis_value):
-    return (axis_value, estimate.mean, estimate.std_error,
-            estimate.ci_low, estimate.ci_high, estimate.n_runs)
+def _gain_columns(axis_values, estimates) -> list:
+    """The gain table's columns: the axis values, then the estimate fields that
+    _GAIN_HEADER names."""
+    return [axis_values, *([getattr(est, name) for est in estimates]
+                           for name in _GAIN_HEADER[1:])]
 
 
-def _cmd_tau(cfg: ExperimentConfig) -> int:
+def _cmd_tau(cfg: dict):
     m_star, tau_star = exact.tau_argmax()
     if cfg["output"] is None:
         print(f"m_star={m_star:.6f} tau_star={tau_star:.6f}")
     else:
-        _emit_csv(cfg["output"], ("m_star", "tau_star"), [(m_star, tau_star)], cfg)
-    return 0
+        _emit_csv(cfg, ("m_star", "tau_star"), ([m_star], [tau_star]))
 
 
-def _cmd_exact(cfg: ExperimentConfig) -> int:
-    w, p = _network(cfg)
+def _cmd_exact(cfg: dict):
+    p = _network(cfg)
     dist = cfg["dist"]
     if dist == "v":
         law = exact.exact_v_distribution(p, cfg["k"], cfg["v_max"])
     elif dist == "joint":
-        law = exact.exact_joint_distribution(p, cfg["k"], _node_index(cfg, w.size), cfg["v_max"])
+        law = exact.exact_joint_distribution(p, cfg["k"], _node_index(cfg, p.size), cfg["v_max"])
     elif dist == "u":
         law = exact.exact_u_distribution(p, cfg["k"])
     else:
         raise InvalidParameterError(f"unknown dist {dist!r}; expected v, joint or u")
     # the law's cells come in output order
-    columns = [column.tolist() for column in (*law.index, law.probs)]
-    _emit_csv(cfg["output"], (*law.names, "prob"), zip(*columns), cfg)
+    _emit_csv(cfg, (*law.names, "prob"), (*law.index, law.probs))
     if cfg["output"] is not None and law.residual is not None:
         print(f"residual={law.residual:.17g}")
-    return 0
 
 
-def _cmd_sample(cfg: ExperimentConfig) -> int:
-    w, p = _network(cfg)
-    node0 = _node_index(cfg, w.size)
+def _cmd_sample(cfg: dict):
+    p = _network(cfg)
     runs = sampler.greedy_runs(p, cfg["k"], sampler.as_stream(cfg["seed"]),
-                               cfg["n_runs"], track=node0)
-    rows = zip(range(cfg["n_runs"]), runs.v.tolist(), runs.y.tolist())
-    _emit_csv(cfg["output"], ("run", "v", "count"), rows, cfg)
-    return 0
+                               cfg["n_runs"], track=_node_index(cfg, p.size))
+    _emit_csv(cfg, ("run", "v", "count"), (range(cfg["n_runs"]), runs.v, runs.y))
 
 
-def _cmd_power(cfg: ExperimentConfig) -> int:
-    w, p = _network(cfg)
-    node0 = _node_index(cfg, w.size)
+def _cmd_power(cfg: dict):
+    p = _network(cfg)
+    node0 = _node_index(cfg, p.size)
     if cfg["epsilon"] is not None:
         # the exact Poisson integral instead of Monte Carlo; the bound covers
         # its quadrature, rounding and truncation, refused above epsilon
-        value, error_bound = exact.voting_power_exact(
-            p, cfg["k"], node0, cfg["epsilon"]
-        )
-        _emit_csv(cfg["output"], ("node", "value", "error_bound"),
-                  [(cfg["node"], value, error_bound)], cfg)
-        return 0
+        value, error_bound = exact.voting_power_exact(p, cfg["k"], node0, cfg["epsilon"])
+        _emit_csv(cfg, ("node", "value", "error_bound"), ([cfg["node"]], [value], [error_bound]))
+        return
     est = fairness.estimate_voting_power(p, cfg["k"], node0, cfg["n_runs"], cfg["seed"])
-    _emit_csv(cfg["output"], _GAIN_HEADER, [_row_for(est, w.size)], cfg)
-    return 0
+    _emit_csv(cfg, _GAIN_HEADER, _gain_columns([p.size], [est]))
 
 
-def _cmd_gain(cfg: ExperimentConfig) -> int:
+def _cmd_gain(cfg: dict):
     est, w = _gain_estimate(cfg)
-    _emit_csv(cfg["output"], _GAIN_HEADER, [_row_for(est, w.size)], cfg)
-    return 0
+    _emit_csv(cfg, _GAIN_HEADER, _gain_columns([w.size], [est]))
 
 
-def _cmd_sweep(cfg: ExperimentConfig) -> int:
+def _cmd_sweep(cfg: dict):
     if not cfg["axis_values"]:
         raise InvalidParameterError("sweep needs axis_values (comma-separated)")
     axis = cfg["axis"]
@@ -312,29 +290,23 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
         f=weights.WeightFunction.parse(cfg["f"]),
     )
     result = fairness.sweep_gain(base, axis, values, cfg["seed"])
-    rows = [_row_for(est, value) for value, est in result.points]
-    _emit_csv(cfg["output"], _GAIN_HEADER, rows, cfg)
-    return 0
+    _emit_csv(cfg, _GAIN_HEADER, _gain_columns(*zip(*result.points)))
 
 
-def _cmd_kde(cfg: ExperimentConfig) -> int:
+def _cmd_kde(cfg: dict):
     fairness.check_kde_args(cfg["bandwidth"], cfg["grid_points"])  # before any draw
     est, _ = _gain_estimate(cfg)
     points = fairness.kde_density(est.retained_samples, bandwidth=cfg["bandwidth"],
                                   points=cfg["grid_points"])
-    _emit_csv(cfg["output"], ("x", "density"), [tuple(row) for row in points], cfg)
-    return 0
+    _emit_csv(cfg, ("x", "density"), points.T)
 
 
-def _cmd_qq(cfg: ExperimentConfig) -> int:
+def _cmd_qq(cfg: dict):
     est, _ = _gain_estimate(cfg)
-    points = fairness.qq_points(est.retained_samples)
-    _emit_csv(cfg["output"], ("theoretical", "sample"),
-              [tuple(row) for row in points], cfg)
-    return 0
+    _emit_csv(cfg, ("theoretical", "sample"), fairness.qq_points(est.retained_samples).T)
 
 
-def _cmd_fpc(cfg: ExperimentConfig) -> int:
+def _cmd_fpc(cfg: dict):
     w = _weights_from_config(cfg)
     config = fpc.FpcConfig(
         k=cfg["k"], theta=cfg["theta"], beta=cfg["beta"],
@@ -344,12 +316,9 @@ def _cmd_fpc(cfg: ExperimentConfig) -> int:
     )
     initial = fpc.majority_initial_opinions(w.size, cfg["ones_fraction"])
     trace = fpc.run_fpc(config, w, initial, cfg["seed"])
-    rows = []
-    for t in range(1, trace.n_rounds + 1):
-        u_t = cfg["theta"] if t == 1 else float(trace.thresholds[t - 2])
-        ones = float(trace.opinions_by_round[t].mean())
-        rows.append((t, u_t, ones))
-    _emit_csv(cfg["output"], ("round", "u_t", "ones_fraction"), rows, cfg)
+    _emit_csv(cfg, ("round", "u_t", "ones_fraction"),
+              (range(1, trace.n_rounds + 1), [cfg["theta"], *trace.thresholds],
+               trace.opinions_by_round[1:].mean(axis=1)))
     summary = {
         "consensus_round": trace.consensus_round,
         "final_agreement": trace.final_agreement,
@@ -360,7 +329,6 @@ def _cmd_fpc(cfg: ExperimentConfig) -> int:
     else:
         _write(f"{cfg['output']}.summary.json",
                json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +337,7 @@ def _cmd_fpc(cfg: ExperimentConfig) -> int:
 
 
 class _Command(NamedTuple):
-    run: Callable[[ExperimentConfig], int]
+    run: Callable[[dict], None]
     help: str
     schema: dict  # one row per key: caster, default; the flags follow its order
 
@@ -471,8 +439,7 @@ def main(argv=None) -> int:
     command = _COMMANDS[args.subcommand]
     flag_values = {key: getattr(args, key) for key in command.schema}
     try:
-        config = ExperimentConfig.resolve(args.subcommand, flag_values, args.config)
-        return command.run(config)
+        command.run(resolve(args.subcommand, flag_values, args.config))
     except (ResourceLimitError, MemoryError) as exc:
         # MemoryError: a network or run count too large to allocate
         oom = "out of memory: " if isinstance(exc, MemoryError) else ""
@@ -484,6 +451,7 @@ def main(argv=None) -> int:
     except GreedyVoteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

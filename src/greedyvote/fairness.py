@@ -56,7 +56,6 @@ class GainEstimate:
 
 @dataclass(eq=False)
 class SweepResult:
-    axis: str
     points: list  # [(axis_value, GainEstimate), ...]
 
 
@@ -205,7 +204,7 @@ def sweep_gain(base: GainExperiment, axis: str, values, seed) -> SweepResult:
         est = estimate_split_gain(zipf_weights(zipf), cfg.f, cfg.k, split, cfg.n_runs,
                                   sweep_stream(master, j), coupled=cfg.coupled)
         points.append((value, est))
-    return SweepResult(axis=axis, points=points)
+    return SweepResult(points=points)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from greedyvote import __version__, fairness
-from greedyvote.cli import ExperimentConfig, main
+from greedyvote.cli import main, resolve
 from greedyvote.errors import InvalidParameterError
 from greedyvote.sampler import STREAM_LAYOUT
 
@@ -128,13 +128,25 @@ class TestGain:
         assert sidecar["stream_layout"] == STREAM_LAYOUT
         assert sidecar["greedyvote_version"] == __version__
 
-    def test_sidecar_reproduces_output(self, tmp_path):
-        out = tmp_path / "gain.csv"
-        assert main(["gain", "--s", "1.0", "--n", "50", "--k", "3",
-                     "--n-runs", "3000", "--seed", "9", "-o", str(out)]) == 0
-        again = tmp_path / "again.csv"
-        assert main(["gain", "--config", f"{out}.config.json", "-o", str(again)]) == 0
+    @pytest.mark.parametrize("args", [
+        ("exact", "--weights", "0.5,0.2,0.3", "--k", "2", "--dist", "joint", "--v-max", "6"),
+        ("sample", "--n", "30", "--k", "3", "--n-runs", "50", "--seed", "4"),
+        ("power", "--n", "30", "--k", "3", "--n-runs", "500", "--seed", "4"),
+        ("gain", "--s", "1.0", "--n", "50", "--k", "3", "--n-runs", "3000", "--seed", "9"),
+        ("sweep", "--axis-values", "20,40", "--k", "3", "--n-runs", "500", "--seed", "4"),
+        ("kde", "--n", "30", "--k", "3", "--n-runs", "500", "--grid-points", "16"),
+        ("qq", "--n", "30", "--k", "3", "--n-runs", "500", "--seed", "4"),
+        ("fpc", "--n", "50", "--k", "5", "--max-rounds", "4", "--seed", "4"),
+        ("tau",),
+    ], ids=lambda args: args[0])
+    def test_sidecar_reproduces_output(self, args, tmp_path):
+        out, again = tmp_path / "out.csv", tmp_path / "again.csv"
+        assert main([*args, "-o", str(out)]) == 0
+        assert main([args[0], "--config", f"{out}.config.json", "-o", str(again)]) == 0
         assert again.read_bytes() == out.read_bytes()
+        if args[0] == "fpc":
+            summary = tmp_path / "out.csv.summary.json"
+            assert (tmp_path / "again.csv.summary.json").read_bytes() == summary.read_bytes()
 
     def test_sidecar_of_other_stream_layout_rejected(self, tmp_path, capsys):
         out = tmp_path / "gain.csv"
@@ -276,9 +288,23 @@ class TestConfigFile:
             assert main(["gain", "--config", str(cfg)]) == 2
             assert "bad value for 'k'" in capsys.readouterr().err
         cfg.write_text(json.dumps({"k": 20.0, "n_runs": 1000.0}))
-        values = ExperimentConfig.resolve("gain", {}, cfg).values
+        values = resolve("gain", {}, cfg)
         assert (values["k"], values["n_runs"]) == (20, 1000)
         assert type(values["k"]) is int
+
+    @pytest.mark.parametrize("key, text, value", [
+        ("n", "1e3", 1000), ("k", "20.0", 20), ("n_runs", "1E1", 10), ("seed", " 7 ", 7),
+        ("seed", 1e3, 1000),
+        ("seed", "12345678901234567890123", 12345678901234567890123),  # not rounded through a float
+    ])
+    def test_whole_number_spellings_accepted(self, key, text, value):
+        got = resolve("gain", {key: text})[key]
+        assert got == value and type(got) is int
+
+    @pytest.mark.parametrize("text", ["2.7", "true", "inf", "nan", "1e400"])
+    def test_other_numbers_refused_for_counts(self, text, capsys):
+        assert main(["gain", "--k", text, "--n-runs", "10"]) == 2
+        assert "bad value for 'k'" in capsys.readouterr().err
 
     def test_missing_file_rejected(self, capsys):
         assert main(["gain", "--config", "/nonexistent/config.json"]) == 2
@@ -295,15 +321,15 @@ class TestConfigFile:
 
     def test_resolve_rejects_unknown_flag_key(self):
         with pytest.raises(InvalidParameterError, match="unknown config key 'zipf_s' for gain"):
-            ExperimentConfig.resolve("gain", {"zipf_s": 1.0})
+            resolve("gain", {"zipf_s": 1.0})
 
     @pytest.mark.parametrize("text, value", [("yes", True), ("on", True), ("no", False)])
     def test_coupled_spellings(self, text, value):
-        assert ExperimentConfig.resolve("gain", {"coupled": text})["coupled"] is value
+        assert resolve("gain", {"coupled": text})["coupled"] is value
 
     def test_resolve_rejects_unknown_subcommand(self):
         with pytest.raises(InvalidParameterError):
-            ExperimentConfig.resolve("plot", {})
+            resolve("plot", {})
 
 
 class TestSweep:
