@@ -14,10 +14,13 @@ Exit codes: 0 success, 1 runtime sampling error, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import __version__, exact, fairness, fpc, sampler, weights
 from .errors import GreedyVoteError, InvalidParameterError, ResourceLimitError
@@ -140,26 +143,49 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_CSV_ROWS = 1 << 14  # rows formatted and written at a time
+
+
 def _emit_csv(cfg: dict, header, columns):
     """One CSV row per entry of the columns, to stdout or to cfg["output"] with
-    its sidecar; a column shorter than the others is an error, not a cut."""
-    columns = [c.tolist() if hasattr(c, "tolist") else c for c in columns]  # numpy, once
-    text = ",".join(header) + "\n"
-    for row in zip(*columns, strict=True):
-        text += ",".join(_fmt(v) for v in row) + "\n"
+    its sidecar; columns of unequal lengths are an error, not a cut."""
+    templates = [_template(c) for c in columns]
+    columns = [c if t else [_fmt(v) for v in c] for c, t in zip(columns, templates)]
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"CSV columns of unequal lengths {[len(c) for c in columns]}")
+    chunks = _csv_chunks(header, columns, ",".join(t or "{}" for t in templates) + "\n")
     output = cfg["output"]
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
-    _write(output, text)
+    _write(output, chunks)
     sidecar = {**cfg, "stream_layout": sampler.STREAM_LAYOUT, "greedyvote_version": __version__}
-    _write(f"{output}.config.json", json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    _write(f"{output}.config.json", [json.dumps(sidecar, sort_keys=True, indent=2) + "\n"])
 
 
-def _write(path, text):
+def _template(column) -> str | None:
+    """How a column's values are written: {:.17g}, _fmt's form of a float, for
+    numpy floats, str for numpy integers and booleans and for ranges, and None
+    for other columns, whose values may mix types and go through _fmt."""
+    if isinstance(column, range):
+        return "{}"
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    return {"f": "{:.17g}", "i": "{}", "u": "{}", "b": "{}"}.get(kind)
+
+
+def _csv_chunks(header, columns, line):
+    """The header line, then the rows _CSV_ROWS at a time by the line template."""
+    yield ",".join(header) + "\n"
+    for a in range(0, len(columns[0]), _CSV_ROWS):
+        part = (c[a:a + _CSV_ROWS] for c in columns)
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in part))
+        yield "".join(itertools.starmap(line.format, rows))
+
+
+def _write(path, chunks):
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise InvalidParameterError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -328,7 +354,7 @@ def _cmd_fpc(cfg: dict):
         print(json.dumps(summary, sort_keys=True))
     else:
         _write(f"{cfg['output']}.summary.json",
-               json.dumps(summary, sort_keys=True, indent=2) + "\n")
+               [json.dumps(summary, sort_keys=True, indent=2) + "\n"])
 
 
 # ---------------------------------------------------------------------------

@@ -293,8 +293,10 @@ def _log_ratio(p: float) -> float:
 def split_gain_k2(p: SamplingDistribution, split: SplitSpec) -> float:
     """Total k=2 voting power gained by splitting one node as specified.
 
-    Positive for every genuine split (r >= 2): the scheme is robust to
-    merging but not to splitting.
+    At k = 2 it is positive for every genuine split (r >= 2), and equal
+    parts maximize it: the scheme is robust to merging but not to
+    splitting.  These are k = 2 facts; at k > 2 the best split can be
+    unequal and a split can lose.
     """
     p_i = split.check(p.probs, p.f)
     if p_i >= 1.0:

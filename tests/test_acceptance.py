@@ -215,7 +215,7 @@ def test_09_equal_split_optimality():
                 ok = False
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 1.0
-    _report(9, "equal fractions maximize the split gain over unequal grids",
+    _report(9, "equal fractions maximize the k = 2 split gain over unequal grids",
             ok, f"{elapsed:.3f}s")
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from greedyvote import __version__, fairness
+from greedyvote import __version__, cli, fairness
 from greedyvote.cli import main, resolve
 from greedyvote.errors import InvalidParameterError
 from greedyvote.sampler import STREAM_LAYOUT
@@ -86,6 +86,28 @@ class TestExact:
     def test_unknown_dist_exits_2(self, capsys):
         assert main(["exact", "--weights", "0.5,0.5", "--dist", "w"]) == 2
         assert "unknown dist 'w'; expected v, joint or u" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--weights", "0.5,0.3,0.2", "--k", "2", "--dist", "joint", "--v-max", "9"],
+        ["fpc", "--n", "60", "--k", "5", "--max-rounds", "8", "--finality-l", "7",
+         "--ones-fraction", "0.5", "--seed", "4"],  # a list column
+    ])
+    def test_rows_cross_write_slices(self, argv, tmp_path, capsys, monkeypatch):
+        # 3 rows a write puts slice bounds inside the table; the bytes on
+        # stdout and in -o files stay those of one write
+        def run(name):
+            if name is None:
+                assert main(argv) == 0
+                return capsys.readouterr().out.encode()
+            assert main(argv + ["-o", str(tmp_path / name)]) == 0
+            capsys.readouterr()  # exact's residual line
+            return (tmp_path / name).read_bytes()
+
+        whole = run(None), run("whole.csv")
+        monkeypatch.setattr(cli, "_CSV_ROWS", 3)
+        assert (run(None), run("sliced.csv")) == whole
+        rows = whole[1].count(b"\n") - 1
+        assert rows > 3 and rows % 3 != 0
 
     def test_resource_limit_exit_code(self, capsys):
         # 60 nodes x 30 rows x 1000^2 draw counts: 1.8e9 cells, over the cell budget

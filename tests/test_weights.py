@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,45 @@ class TestSamplingDistribution:
         assert WeightFunction.parse("power:2.5").alpha == 2.5
         with pytest.raises(InvalidParameterError):
             WeightFunction.parse("cubic")
+
+
+class TestNetworkBuffers:
+    # each N-length stage allocates only the vector it returns, and never
+    # writes into an array its caller holds
+    N = 1_000_000
+
+    @staticmethod
+    def _traced_peak(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def _one_vector(self):
+        # the output, _fsum's two slice buffers and 64 KiB of small objects
+        return 8 * self.N + 2 * 8 * weights._FSUM_SLICE + (1 << 16)
+
+    def test_zipf_weights_memory_bound(self):
+        peak = self._traced_peak(lambda: zipf_weights(ZipfParams(0.8, self.N)))
+        assert peak <= self._one_vector()
+
+    @pytest.mark.parametrize("f", ["identity", "constant-one", "power:0.5"])
+    def test_sampling_distribution_memory_bound(self, f):
+        w, f = zipf_weights(ZipfParams(0.8, self.N)), WeightFunction.parse(f)
+        assert self._traced_peak(lambda: sampling_distribution(w, f)) <= self._one_vector()
+
+    @pytest.mark.parametrize("size", [5, 3 * 2048])  # math.fsum, then extraction
+    def test_normalization_leaves_callers_arrays_alone(self, size):
+        arr = np.random.default_rng(size).random(size)
+        before = arr.tobytes()
+        w = WeightDistribution.from_raw(arr)
+        assert arr.tobytes() == before
+        kept = w.weights.tobytes()
+        for f in (IDENTITY, CONSTANT_ONE, power(0.5)):
+            sampling_distribution(w, f)
+            assert w.weights.tobytes() == kept
 
 
 class TestWeightFunction:
