@@ -44,27 +44,14 @@ def _parse_bool(value) -> bool:
     raise InvalidParameterError(f"cannot parse boolean from {value!r}")
 
 
-def _parse_int(value) -> int:
-    """value as an int; a whole-number spelling (1e3, 20.0) is read as its integer,
-    and a boolean, a fraction or a non-finite number is refused, not cut."""
-    if isinstance(value, bool):
-        raise ValueError(f"{value!r} is not an integer")
-    if not isinstance(value, float):
-        try:
-            return int(value)  # exact for any integer spelling, however long
-        except ValueError:
-            pass
-    number = float(value)
-    if not number.is_integer():  # nor are inf and nan
-        raise ValueError(f"{value!r} is not an integer")
-    return int(number)
+_count = weights._check_count  # the library's count rule casts every count key
 
 
 # one row per key: caster, default
 _SOURCE_KEYS = {
     "generator": (str, "zipf"),
     "s": (float, 1.0),
-    "n": (_parse_int, 1000),
+    "n": (_count, 1000),
     "weights": (str, None),
     "weights_csv": (str, None),
     "f": (str, "identity"),
@@ -73,11 +60,11 @@ _SOURCE_KEYS = {
 # keys of the subcommands that run a split-gain estimate (gain, kde, qq)
 _GAIN_KEYS = {
     **_SOURCE_KEYS,
-    "k": (_parse_int, 20),
-    "node": (_parse_int, 1),
+    "k": (_count, 20),
+    "node": (_count, 1),
     "fractions": (str, "0.5,0.5"),
-    "n_runs": (_parse_int, 10_000),
-    "seed": (_parse_int, 0),
+    "n_runs": (_count, 10_000),
+    "seed": (_count, 0),
     "coupled": (_parse_bool, True),
     "output": (str, None),
 }
@@ -137,23 +124,17 @@ def resolve(subcommand: str, flag_values: dict, config_path=None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 _CSV_ROWS = 1 << 14  # rows formatted and written at a time
 
 
 def _emit_csv(cfg: dict, header, columns):
     """One CSV row per entry of the columns, to stdout or to cfg["output"] with
-    its sidecar; columns of unequal lengths are an error, not a cut."""
-    templates = [_template(c) for c in columns]
-    columns = [c if t else [_fmt(v) for v in c] for c, t in zip(columns, templates)]
+    its sidecar; columns of unequal lengths are an error, not a cut.  A list
+    column becomes a numpy array, and a range stays lazy."""
+    columns = [c if isinstance(c, range) else np.asarray(c) for c in columns]
     if len({len(c) for c in columns}) > 1:
         raise ValueError(f"CSV columns of unequal lengths {[len(c) for c in columns]}")
-    chunks = _csv_chunks(header, columns, ",".join(t or "{}" for t in templates) + "\n")
+    chunks = _csv_chunks(header, columns, ",".join(map(_template, columns)) + "\n")
     output = cfg["output"]
     if output is None:
         sys.stdout.writelines(chunks)
@@ -163,14 +144,11 @@ def _emit_csv(cfg: dict, header, columns):
     _write(f"{output}.config.json", [json.dumps(sidecar, sort_keys=True, indent=2) + "\n"])
 
 
-def _template(column) -> str | None:
-    """How a column's values are written: {:.17g}, _fmt's form of a float, for
-    numpy floats, str for numpy integers and booleans and for ranges, and None
-    for other columns, whose values may mix types and go through _fmt."""
-    if isinstance(column, range):
-        return "{}"
-    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
-    return {"f": "{:.17g}", "i": "{}", "u": "{}", "b": "{}"}.get(kind)
+def _template(column) -> str:
+    """How a column's values are written, read off its dtype: {:.17g}, which
+    round-trips a float64, for floats, and str for integers, booleans and
+    ranges."""
+    return "{:.17g}" if isinstance(column, np.ndarray) and column.dtype.kind == "f" else "{}"
 
 
 def _csv_chunks(header, columns, line):
@@ -373,25 +351,25 @@ _COMMANDS = {
     "exact": _Command(_cmd_exact, "exact draw-count / occupancy / distinct-count distributions", {
         **_SOURCE_KEYS,
         "dist": (str, "v"),
-        "k": (_parse_int, 2),
-        "v_max": (_parse_int, 16),
-        "node": (_parse_int, 1),
+        "k": (_count, 2),
+        "v_max": (_count, 16),
+        "node": (_count, 1),
         "output": (str, None),
     }),
     "sample": _Command(_cmd_sample, "raw greedy sampling runs", {
         **_SOURCE_KEYS,
-        "k": (_parse_int, 20),
-        "node": (_parse_int, 1),
-        "n_runs": (_parse_int, 1000),
-        "seed": (_parse_int, 0),
+        "k": (_count, 20),
+        "node": (_count, 1),
+        "n_runs": (_count, 1000),
+        "seed": (_count, 0),
         "output": (str, None),
     }),
     "power": _Command(_cmd_power, "Monte Carlo voting-power estimate for one node", {
         **_SOURCE_KEYS,
-        "k": (_parse_int, 20),
-        "node": (_parse_int, 1),
-        "n_runs": (_parse_int, 10_000),
-        "seed": (_parse_int, 0),
+        "k": (_count, 20),
+        "node": (_count, 1),
+        "n_runs": (_count, 10_000),
+        "seed": (_count, 0),
         "epsilon": (float, None),
         "output": (str, None),
     }),
@@ -399,34 +377,34 @@ _COMMANDS = {
                      _GAIN_KEYS),
     "sweep": _Command(_cmd_sweep, "split-gain sweep over network size, k, split arity or Zipf s", {
         "s": (float, 1.0),
-        "n": (_parse_int, 1000),
+        "n": (_count, 1000),
         "f": (str, "identity"),
-        "k": (_parse_int, 20),
-        "node": (_parse_int, 1),
-        "split_r": (_parse_int, 2),
+        "k": (_count, 20),
+        "node": (_count, 1),
+        "split_r": (_count, 2),
         "axis": (str, "network_size"),
         "axis_values": (str, None),
-        "n_runs": (_parse_int, 10_000),
-        "seed": (_parse_int, 0),
+        "n_runs": (_count, 10_000),
+        "seed": (_count, 0),
         "coupled": (_parse_bool, True),
         "output": (str, None),
     }),
     "kde": _Command(_cmd_kde, "Gaussian kernel density of per-run split gains", {
         **_GAIN_KEYS,
         "bandwidth": (float, None),
-        "grid_points": (_parse_int, 512),
+        "grid_points": (_count, 512),
     }),
     "qq": _Command(_cmd_qq, "normal QQ points of per-run split gains", _GAIN_KEYS),
     "fpc": _Command(_cmd_fpc, "fast probabilistic consensus simulation", {
         **_SOURCE_KEYS,
         "g": (str, "constant-one"),
-        "k": (_parse_int, 20),
+        "k": (_count, 20),
         "theta": (float, 0.5),
         "beta": (float, 0.3),
-        "max_rounds": (_parse_int, 100),
-        "finality_l": (_parse_int, 2),
+        "max_rounds": (_count, 100),
+        "finality_l": (_count, 2),
         "ones_fraction": (float, 0.9),
-        "seed": (_parse_int, 0),
+        "seed": (_count, 0),
         "output": (str, None),
     }),
     "tau": _Command(_cmd_tau, "maximum of the limiting equal-split gain curve", {

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .weights import SamplingDistribution, SplitSpec, _check_k, _check_node, _fsum
+from .weights import SamplingDistribution, SplitSpec, _check_count, _check_k, _check_node, _fsum
 
 # cell budget of every exact request, checked before any table is allocated: the draw
 # pass charges nodes x rows (k) x draw counts^2 plus 512 an output cell (the CSV row it
@@ -147,7 +147,7 @@ def _draw_pass(probs: np.ndarray, rows: int, draws: int, out: int) -> tuple:
 
 def _check_law_args(p: SamplingDistribution, k, v_max) -> tuple:
     k = _check_k(k, p.support_size)
-    v_max = int(v_max)
+    v_max = _check_count(v_max, "v_max")
     if v_max < k:
         raise InvalidParameterError("v_max must be at least k")
     return k, v_max

@@ -9,6 +9,7 @@ bit within one stream layout (`sampler.STREAM_LAYOUT`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from .weights import (
     WeightDistribution,
     WeightFunction,
     ZipfParams,
+    _check_count,
     _check_k,
     _check_node,
     apply_split,
@@ -62,6 +64,7 @@ class SweepResult:
 def _chunks(n_runs: int, rng: RngStream) -> list:
     """The chunk plan: (stream, run count) per fixed-size chunk, in order.
     One run has no sample variance, so it would claim a zero-width interval."""
+    n_runs = _check_count(n_runs, "n_runs")
     if n_runs < 2:
         raise InvalidParameterError("n_runs must be >= 2: one run gives no standard error")
     return [(chunk_stream(rng, ci), min(CHUNK_RUNS, n_runs - start))
@@ -105,7 +108,6 @@ def _summarize(values: np.ndarray, rng: RngStream) -> GainEstimate:
 def estimate_voting_power(p: SamplingDistribution, k: int, i: int, n_runs: int,
                           seed) -> GainEstimate:
     """Average occupancy share of node i over independent greedy samples."""
-    i = _check_node(i, p.size)
     rng = as_stream(seed)
     return _summarize(_per_run(p, k, _chunks(n_runs, rng), i), rng)
 
@@ -157,29 +159,39 @@ class GainExperiment:
 
 
 def sweep_values(axis: str, values) -> list:
-    """values cast to the type of the field that `axis` sets; a count axis
-    refuses a value with a fraction rather than cutting it."""
+    """values as the type of the field that `axis` sets: a count axis reads
+    them by the count rule, which refuses a fraction rather than cutting it."""
     if axis not in SWEEP_AXES:
         raise InvalidParameterError(
             f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
-    cast = SWEEP_AXES[axis][1]
-    for value in values:
-        if cast is int and not float(value).is_integer():
-            raise InvalidParameterError(f"sweep axis {axis} takes whole numbers, got {value!r}")
-    return [cast(value) for value in values]
+    if SWEEP_AXES[axis][1] is float:
+        return [float(value) for value in values]
+    return [_check_count(value, f"sweep axis {axis}") for value in values]
+
+
+def _support(zipf: ZipfParams, f: WeightFunction) -> int:
+    """The support size of a Zipf network under f.  Every weight is at least
+    N^-s / N and its image at least (N^-s / N)^alpha / N; while both are normal
+    floats (>= 2^-1022) no probability rounds to 0, and alpha = 0 maps every
+    node to 1, so the support is N.  Past that the network is built and counted."""
+    log_n = math.log(zipf.n)
+    log_w = -(zipf.s + 1.0) * log_n
+    if f.alpha == 0 or min(log_w, f.alpha * log_w - log_n) >= -1022 * math.log(2):
+        return zipf.n
+    return sampling_distribution(zipf_weights(zipf), f).support_size
 
 
 def _plan(cfg: GainExperiment) -> tuple:
     """A sweep point's Zipf parameters and split, refused if the point cannot
-    run, without building its network: bad Zipf parameters or split, a split
-    node or k beyond the network's nodes, or weights too large to allocate
-    (np.empty touches no page, so a network past the address space fails at
-    once)."""
+    run: bad Zipf parameters or split, a split node beyond the network's
+    nodes, weights too large to allocate (np.empty touches no page, so a
+    network past the address space fails at once), or k beyond the support
+    (`_support`, which builds no network where a bound settles it)."""
     zipf = ZipfParams(s=cfg.zipf_s, n=cfg.n_nodes)
     split = SplitSpec.equal(cfg.node, cfg.split_r)
     _check_node(split.node, zipf.n, "split node")
-    _check_k(cfg.k, zipf.n)
     np.empty(zipf.n)
+    _check_k(cfg.k, _support(zipf, cfg.f))
     return zipf, split
 
 
@@ -223,8 +235,8 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
 
 def check_kde_args(bandwidth, points: int):
     """The bandwidth as a float (None kept: Silverman's rule), refused unless
-    finite and > 0, and the grid size, refused below 1 point."""
-    if points < 1:
+    finite and > 0, and the grid size, a count refused below 1 point."""
+    if _check_count(points, "grid points") < 1:
         raise InvalidParameterError(f"the density grid needs at least 1 point, not {points}")
     h = None if bandwidth is None else float(bandwidth)
     if h is not None and not 0 < h < np.inf:
@@ -232,12 +244,10 @@ def check_kde_args(bandwidth, points: int):
     return h
 
 
-def kde_density(samples, bandwidth=None, grid=None, points: int = 512) -> np.ndarray:
-    """Gaussian kernel density estimate, returned as (x, density) rows.
-
-    Without an explicit grid, evaluates on `points` points spanning the
-    sample range widened by five bandwidths on each side, which keeps the
-    trapezoid integral within about 1e-3 of 1.
+def kde_density(samples, bandwidth=None, points: int = 512) -> np.ndarray:
+    """Gaussian kernel density estimate, returned as (x, density) rows on
+    `points` points spanning the sample range widened by five bandwidths on
+    each side, which keeps the trapezoid integral within about 1e-3 of 1.
     """
     h = check_kde_args(bandwidth, points)
     x = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples,
@@ -250,13 +260,7 @@ def kde_density(samples, bandwidth=None, grid=None, points: int = 512) -> np.nda
             raise InvalidParameterError(
                 "samples have zero variance; pass an explicit bandwidth"
             )
-    if grid is None:
-        lo = float(x.min()) - 5.0 * h
-        hi = float(x.max()) + 5.0 * h
-        grid = np.linspace(lo, hi, points)
-    else:
-        grid = np.asarray(list(grid) if not isinstance(grid, np.ndarray) else grid,
-                          dtype=float)
+    grid = np.linspace(float(x.min()) - 5.0 * h, float(x.max()) + 5.0 * h, points)
     density = np.empty(grid.size)
     norm = 1.0 / (x.size * h * _SQRT_2PI)
     step = max(1, int(4_000_000 // max(1, x.size)))  # bound the outer-product size

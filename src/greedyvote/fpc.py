@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, InvalidParameterError
-from .weights import (CONSTANT_ONE, IDENTITY, WeightDistribution, WeightFunction, _check_k,
-                      sampling_distribution)
+from .weights import (CONSTANT_ONE, IDENTITY, WeightDistribution, WeightFunction,
+                      _check_count, _check_k, sampling_distribution)
 from .sampler import as_stream, greedy_runs, round_stream, threshold_stream
 
 
@@ -33,15 +33,13 @@ class FpcConfig:
     scheme_g: WeightFunction = CONSTANT_ONE
 
     def __post_init__(self):
-        _check_k(self.k)
+        object.__setattr__(self, "k", _check_k(self.k))
+        for name in ("max_rounds", "finality_l"):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, 1))
         if not (0.0 <= self.beta <= 0.5):
             raise InvalidParameterError("beta must lie in [0, 0.5]")
         if not (0.0 <= self.theta <= 1.0):
             raise InvalidParameterError("theta must lie in [0, 1]")
-        if self.finality_l < 1:
-            raise InvalidParameterError("finality_l must be >= 1")
-        if self.max_rounds < 1:
-            raise InvalidParameterError("max_rounds must be >= 1")
 
 
 @dataclass(eq=False)
@@ -124,6 +122,7 @@ def run_fpc(config: FpcConfig, weights: WeightDistribution, initial_opinions, se
 
 def majority_initial_opinions(n: int, ones_fraction: float) -> np.ndarray:
     """Deterministic initial opinion vector with the given fraction of ones."""
+    n = _check_count(n, "n", 0)
     if not (0.0 <= ones_fraction <= 1.0):
         raise InvalidParameterError("ones_fraction must lie in [0, 1]")
     n_ones = int(round(n * ones_fraction))

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParameterError, SamplingError
-from .weights import SamplingDistribution, SplitSpec, _check_k, _check_node
+from .weights import SamplingDistribution, SplitSpec, _check_count, _check_k, _check_node
 
 _MASK64 = (1 << 64) - 1
 _ALIAS_PASS = 1 << 14  # nodes per pass of the alias build, and heavies per slice of E
@@ -67,7 +67,7 @@ class RngStream:
 
 def as_stream(seed) -> RngStream:
     """An RngStream as is, or stream 0 of an integer seed."""
-    return seed if isinstance(seed, RngStream) else RngStream(int(seed), 0)
+    return seed if isinstance(seed, RngStream) else RngStream(_check_count(seed, "seed"), 0)
 
 
 def chunk_stream(rng: RngStream, i: int) -> RngStream:
@@ -259,11 +259,10 @@ def greedy_runs(p: SamplingDistribution, k: int, rng: RngStream, n_runs: int,
     k = _check_k(k, p.support_size)
     if split is not None:
         split.check(p.probs, p.f)
-    n_runs = int(n_runs)
-    if n_runs < 0:
-        raise InvalidParameterError("n_runs must be >= 0")
+    n_runs = _check_count(n_runs, "n_runs", 0)
     if not isinstance(track, range):
-        track = range(int(track), int(track) + 1)
+        i = _check_count(track, "tracked node")
+        track = range(i, i + 1)
     _check_node(track.start, p.size, "tracked node")
     _check_node(track.stop - 1, p.size, "tracked node")
     values = [np.asarray(t, dtype=float) for t in totals]

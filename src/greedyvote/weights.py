@@ -13,8 +13,10 @@ and split fractions are all vectors of masses summing to 1 (`_unit_sum`).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -206,10 +208,27 @@ class SamplingDistribution:
         return int(np.count_nonzero(self.probs))
 
 
+def _check_count(value, what: str = "count", least=-math.inf) -> int:
+    """value as an int by the one count rule, refused below least: an integer
+    or a whole-number spelling (1e3, 20.0) is read exactly, and a boolean, a
+    fraction or a non-finite number is refused, since int() would cut it."""
+    number = math.nan  # a boolean is an int to Python, but no count
+    if not isinstance(value, (bool, np.bool_)):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            number = float(value)
+        with contextlib.suppress(TypeError, ValueError):  # exact for integers of any length
+            number = int(value) if isinstance(value, str) else operator.index(value)
+    if not (isinstance(number, int) or number.is_integer()):  # nor are inf and nan
+        raise InvalidParameterError(f"{what} takes whole numbers, got {value!r}")
+    if number < least:
+        raise InvalidParameterError(f"{what} must be >= {least}, got {int(number)}")
+    return int(number)
+
+
 def _check_k(k, support=math.inf) -> int:
-    """k as an int, refused unless 1 <= k <= support, the count of nodes a
-    run can draw: past it, sampling would never terminate."""
-    k = int(k)
+    """k by the count rule, refused unless 1 <= k <= support, the count of
+    nodes a run can draw: past it, sampling would never terminate."""
+    k = _check_count(k, "k")
     if k < 1:
         raise InvalidParameterError(f"k={k} must be >= 1")
     if k > support:
@@ -220,8 +239,8 @@ def _check_k(k, support=math.inf) -> int:
 
 
 def _check_node(i, size: int, what: str = "node") -> int:
-    """i as an int, refused unless it indexes one of `size` nodes."""
-    i = int(i)
+    """i by the count rule, refused unless it indexes one of `size` nodes."""
+    i = _check_count(i, what)
     if not (0 <= i < size):
         raise InvalidParameterError(f"{what} {i} out of range for {size} nodes")
     return i
@@ -237,18 +256,15 @@ class SplitSpec:
     def __post_init__(self):
         x = _unit_sum(self.fractions, "split fractions")
         object.__setattr__(self, "fractions", x)
-        object.__setattr__(self, "node", int(self.node))
         if bool((x == 0).any()):
             raise InvalidParameterError("all split fractions must be > 0")
-        if self.node < 0:
-            raise InvalidParameterError("split node index must be >= 0")
+        object.__setattr__(self, "node", _check_count(self.node, "split node index", 0))
 
     @classmethod
     def equal(cls, node: int, r: int) -> "SplitSpec":
         """Split ``node`` into r equal parts: the gain-maximizing split at k = 2
         only (at Zipf 1.1, N = 1000, k = 20, (0.2, 0.8) beats halves)."""
-        if r < 1:
-            raise InvalidParameterError("split arity r must be >= 1")
+        r = _check_count(r, "split arity r", 1)
         return cls(node, np.full(r, 1.0 / r))
 
     @property
@@ -298,8 +314,7 @@ class ZipfParams:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParameterError("Zipf law needs n >= 1 nodes")
+        object.__setattr__(self, "n", _check_count(self.n, "Zipf n", 1))
         if not (math.isfinite(self.s) and self.s >= 0):
             raise InvalidParameterError("Zipf exponent s must be finite and >= 0")
 

@@ -26,7 +26,9 @@ from greedyvote.weights import (
     IDENTITY,
     SamplingDistribution,
     SplitSpec,
+    WeightDistribution,
     ZipfParams,
+    apply_split,
     sampling_distribution,
     zipf_weights,
 )
@@ -37,6 +39,7 @@ from reference import (
     greedy_sample,
     lockstep_coupled_runs,
     tau_r_value,
+    voting_power_subsets,
 )
 
 
@@ -188,7 +191,7 @@ def test_08_tau_monotonicity_and_limit():
             ok = False
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 1.0
-    _report(8, "equal-split gain increases in r and converges to its limit",
+    _report(8, "the k = 2 equal-split gain increases in r and converges to its limit",
             ok, f"max |tau_1e6 - tau_inf|={worst_gap:.2e}, {elapsed:.3f}s")
 
 
@@ -266,3 +269,58 @@ def test_11_fpc_sanity():
     _report(11, "FPC: unanimity finalizes, beta=1/2 pins thresholds, "
                 "majority wins >= 95/100",
             ok, f"wins={wins}/100, {elapsed:.1f}s")
+
+
+def _exact_split_gain(w, k, split, voting_power):
+    """Sum over the parts of their post-split voting power, less the split
+    node's pre-split voting power, each from `voting_power(p, k, i)[0]`."""
+    post = sampling_distribution(apply_split(w, split)[0])
+    return (math.fsum(voting_power(post, k, j)[0] for j in split.parts)
+            - voting_power(sampling_distribution(w), k, split.node)[0])
+
+
+def _vp_exact(p, k, i):
+    return voting_power_exact(p, k, i, 1e-9)
+
+
+_ZIPF_SPLITS = {(0.5, 0.5): 6.77439e-4, (0.2, 0.8): 7.35836e-4}  # Zipf 1.1, N=1000, k=20
+
+
+def test_12_k_above_2_split_claims_exact():
+    # at k > 2 the best two-way split is unequal and a split can lose: the
+    # gains from the exact voting power, with no sampling
+    start = time.perf_counter()
+    zipf = zipf_weights(ZipfParams(1.1, 1000))
+    gains = {fracs: _exact_split_gain(zipf, 20, SplitSpec(0, fracs), _vp_exact)
+             for fracs in _ZIPF_SPLITS}
+    ok = all(math.isclose(gains[f], pin, rel_tol=1e-5) for f, pin in _ZIPF_SPLITS.items())
+    ok &= gains[0.2, 0.8] > gains[0.5, 0.5]
+    worst = 0.0
+    for top, pins in (((0.6, 0.3), {(0.5, 0.5): 2.98796e-3, (0.1, 0.9): 8.08597e-3,
+                                    (0.05, 0.95): 6.47221e-3, (1 / 3,) * 3: 3.48566e-2}),
+                      ((0.7, 0.2), {(0.5, 0.5): -6.33323e-3, (0.05, 0.95): 4.51164e-3})):
+        w = WeightDistribution(np.array([*top] + [0.1 / 7] * 7))
+        for fracs, pin in pins.items():
+            split = SplitSpec(0, fracs)
+            gain = _exact_split_gain(w, 4, split, _vp_exact)
+            worst = max(worst, abs(gain - _exact_split_gain(w, 4, split, voting_power_subsets)))
+            ok &= math.isclose(gain, pin, rel_tol=1e-5)
+    elapsed = time.perf_counter() - start
+    ok = ok and worst <= 1e-13 and elapsed < 30.0
+    _report(12, "at k > 2, (0.2, 0.8) beats halves on Zipf 1.1 and halves can lose",
+            ok, f"halves={gains[0.5, 0.5]:.6e}, (0.2, 0.8)={gains[0.2, 0.8]:.6e}, "
+                f"max |exact - subsets|={worst:.1e}, {elapsed:.1f}s")
+
+
+def test_13_k_above_2_coupled_estimates_match_exact():
+    start = time.perf_counter()
+    zipf = zipf_weights(ZipfParams(1.1, 1000))
+    ok, details = True, []
+    for seed, (fracs, pin) in enumerate(_ZIPF_SPLITS.items(), 1301):
+        est = estimate_split_gain(zipf, IDENTITY, 20, SplitSpec(0, fracs), 200_000, seed=seed)
+        ok &= abs(est.mean - pin) <= 4 * est.std_error
+        details.append(f"{fracs}: {est.mean:.3e}+-{est.std_error:.1e} vs {pin:.3e}")
+    elapsed = time.perf_counter() - start
+    ok = ok and elapsed < 60.0
+    _report(13, "coupled k=20 split gains lie within 4 SE of their exact values",
+            ok, f"{'; '.join(details)}, {elapsed:.1f}s")

@@ -390,7 +390,10 @@ class TestSweep:
         (["--axis", "sample_k", "--axis-values", "2,5000", "--n", "1000",
           "--n-runs", "200000"], 2,
          "k=5000 exceeds support size 1000; sampling would never terminate"),
-    ], ids=["network-past-memory", "k-past-network"])
+        # at s = 200 the weights past node 41 underflow to 0
+        (["--axis", "sample_k", "--axis-values", "1,900", "--n", "1000", "--s", "200",
+          "--n-runs", "10"], 2, "k=900 exceeds support size 41; sampling would never terminate"),
+    ], ids=["network-past-memory", "k-past-network", "k-past-support"])
     def test_later_point_refused_before_any_estimate(self, argv, code, message, capsys,
                                                      monkeypatch):
         def unreachable(*args, **kwargs):

@@ -308,6 +308,36 @@ class TestSweepGain:
         with pytest.raises(error, match=message):
             sweep_gain(base, axis, values, seed=0)
 
+    def test_plan_refuses_k_beyond_support_before_any_estimate(self, monkeypatch):
+        estimated = []
+        monkeypatch.setattr(fairness, "estimate_split_gain",
+                            lambda *args, **kwargs: estimated.append(args))
+        base = GainExperiment(zipf_s=200.0, n_nodes=1000, n_runs=10)
+        with pytest.raises(InvalidParameterError, match="k=900 exceeds support size 41"):
+            sweep_gain(base, "sample_k", [1, 900], seed=0)
+        assert estimated == []
+
+    def test_plan_builds_no_network_where_the_support_bound_holds(self, monkeypatch):
+        calls = []
+        build = fairness.zipf_weights
+        monkeypatch.setattr(fairness, "zipf_weights",
+                            lambda zipf: calls.append(("build", zipf.n)) or build(zipf))
+        monkeypatch.setattr(fairness, "estimate_split_gain",
+                            lambda w, *args, **kwargs: calls.append(("estimate", w.size)))
+        base = GainExperiment(zipf_s=0.8, k=20, n_runs=10, f=WeightFunction(0.5))
+        sweep_gain(base, "network_size", [100, 1000], seed=0)  # sweep-wide's kind of point
+        assert calls == [("build", 100), ("estimate", 100), ("build", 1000), ("estimate", 1000)]
+
+    @pytest.mark.parametrize("s, n, alpha", [
+        (0.8, 1000, 0.5), (1.1, 1000, 1.0), (200.0, 1000, 0.0), (200.0, 1000, 1.0),
+        (200.0, 1000, 0.5), (50.0, 300, 2.0), (100.0, 1000, 0.01), (120.0, 1000, 0.5),
+        (2.0, 1000, 60.0),
+    ])
+    def test_support_matches_the_built_network(self, s, n, alpha):
+        zipf, f = ZipfParams(s, n), WeightFunction(alpha)
+        built = sampling_distribution(zipf_weights(zipf), f).support_size
+        assert fairness._support(zipf, f) == built
+
     def test_rows_carry_the_values_that_ran(self):
         base = GainExperiment(zipf_s=1.0, n_nodes=60, k=3, n_runs=100)
         sweep = sweep_gain(base, "sample_k", [2.0, 4.0], seed=12)
@@ -323,15 +353,16 @@ class TestSweepGain:
 
 class TestKdeDensity:
     def test_single_kernel_is_normal_pdf(self):
-        grid = np.linspace(-4, 4, 201)
-        points = kde_density([0.0], bandwidth=1.0, grid=grid)
-        expected = np.exp(-0.5 * grid ** 2) / math.sqrt(2 * math.pi)
+        points = kde_density([0.0], bandwidth=1.0, points=201)
+        x = points[:, 0]
+        assert x[0] == -5.0 and x[-1] == 5.0
+        expected = np.exp(-0.5 * x ** 2) / math.sqrt(2 * math.pi)
         assert np.allclose(points[:, 1], expected, atol=1e-12)
 
     def test_symmetric_samples_give_symmetric_density(self):
         samples = [-2.0, -1.0, -0.25, 0.25, 1.0, 2.0]
-        grid = np.linspace(-3, 3, 121)
-        points = kde_density(samples, bandwidth=0.5, grid=grid)
+        points = kde_density(samples, bandwidth=0.5, points=121)
+        assert np.allclose(points[:, 0], -points[::-1, 0], atol=1e-12)
         assert np.allclose(points[:, 1], points[::-1, 1], atol=1e-12)
 
     def test_integrates_to_one(self):
@@ -349,9 +380,9 @@ class TestKdeDensity:
             w = zipf_weights(ZipfParams(0.8, n))
             est = estimate_split_gain(w, IDENTITY, 20, SplitSpec.equal(0, 2),
                                       20_000, seed=13)
-            grid = np.linspace(-0.001, 0.001, 201)
-            points = kde_density(est.retained_samples, grid=grid)
-            masses[n] = float(np.trapezoid(points[:, 1], points[:, 0]))
+            points = kde_density(est.retained_samples)
+            near = points[np.abs(points[:, 0]) <= 0.001]
+            masses[n] = float(np.trapezoid(near[:, 1], near[:, 0]))
         assert masses[10_000] > masses[100]
 
     def test_errors(self):

@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 
 from greedyvote import weights
 from greedyvote.errors import InvalidParameterError
+from greedyvote.exact import exact_v_distribution
+from greedyvote.fairness import estimate_voting_power, sweep_values
+from greedyvote.fpc import FpcConfig, majority_initial_opinions
+from greedyvote.sampler import RngStream, greedy_runs
 from greedyvote.weights import (
     CONSTANT_ONE,
     IDENTITY,
@@ -24,6 +28,7 @@ from greedyvote.weights import (
     sampling_distribution,
     zipf_weights,
     _check_k,
+    _check_node,
     _fsum,
 )
 from reference import remap
@@ -471,3 +476,49 @@ class TestCsvLoading:
         path.write_text("weight\n")
         with pytest.raises(InvalidParameterError, match="no weight rows found"):
             load_weights_csv(path)
+
+
+_P30 = sampling_distribution(zipf_weights(ZipfParams(1.0, 30)))
+
+# every entry point that takes a count: (the argument its refusal names, a
+# call of it on the count under test, with 20 a valid value)
+_COUNT_ENTRY_POINTS = {
+    "check_k": ("k", lambda c: _check_k(c)),
+    "check_node": ("node", lambda c: _check_node(c, 30)),
+    "split-node": ("split node index", lambda c: SplitSpec(c, [0.5, 0.5]).node),
+    "split-equal-r": ("split arity r", lambda c: SplitSpec.equal(0, c).fractions.tobytes()),
+    "zipf-n": ("Zipf n", lambda c: zipf_weights(ZipfParams(1.0, c)).weights.tobytes()),
+    "greedy-runs-k": ("k", lambda c: greedy_runs(_P30, c, RngStream(7), 50).v.tobytes()),
+    "greedy-runs-n-runs": ("n_runs", lambda c: greedy_runs(_P30, 3, RngStream(7), c).v.tobytes()),
+    "greedy-runs-track": ("tracked node",
+                          lambda c: greedy_runs(_P30, 3, RngStream(7), 50, track=c).y.tobytes()),
+    "law-v-max": ("v_max", lambda c: exact_v_distribution(_P30, 3, c).probs.tobytes()),
+    "estimate-n-runs": ("n_runs", lambda c: estimate_voting_power(_P30, 3, 0, c, 7).mean),
+    "estimate-seed": ("seed", lambda c: estimate_voting_power(_P30, 3, 0, 100, c).mean),
+    "sweep-network-size": ("sweep axis network_size",
+                           lambda c: sweep_values("network_size", [c])),
+    "sweep-sample-k": ("sweep axis sample_k", lambda c: sweep_values("sample_k", [c])),
+    "sweep-split-r": ("sweep axis split_r", lambda c: sweep_values("split_r", [c])),
+    "fpc-k": ("k", lambda c: FpcConfig(k=c)),
+    "fpc-max-rounds": ("max_rounds", lambda c: FpcConfig(k=2, max_rounds=c)),
+    "fpc-finality-l": ("finality_l", lambda c: FpcConfig(k=2, finality_l=c)),
+    "fpc-initial-n": ("n", lambda c: majority_initial_opinions(c, 0.5).tobytes()),
+}
+
+
+class TestCountRule:
+    @pytest.mark.parametrize("entry", _COUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [2.7, True, math.nan, math.inf, np.float32(2.5)],
+                             ids=["fraction", "bool", "nan", "inf", "float32"])
+    def test_count_rule_refuses_what_int_would_cut(self, entry, value):
+        what, call = _COUNT_ENTRY_POINTS[entry]
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{re.escape(what)} takes whole numbers, got "):
+            call(value)
+
+    @pytest.mark.parametrize("entry", _COUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [20.0, np.int64(20), np.float64(20.0)],
+                             ids=["float", "int64", "float64"])
+    def test_count_rule_reads_whole_numbers_exactly(self, entry, value):
+        _, call = _COUNT_ENTRY_POINTS[entry]
+        assert repr(call(value)) == repr(call(20))  # repr tells 20 from 20.0 or np.int64(20)
