@@ -5,7 +5,7 @@ Modules:
 * ``weights``  - weight distributions, sampling distributions, splits, Zipf laws
 * ``sampler``  - reproducible greedy sampling and the coupled pre/post-split sampler
 * ``exact``    - exact draw-count/occupancy laws, voting power ``voting_power_exact``
-  (k=2 included), and at k=2 the split gain ``split_gain_k2``, the limit curve
+  and the split gain ``split_gain`` at any k, and at k=2 the limit curve
   ``tau_limit`` and its maximum ``tau_argmax``
 * ``fairness`` - Monte Carlo gain estimation, sweeps, KDE and QQ diagnostics
 * ``fpc``      - basic fast-probabilistic-consensus round simulator

@@ -8,9 +8,9 @@ j, hit c >= 1 times, adds C(d, c) p_j^c E[u - 1, d - c] to E[u, d], and M the
 same sum over M plus p_j E[u, d].  Every term is >= 0, so nothing cancels:
 P(V = v) = M[k - 1, v - 1], P(V >= v) = sum_{u < k} E[u, v - 1], and E[1..k, k]
 is the distinct-count law of k draws.  Voting power, `voting_power_exact`, is
-the same pass in continuous time and serves k = 2 too.  At k = 2 the module
-adds the split gain `split_gain_k2`, the limit curve `tau_limit` and its
-maximum `tau_argmax`.  MAX_CELLS is the one budget.
+the same pass in continuous time, and r + 1 of its passes give the split gain
+`split_gain`, both at any k.  At k = 2 the module adds the limit curve
+`tau_limit` and its maximum `tau_argmax`.  MAX_CELLS is the one budget.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .weights import SamplingDistribution, SplitSpec, _check_count, _check_k, _check_node, _fsum
+from .weights import (IDENTITY, SamplingDistribution, SplitSpec, WeightDistribution,
+                      WeightFunction, _check_count, _check_k, _check_node, _fsum, apply_split,
+                      sampling_distribution)
 
 # cell budget of every exact request, checked before any table is allocated: the draw
 # pass charges nodes x rows (k) x draw counts^2 plus 512 an output cell (the CSV row it
@@ -278,32 +280,30 @@ def voting_power_exact(p: SamplingDistribution, k: int, i: int, epsilon: float):
     return value, error_bound
 
 
-# ---------------------------------------------------------------------------
-# k = 2: the split gain, the equal-split limit curve and its maximum
-# ---------------------------------------------------------------------------
-
-
-def _log_ratio(p: float) -> float:
-    """log(1 - p) / p, the recurring series sum; continuous value -1 at 0."""
-    if p == 0.0:
-        return -1.0
-    return math.log1p(-p) / p
+def split_gain(w: WeightDistribution, f: WeightFunction, k: int, split: SplitSpec,
+               epsilon: float) -> tuple:
+    """The exact counterpart of `fairness.estimate_split_gain`, at any k, f and
+    fractions: the parts' summed `voting_power_exact` on sampling_distribution(
+    apply_split(w, split)[0], f) less the node's on sampling_distribution(w, f),
+    each at epsilon / (r + 1), the pre-split one first: a bad split, k or epsilon is
+    refused before any pass.  Returns (gain, error_bound), their bounds' sum <= epsilon."""
+    pre = sampling_distribution(w, f)
+    post = sampling_distribution(apply_split(w, split)[0], f)
+    share = epsilon / (split.r + 1)
+    before, bound = voting_power_exact(pre, k, split.node, share)
+    parts = [voting_power_exact(post, k, j, share) for j in split.parts]
+    return _fsum([v for v, _ in parts]) - before, math.fsum([bound, *(b for _, b in parts)])
 
 
 def split_gain_k2(p: SamplingDistribution, split: SplitSpec) -> float:
-    """Total k=2 voting power gained by splitting one node as specified.
+    """`split_gain` at k = 2 and epsilon 1e-9, for probabilities made by identity f."""
+    split.check(p.probs, p.f)
+    return split_gain(WeightDistribution(p.probs), IDENTITY, 2, split, 1e-9)[0]
 
-    At k = 2 it is positive for every genuine split (r >= 2), and equal
-    parts maximize it: the scheme is robust to merging but not to
-    splitting.  These are k = 2 facts; at k > 2 the best split can be
-    unequal and a split can lose.
-    """
-    p_i = split.check(p.probs, p.f)
-    if p_i >= 1.0:
-        raise InvalidParameterError("split gain needs p_i < 1")
-    r = split.r
-    parts_sum = _fsum([_log_ratio(p_i * float(x)) for x in split.fractions])
-    return (1.0 - p_i) * ((r - 1) + parts_sum - _log_ratio(p_i))
+
+# ---------------------------------------------------------------------------
+# k = 2: the equal-split limit curve and its maximum
+# ---------------------------------------------------------------------------
 
 
 def tau_limit(p: float) -> float:

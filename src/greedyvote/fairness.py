@@ -260,7 +260,7 @@ def kde_density(samples, bandwidth=None, points: int = 512) -> np.ndarray:
             raise InvalidParameterError(
                 "samples have zero variance; pass an explicit bandwidth"
             )
-    grid = np.linspace(float(x.min()) - 5.0 * h, float(x.max()) + 5.0 * h, points)
+    grid = np.linspace(float(x.min()) - 5.0 * h, float(x.max()) + 5.0 * h, _check_count(points))
     density = np.empty(grid.size)
     norm = 1.0 / (x.size * h * _SQRT_2PI)
     step = max(1, int(4_000_000 // max(1, x.size)))  # bound the outer-product size

@@ -20,10 +20,12 @@ is the package's one sampling path.  Here it meets a second, per-draw one:
   by their index for comparisons across supports;
 - `voting_power_subsets` and `stop_law_subsets` are voting power and the
   draw-count law as signed sums over node subsets, the way the exact engine
-  computed them before its sums of positive terms;
-- `voting_power_k2` and `tau_r_value` are k = 2 voting power and the
-  equal-split gain in closed form, where the package serves the first with
-  `voting_power_exact` and the second with `split_gain_k2`.
+  computed them before its sums of positive terms, and `split_gain_subsets`
+  the split gain from the first;
+- `voting_power_k2`, `split_gain_k2` and `tau_r_value` are k = 2 voting
+  power, the split gain and the equal-split gain in closed form, where the
+  package serves the first with `voting_power_exact` and the others with
+  `split_gain`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from greedyvote.errors import InvalidParameterError, ResourceLimitError, SamplingError
-from greedyvote.exact import Law, _check_law_args, _log_ratio, _truncated
+from greedyvote.exact import Law, _check_law_args, _truncated
 from greedyvote.fairness import CHUNK_RUNS, GainEstimate, _summarize
 from greedyvote.sampler import (
     AliasTable,
@@ -508,6 +510,17 @@ def voting_power_subsets(p: SamplingDistribution, k: int, i: int):
     return value, error_bound
 
 
+def split_gain_subsets(w: WeightDistribution, f: WeightFunction, k: int, split: SplitSpec):
+    """The split gain from `voting_power_subsets`: the parts' summed power on
+    the split network less the node's, with the sum of the r + 1 error bounds.
+    Returns (value, error_bound)."""
+    post = sampling_distribution(apply_split(w, split)[0], f)
+    parts = [voting_power_subsets(post, k, j) for j in split.parts]
+    before, bound = voting_power_subsets(sampling_distribution(w, f), k, split.node)
+    return (math.fsum(v for v, _ in parts) - before,
+            math.fsum([bound, *(b for _, b in parts)]))
+
+
 # ---------------------------------------------------------------------------
 # the draw-count law over node subsets
 # ---------------------------------------------------------------------------
@@ -549,6 +562,13 @@ def stop_law_subsets(probs: np.ndarray, k: int, lo: int, hi: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _log_ratio(p: float) -> float:
+    """log(1 - p) / p, the recurring series sum; continuous value -1 at 0."""
+    if p == 0.0:
+        return -1.0
+    return math.log1p(-p) / p
+
+
 def voting_power_k2(p: SamplingDistribution, i: int) -> float:
     """Expected occupancy share of node i when sampling until 2 distinct nodes.
 
@@ -565,6 +585,22 @@ def voting_power_k2(p: SamplingDistribution, i: int) -> float:
     p_i = probs[i]
     other_sum = _fsum([_log_ratio(q) + 1.0 for j, q in enumerate(probs) if j != i])
     return -p_i * other_sum + (1.0 - p_i) * _log_ratio(p_i) + 1.0
+
+
+def split_gain_k2(p: SamplingDistribution, split: SplitSpec) -> float:
+    """Total k=2 voting power gained by splitting one node as specified.
+
+    At k = 2 it is positive for every genuine split (r >= 2), and equal
+    parts maximize it: the scheme is robust to merging but not to
+    splitting.  These are k = 2 facts; at k > 2 the best split can be
+    unequal and a split can lose.
+    """
+    p_i = split.check(p.probs, p.f)
+    if p_i >= 1.0:
+        raise InvalidParameterError("split gain needs p_i < 1")
+    r = split.r
+    parts_sum = _fsum([_log_ratio(p_i * float(x)) for x in split.fractions])
+    return (1.0 - p_i) * ((r - 1) + parts_sum - _log_ratio(p_i))
 
 
 def tau_r_value(p: float, r: int) -> float:

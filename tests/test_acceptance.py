@@ -10,11 +10,13 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedyvote.exact import (
     exact_joint_distribution,
     exact_v_distribution,
-    split_gain_k2,
+    split_gain,
     tau_argmax,
     tau_limit,
     voting_power_exact,
@@ -28,7 +30,6 @@ from greedyvote.weights import (
     SplitSpec,
     WeightDistribution,
     ZipfParams,
-    apply_split,
     sampling_distribution,
     zipf_weights,
 )
@@ -38,8 +39,9 @@ from reference import (
     enumeration_oracle,
     greedy_sample,
     lockstep_coupled_runs,
+    split_gain_k2,
+    split_gain_subsets,
     tau_r_value,
-    voting_power_subsets,
 )
 
 
@@ -271,18 +273,6 @@ def test_11_fpc_sanity():
             ok, f"wins={wins}/100, {elapsed:.1f}s")
 
 
-def _exact_split_gain(w, k, split, voting_power):
-    """Sum over the parts of their post-split voting power, less the split
-    node's pre-split voting power, each from `voting_power(p, k, i)[0]`."""
-    post = sampling_distribution(apply_split(w, split)[0])
-    return (math.fsum(voting_power(post, k, j)[0] for j in split.parts)
-            - voting_power(sampling_distribution(w), k, split.node)[0])
-
-
-def _vp_exact(p, k, i):
-    return voting_power_exact(p, k, i, 1e-9)
-
-
 _ZIPF_SPLITS = {(0.5, 0.5): 6.77439e-4, (0.2, 0.8): 7.35836e-4}  # Zipf 1.1, N=1000, k=20
 
 
@@ -291,7 +281,7 @@ def test_12_k_above_2_split_claims_exact():
     # gains from the exact voting power, with no sampling
     start = time.perf_counter()
     zipf = zipf_weights(ZipfParams(1.1, 1000))
-    gains = {fracs: _exact_split_gain(zipf, 20, SplitSpec(0, fracs), _vp_exact)
+    gains = {fracs: split_gain(zipf, IDENTITY, 20, SplitSpec(0, fracs), 1e-9)[0]
              for fracs in _ZIPF_SPLITS}
     ok = all(math.isclose(gains[f], pin, rel_tol=1e-5) for f, pin in _ZIPF_SPLITS.items())
     ok &= gains[0.2, 0.8] > gains[0.5, 0.5]
@@ -302,8 +292,8 @@ def test_12_k_above_2_split_claims_exact():
         w = WeightDistribution(np.array([*top] + [0.1 / 7] * 7))
         for fracs, pin in pins.items():
             split = SplitSpec(0, fracs)
-            gain = _exact_split_gain(w, 4, split, _vp_exact)
-            worst = max(worst, abs(gain - _exact_split_gain(w, 4, split, voting_power_subsets)))
+            gain = split_gain(w, IDENTITY, 4, split, 1e-9)[0]
+            worst = max(worst, abs(gain - split_gain_subsets(w, IDENTITY, 4, split)[0]))
             ok &= math.isclose(gain, pin, rel_tol=1e-5)
     elapsed = time.perf_counter() - start
     ok = ok and worst <= 1e-13 and elapsed < 30.0
@@ -324,3 +314,31 @@ def test_13_k_above_2_coupled_estimates_match_exact():
     ok = ok and elapsed < 60.0
     _report(13, "coupled k=20 split gains lie within 4 SE of their exact values",
             ok, f"{'; '.join(details)}, {elapsed:.1f}s")
+
+
+def test_14_k_above_2_equal_split_gain_rises_from_2_to_3_parts():
+    # a derandomized search of small networks (N 4-8, k 3 to N/2 + 1): a node
+    # whose halves gain is positive gains more from three equal parts
+    start = time.perf_counter()
+    seen, counterexamples = [0], []
+
+    @given(masses=st.lists(st.floats(0.01, 10.0), min_size=4, max_size=8),
+           node=st.integers(0, 7), data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def search(masses, node, data):
+        w = WeightDistribution.from_raw(masses)
+        k = data.draw(st.integers(3, w.size // 2 + 1), label="k")
+        halves, bound2 = split_gain(w, IDENTITY, k, SplitSpec.equal(node % w.size, 2), 1e-9)
+        if halves <= bound2:
+            return
+        seen[0] += 1
+        thirds, bound3 = split_gain(w, IDENTITY, k, SplitSpec.equal(node % w.size, 3), 1e-9)
+        if not thirds > halves + bound2 + bound3:
+            counterexamples.append((masses, node % w.size, k, halves, thirds))
+
+    search()
+    elapsed = time.perf_counter() - start
+    ok = seen[0] >= 100 and not counterexamples and elapsed < 60.0
+    _report(14, "at k > 2, a positive halves gain rises with three equal parts",
+            ok, f"{seen[0]} networks with a positive halves gain, "
+                f"counterexamples={counterexamples[:1]}, {elapsed:.1f}s")

@@ -15,24 +15,30 @@ from greedyvote.exact import (
     exact_joint_distribution,
     exact_u_distribution,
     exact_v_distribution,
-    split_gain_k2,
+    split_gain,
     tau_argmax,
     tau_limit,
     voting_power_exact,
 )
 from greedyvote.weights import (
     CONSTANT_ONE,
+    IDENTITY,
     SamplingDistribution,
     SplitSpec,
     WeightDistribution,
+    WeightFunction,
+    ZipfParams,
     apply_split,
     sampling_distribution,
+    zipf_weights,
 )
 from reference import (
     ORACLE_MAX_NODES,
     ORACLE_MAX_VMAX,
     cells,
     enumeration_oracle,
+    split_gain_k2,
+    split_gain_subsets,
     stop_law_subsets,
     tau_r_value,
     voting_power_k2,
@@ -381,6 +387,8 @@ class TestVotingPowerK2:
 
 
 class TestSplitGainK2:
+    """The k = 2 closed form, the oracle of `split_gain`."""
+
     def test_degenerate_split_is_exactly_zero(self):
         p = SamplingDistribution.from_probs([0.3, 0.7])
         assert split_gain_k2(p, SplitSpec(0, np.array([1.0]))) == 0.0
@@ -418,13 +426,97 @@ class TestSplitGainK2:
     def test_non_identity_rejected(self):
         w = WeightDistribution.from_raw([0.6, 0.4])
         p = sampling_distribution(w, CONSTANT_ONE)
-        with pytest.raises(InvalidParameterError, match="requires the identity weight function"):
-            split_gain_k2(p, SplitSpec.equal(0, 2))
+        for gain in (split_gain_k2, exact.split_gain_k2):  # the oracle and the library's
+            with pytest.raises(InvalidParameterError,
+                               match="requires the identity weight function"):
+                gain(p, SplitSpec.equal(0, 2))
 
     def test_probability_one_node_rejected(self):
         p = SamplingDistribution.from_probs([1.0, 1e-300])
         with pytest.raises(InvalidParameterError, match="split gain needs p_i < 1"):
             split_gain_k2(p, SplitSpec.equal(0, 2))
+
+
+class TestSplitGain:
+    """The exact split gain against the k = 2 closed form, the subset sums and
+    uniform networks, and its refusals."""
+
+    @pytest.mark.parametrize("p_i", [0.05, 0.3, 0.5, 0.8156, 0.95])
+    def test_k2_matches_closed_form(self, p_i):
+        w = WeightDistribution.from_raw([p_i, 1.0 - p_i])
+        splits = [SplitSpec.equal(0, r) for r in range(2, 7)]
+        splits += [SplitSpec(0, [0.2, 0.8]), SplitSpec(0, [0.1, 0.3, 0.6])]
+        p = sampling_distribution(w)
+        for split in splits:
+            gain, bound = split_gain(w, IDENTITY, 2, split, 1e-9)
+            assert 0.0 < bound <= 1e-9
+            assert abs(gain - split_gain_k2(p, split)) <= bound
+
+    def test_single_part_is_exactly_zero(self):
+        for w, k in ((WeightDistribution.from_raw([0.3, 0.7]), 2),
+                     (zipf_weights(ZipfParams(1.1, 50)), 7)):
+            for f in (IDENTITY, WeightFunction(0.5)):
+                assert split_gain(w, f, k, SplitSpec(0, [1.0]), 1e-9)[0] == 0.0
+
+    def test_bench_reference_matches_closed_form(self):
+        # the k = 2 reference of the gain-coupled workload: Zipf 1.1, N = 1000, halves
+        w = zipf_weights(ZipfParams(1.1, 1000))
+        p, split = sampling_distribution(w), SplitSpec.equal(0, 2)
+        gain, bound = split_gain(w, IDENTITY, 2, split, 1e-9)
+        assert exact.split_gain_k2(p, split) == gain
+        assert abs(gain - split_gain_k2(p, split)) <= bound
+
+    @given(masses=st.lists(st.floats(0.01, 10.0), min_size=3, max_size=8),
+           f=st.sampled_from([IDENTITY, WeightFunction(0.5), CONSTANT_ONE]),
+           node=st.integers(0, 7), r=st.integers(2, 4), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_small_networks_match_subset_sums(self, masses, f, node, r, data):
+        w = WeightDistribution.from_raw(masses)
+        k = data.draw(st.integers(2, w.size), label="k")
+        fractions = data.draw(st.lists(st.floats(0.05, 1.0), min_size=r, max_size=r))
+        split = SplitSpec(node % w.size, np.array(fractions) / math.fsum(fractions))
+        gain, bound = split_gain(w, f, k, split, 1e-9)
+        ref, ref_bound = split_gain_subsets(w, f, k, split)
+        assert abs(gain - ref) <= bound + ref_bound
+
+    def test_constant_one_networks_are_uniform(self):
+        # every node and part samples alike: r of N + r - 1 nodes against 1 of N
+        for n, k, r in ((5, 3, 2), (12, 4, 3), (40, 20, 4)):
+            w = zipf_weights(ZipfParams(1.1, n))
+            gain, bound = split_gain(w, CONSTANT_ONE, k, SplitSpec.equal(1, r), 1e-9)
+            assert abs(gain - (r / (n + r - 1) - 1 / n)) <= bound
+
+    @pytest.mark.parametrize("node, message", [(3, "out of range"), (1, "zero mass")])
+    def test_bad_split_refused_before_any_pass(self, monkeypatch, node, message):
+        def no_pass(*args):
+            raise AssertionError("voting_power_exact ran")
+
+        monkeypatch.setattr(exact, "voting_power_exact", no_pass)
+        w = WeightDistribution.from_raw([0.5, 0.0, 0.5])
+        with pytest.raises(InvalidParameterError, match=message):
+            split_gain(w, IDENTITY, 2, SplitSpec.equal(node, 2), 1e-9)
+
+    def test_k_and_epsilon_refused_before_any_pass(self, monkeypatch):
+        # the parts add a node of positive mass, but k is read against the
+        # unsplit network, whose pass runs first
+        passes = []
+        monkeypatch.setattr(exact, "voting_power_exact",
+                            lambda *args: passes.append(voting_power_exact(*args)))
+        w = WeightDistribution.from_raw([0.5, 0.5, 0.0])
+        with pytest.raises(InvalidParameterError, match="k=3 exceeds support size 2"):
+            split_gain(w, IDENTITY, 3, SplitSpec.equal(0, 2), 1e-9)
+        assert passes == []
+        for epsilon in (0.0, -1.0, math.nan):
+            with pytest.raises(InvalidParameterError, match="epsilon must be > 0"):
+                split_gain(w, IDENTITY, 2, SplitSpec.equal(0, 2), epsilon)
+        assert passes == []
+
+    def test_epsilon_below_the_bound_is_a_resource_limit(self):
+        w = WeightDistribution.from_raw([0.6, 0.3, 0.1])
+        split = SplitSpec.equal(0, 2)
+        _, bound = split_gain(w, IDENTITY, 2, split, 1e-9)
+        with pytest.raises(ResourceLimitError, match="exceeds epsilon"):
+            split_gain(w, IDENTITY, 2, split, bound / 100)
 
 
 class TestTau:

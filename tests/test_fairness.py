@@ -9,7 +9,7 @@ import pytest
 
 from greedyvote import fairness
 from greedyvote.errors import InvalidParameterError
-from greedyvote.exact import split_gain_k2, voting_power_exact
+from greedyvote.exact import split_gain, voting_power_exact
 from greedyvote.fairness import (
     GainExperiment,
     estimate_split_gain,
@@ -28,7 +28,6 @@ from greedyvote.weights import (
     WeightDistribution,
     WeightFunction,
     ZipfParams,
-    apply_split,
     sampling_distribution,
     zipf_weights,
 )
@@ -95,13 +94,13 @@ class TestEstimateSplitGain:
         w = zipf_weights(ZipfParams(1.1, 1000))
         split = SplitSpec.equal(0, 2)
         est = estimate_split_gain(w, IDENTITY, 2, split, 40_000, seed=8)
-        exact = split_gain_k2(sampling_distribution(w, IDENTITY), split)
+        exact, _ = split_gain(w, IDENTITY, 2, split, 1e-9)
         assert abs(est.mean - exact) <= 4 * est.std_error
 
     def test_both_modes_unbiased_on_small_instance(self):
         w = WeightDistribution.from_raw([0.4, 0.25, 0.2, 0.1, 0.05])
         split = SplitSpec.equal(0, 2)
-        exact = split_gain_k2(sampling_distribution(w, IDENTITY), split)
+        exact, _ = split_gain(w, IDENTITY, 2, split, 1e-9)
         coupled = estimate_split_gain(w, IDENTITY, 2, split, 100_000, seed=9,
                                       coupled=True)
         independent = estimate_split_gain(w, IDENTITY, 2, split, 100_000, seed=9,
@@ -112,11 +111,8 @@ class TestEstimateSplitGain:
     def test_coupled_matches_exact_gain_above_k2(self):
         w = WeightDistribution.from_raw([0.4, 0.25, 0.2, 0.1, 0.05])
         split = SplitSpec.equal(0, 2)
-        p = sampling_distribution(w, IDENTITY)
-        p_hat = sampling_distribution(apply_split(w, split)[0])
         for k, seed in ((3, 12), (4, 13)):
-            exact = (sum(voting_power_exact(p_hat, k, j, 1e-9)[0] for j in range(2))
-                     - voting_power_exact(p, k, 0, 1e-9)[0])
+            exact, _ = split_gain(w, IDENTITY, k, split, 1e-9)
             est = estimate_split_gain(w, IDENTITY, k, split, 100_000, seed=seed)
             assert abs(est.mean - exact) <= 4 * est.std_error
 
@@ -410,6 +406,15 @@ class TestKdeDensity:
             kde_density([1.0, 2.0], bandwidth=bandwidth, points=points)
         assert fairness.check_kde_args(None, 1) is None
         assert fairness.check_kde_args(2, 1) == 2.0
+
+    def test_grid_points_read_by_the_count_rule(self):
+        samples = [0.1, 0.4, 0.45, 0.9]
+        want = kde_density(samples, points=20).tobytes()
+        for points in (20.0, np.int64(20)):
+            assert kde_density(samples, points=points).tobytes() == want
+        for points in (2.5, True):
+            with pytest.raises(InvalidParameterError, match="grid points takes whole numbers"):
+                kde_density(samples, points=points)
 
     def test_silverman_rule(self):
         gen = np.random.Generator(np.random.Philox(key=[62, 0]))
