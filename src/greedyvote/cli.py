@@ -321,7 +321,7 @@ def _cmd_fpc(cfg: dict):
     initial = fpc.majority_initial_opinions(w.size, cfg["ones_fraction"])
     trace = fpc.run_fpc(config, w, initial, cfg["seed"])
     _emit_csv(cfg, ("round", "u_t", "ones_fraction"),
-              (range(1, trace.n_rounds + 1), [cfg["theta"], *trace.thresholds],
+              (range(1, trace.n_rounds + 1), trace.thresholds,
                trace.opinions_by_round[1:].mean(axis=1)))
     summary = {
         "consensus_round": trace.consensus_round,

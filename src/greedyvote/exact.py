@@ -233,6 +233,20 @@ def _exp_e1(s: np.ndarray) -> np.ndarray:
                            1.0 / (y + 1.0 - fraction)])
 
 
+def _power_grid(p: SamplingDistribution, k, epsilon: float) -> tuple:
+    """k, checked against the support, and the grid s of `voting_power_exact`,
+    after checking epsilon and charging nodes x k x grid points to MAX_CELLS."""
+    if not (epsilon > 0.0):
+        raise InvalidParameterError("epsilon must be > 0")
+    k = _check_k(k, p.support_size)
+    r, log_c = _outside(p.probs, k)
+    s_max = (log_c - math.log(r) + 40.0) / r
+    fine_steps = 2 * math.ceil(8 * (math.log(s_max) + 40.0))  # even: 1/8 shares the ends
+    n = p.support_size
+    _check_cells(f"{n} nodes x k={k} x {fine_steps + 1} grid points", n * k * (fine_steps + 1))
+    return k, np.exp(-40.0 + np.arange(fine_steps + 1) / 16)
+
+
 def voting_power_exact(p: SamplingDistribution, k: int, i: int, epsilon: float):
     """Voting power E[A_i / V] of node i, exact and untruncated.
 
@@ -250,16 +264,9 @@ def voting_power_exact(p: SamplingDistribution, k: int, i: int, epsilon: float):
     mass outside the k - 1 heaviest nodes; s_max puts the tail at e^-40.
     Returns (value, error_bound); raises ResourceLimitError above epsilon or a budget.
     """
-    if not (epsilon > 0.0):
-        raise InvalidParameterError("epsilon must be > 0")
-    k = _check_k(k, p.support_size)
+    k, s = _power_grid(p, k, epsilon)
     i = _check_node(i, p.size)
     n, p_i = p.support_size, float(p.probs[i])
-    r, log_c = _outside(p.probs, k)
-    s_max = (log_c - math.log(r) + 40.0) / r
-    fine_steps = 2 * math.ceil(8 * (math.log(s_max) + 40.0))  # even: 1/8 shares the ends
-    _check_cells(f"{n} nodes x k={k} x {fine_steps + 1} grid points", n * k * (fine_steps + 1))
-    s = np.exp(-40.0 + np.arange(fine_steps + 1) / 16)
     # row m + 1 holds order m; row 0 stays zero, so one shifted update covers m = 0
     pi, mu = np.zeros((2, k + 1, s.size))
     pi[1] = 1.0
@@ -285,10 +292,13 @@ def split_gain(w: WeightDistribution, f: WeightFunction, k: int, split: SplitSpe
     """The exact counterpart of `fairness.estimate_split_gain`, at any k, f and
     fractions: the parts' summed `voting_power_exact` on sampling_distribution(
     apply_split(w, split)[0], f) less the node's on sampling_distribution(w, f),
-    each at epsilon / (r + 1), the pre-split one first: a bad split, k or epsilon is
-    refused before any pass.  Returns (gain, error_bound), their bounds' sum <= epsilon."""
+    each at epsilon / (r + 1), the pre-split one first: a bad split, k, epsilon or
+    either grid past MAX_CELLS is refused before any pass.  Returns (gain,
+    error_bound), their bounds' sum <= epsilon."""
     pre = sampling_distribution(w, f)
     post = sampling_distribution(apply_split(w, split)[0], f)
+    for q in (pre, post):
+        _power_grid(q, k, epsilon)
     share = epsilon / (split.r + 1)
     before, bound = voting_power_exact(pre, k, split.node, share)
     parts = [voting_power_exact(post, k, j, share) for j in split.parts]

@@ -2,10 +2,11 @@
 
 Every round, each node greedy-samples k distinct peers and averages their
 binary opinions, weighted by the averaging weight function applied to peer
-weights (counting multiplicity).  Round one compares the average against a
-fixed threshold; later rounds compare against a uniform random threshold on
-[beta, 1 - beta] that is shared by all nodes in that round, which is what
-blunts adversarial threshold-gaming.  Rounds are synchronous: all updates in
+weights (counting multiplicity), and takes opinion 1 above the round's
+threshold and 0 below it.  Round one's threshold is the fixed theta, a tie
+going to 1; later rounds share one uniform random threshold on
+[beta, 1 - beta] among all nodes, which blunts adversarial threshold-gaming,
+and a tie keeps the node's opinion.  Rounds are synchronous: all updates in
 a round read the previous round's opinions.  Round t samples all N quorums
 as N runs of `sampler.greedy_runs` on the round's own substream.
 """
@@ -47,8 +48,8 @@ class FpcTrace:
     """Round-by-round record of one protocol run.
 
     opinions_by_round row 0 holds the initial opinions; row t the state after
-    round t.  thresholds holds the realized shared thresholds of rounds
-    2, 3, ... (round one uses the fixed first-round threshold instead).
+    round t.  thresholds holds one threshold per round: theta at round one,
+    then the realized shared thresholds of rounds 2, 3, ...
     """
 
     opinions_by_round: np.ndarray
@@ -83,11 +84,11 @@ def run_fpc(config: FpcConfig, weights: WeightDistribution, initial_opinions, se
 
     for t in range(1, config.max_rounds + 1):
         if t == 1:
-            u_t = None
+            u_t, tie = config.theta, 1
         else:
             u = threshold_stream(rng, t).generator.random()
-            u_t = config.beta + (1.0 - 2.0 * config.beta) * u
-            thresholds.append(u_t)
+            u_t, tie = config.beta + (1.0 - 2.0 * config.beta) * u, opinions
+        thresholds.append(u_t)
         # multiplicity-weighted mean opinion of every node's quorum: sums of
         # g(weight) * opinion and of g(weight) over each run's draws
         runs = greedy_runs(p, config.k, round_stream(rng, t), n,
@@ -98,10 +99,7 @@ def run_fpc(config: FpcConfig, weights: WeightDistribution, initial_opinions, se
                 "averaging weight function vanishes on every sampled node"
             )
         eta = num / den
-        if t == 1:
-            opinions = (eta >= config.theta).astype(np.int8)
-        else:
-            opinions = np.where(eta > u_t, 1, np.where(eta < u_t, 0, opinions)).astype(np.int8)
+        opinions = np.where(eta > u_t, 1, np.where(eta < u_t, 0, tie)).astype(np.int8)
         rows.append(opinions)
         # final: the last finality_l rounds all hold the one opinion of node 0
         if t >= config.finality_l and all(
@@ -109,8 +107,7 @@ def run_fpc(config: FpcConfig, weights: WeightDistribution, initial_opinions, se
             consensus_round = t
             break
 
-    last = rows[-1]
-    ones = float(last.mean())
+    ones = float(opinions.mean())
     final_agreement = max(ones, 1.0 - ones)
     return FpcTrace(
         opinions_by_round=np.vstack(rows),

@@ -284,7 +284,9 @@ def greedy_runs(p: SamplingDistribution, k: int, rng: RngStream, n_runs: int,
 
 class _Blocks:
     """What the blocks of one greedy_runs call share: table, stream, options
-    and the output arrays their rows are recorded into."""
+    and the output arrays their rows are recorded into.  A class, not closures
+    in greedy_runs: a recursive closure `finish` is a reference cycle, which
+    would keep the alias table alive past the call."""
 
     def __init__(self, table, k, gen, track, split, values, out):
         self.table, self.k, self.gen = table, k, gen

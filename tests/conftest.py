@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from scipy.stats import chi2
 
 
@@ -58,16 +57,6 @@ def chisquare_two_sample_pvalue(a: dict, b: dict, min_count: float = 5.0) -> flo
         raise ValueError("not enough bins for a chi-square test")
     stat = sum((oa - ob) ** 2 / (oa + ob) for oa, ob in merged if oa + ob > 0)
     return float(chi2.sf(stat, len(merged) - 1))
-
-
-@pytest.fixture
-def rng_factory():
-    from greedyvote.sampler import RngStream
-
-    def make(seed=0, stream=0):
-        return RngStream(seed, stream)
-
-    return make
 
 
 def counts_of(values) -> dict:

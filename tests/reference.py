@@ -25,7 +25,10 @@ is the package's one sampling path.  Here it meets a second, per-draw one:
 - `voting_power_k2`, `split_gain_k2` and `tau_r_value` are k = 2 voting
   power, the split gain and the equal-split gain in closed form, where the
   package serves the first with `voting_power_exact` and the others with
-  `split_gain`.
+  `split_gain`;
+- `fpc_share_law` and `fpc_chain` are the law of a quorum's share of ones
+  and the exact chain of `fpc.run_fpc` on a uniform network, its thresholds
+  integrated out.
 """
 
 from __future__ import annotations
@@ -612,3 +615,76 @@ def tau_r_value(p: float, r: int) -> float:
     if r < 1:
         raise InvalidParameterError("r must be >= 1")
     return (1.0 - p) * (r + r * r * math.log1p(-p / r) / p - math.log1p(-p) / p - 1.0)
+
+
+# ---------------------------------------------------------------------------
+# FPC on a uniform network, as a chain on the count of ones
+# ---------------------------------------------------------------------------
+
+
+def fpc_share_law(n: int, m: int, k: int, cutoff: float = 1e-16) -> tuple:
+    """The law of a quorum's share eta = Y / V on a uniform network of n nodes,
+    m of them ones, under constant-one averaging: Y draws on ones among the V
+    draws of a greedy run that stops at k distinct nodes.  A recursion over
+    (ones seen, zeros seen, draws on ones) per draw count, stopped once the
+    live mass is below cutoff.  Returns the atoms ascending, as the floats
+    y / v the simulator compares, and their probabilities."""
+    ones = np.arange(k + 1)
+    a, b = ones[:, None, None], ones[None, :, None]
+    live, atoms, masses = np.zeros((k + 1, k + 1, 1)), [], []
+    live[0, 0, 0] = 1.0
+    while live.sum() >= cutoff:
+        v = live.shape[2]
+        step = np.zeros((k + 1, k + 1, v + 1))
+        step[:, :, 1:] += live * (a / n)  # a one seen before
+        step[:, :, :-1] += live * (b / n)  # a zero seen before
+        step[1:, :, 1:] += (live * ((m - a) / n))[:-1]  # a new one
+        step[:, 1:, :-1] += (live * ((n - m - b) / n))[:, :-1]  # a new zero
+        stopped = step[ones, k - ones]  # the k-th distinct node ends the run
+        atoms.append(np.broadcast_to(np.arange(v + 1) / v, stopped.shape).ravel())
+        masses.append(stopped.ravel())
+        step[ones, k - ones] = 0.0
+        live = step
+    eta, where = np.unique(np.concatenate(atoms), return_inverse=True)
+    probs = np.bincount(where, weights=np.concatenate(masses))
+    return eta[probs > 0], probs[probs > 0]
+
+
+def fpc_chain(n: int, k: int, theta: float, beta: float, ones: int, finality_l: int,
+              max_rounds: int) -> Law:
+    """The law of (final opinion, consensus round) of `fpc.run_fpc` on a uniform
+    network of n nodes under constant-one averaging, from `ones` ones: final 0
+    or 1 for all zeros or all ones, 2 for undecided; round 0 for no consensus.
+
+    A chain on the count m of ones.  Round one moves m to Binomial(n, P(eta >=
+    theta | m)).  Between atoms of eta, P(eta >= u) = P(eta > u) = q(u), so a
+    later round moves m to Binomial(n, q(u)) averaged over u uniform on
+    [beta, 1 - beta], a finite sum over the atoms.  With 0 < theta <= 1 the
+    states 0 and n absorb, so the consensus round is the first unanimous round
+    plus finality_l - 1, but at least finality_l, if within max_rounds.
+    """
+    from scipy.stats import binom
+
+    if not (0.0 < theta <= 1.0 and 0.0 <= beta < 0.5):
+        raise ValueError("the chain needs 0 < theta <= 1 and 0 <= beta < 0.5")
+    counts = np.arange(n + 1)
+    first, later = np.zeros((2, n + 1, n + 1))
+    for m in counts:
+        eta, probs = fpc_share_law(n, m, k)
+        tail = np.r_[np.cumsum(probs[::-1])[::-1], 0.0]  # P(eta >= eta[i])
+        # sums of ones read 1 + 4e-16, and binom.pmf is nan above 1
+        first[m] = binom.pmf(counts, n, min(1.0, tail[np.searchsorted(eta, theta)]))
+        cuts = np.unique(np.clip(np.r_[beta, eta, 1.0 - beta], beta, 1.0 - beta))
+        q = np.minimum(1.0, tail[np.searchsorted(eta, cuts[:-1], side="right")])
+        later[m] = np.diff(cuts) / (1.0 - 2.0 * beta) @ binom.pmf(counts, n, q[:, None])
+    dist = [np.eye(n + 1)[ones]]
+    for t in range(1, max_rounds + 1):
+        dist.append(dist[-1] @ (first if t == 1 else later))
+    cells: dict = {(2, 0): float(dist[-1][1:n].sum())}
+    for final, m in ((0, 0), (1, n)):
+        reached = [0.0] + [d[m] for d in dist]  # P(unanimous by round t), from t = -1
+        for t in range(max_rounds + 1):
+            c = max(t + finality_l - 1, finality_l)
+            key = (final, c if c <= max_rounds else 0)
+            cells[key] = cells.get(key, 0.0) + reached[t + 1] - reached[t]
+    return _law(("final", "round"), {key: p for key, p in cells.items() if p > 0})

@@ -259,7 +259,7 @@ def test_11_fpc_sanity():
     # degenerate threshold band
     config_half = FpcConfig(k=20, theta=0.5, beta=0.5, max_rounds=8, finality_l=99)
     trace_half = run_fpc(config_half, w, majority_initial_opinions(100, 0.5), seed=2)
-    beta_ok = bool((trace_half.thresholds == 0.5).all())
+    beta_ok = bool((trace_half.thresholds[1:] == 0.5).all())
     # 90%-majority regression pin: consensus on the majority opinion
     wins = 0
     for seed in range(100):
@@ -316,10 +316,10 @@ def test_13_k_above_2_coupled_estimates_match_exact():
             ok, f"{'; '.join(details)}, {elapsed:.1f}s")
 
 
-def test_14_k_above_2_equal_split_gain_rises_from_2_to_3_parts():
-    # a derandomized search of small networks (N 4-8, k 3 to N/2 + 1): a node
-    # whose halves gain is positive gains more from three equal parts
-    start = time.perf_counter()
+def _equal_split_search(low: int, high: int) -> tuple:
+    """A derandomized search of small networks (N 4-8, k 3 to N/2 + 1, masses
+    0.01-10, any node): the count of nodes whose halves gain is positive, and
+    those among them whose equal high-part gain does not exceed the low-part gain."""
     seen, counterexamples = [0], []
 
     @given(masses=st.lists(st.floats(0.01, 10.0), min_size=4, max_size=8),
@@ -328,17 +328,40 @@ def test_14_k_above_2_equal_split_gain_rises_from_2_to_3_parts():
     def search(masses, node, data):
         w = WeightDistribution.from_raw(masses)
         k = data.draw(st.integers(3, w.size // 2 + 1), label="k")
-        halves, bound2 = split_gain(w, IDENTITY, k, SplitSpec.equal(node % w.size, 2), 1e-9)
+
+        def gain(r):
+            return split_gain(w, IDENTITY, k, SplitSpec.equal(node % w.size, r), 1e-9)
+
+        halves, bound2 = gain(2)
         if halves <= bound2:
             return
         seen[0] += 1
-        thirds, bound3 = split_gain(w, IDENTITY, k, SplitSpec.equal(node % w.size, 3), 1e-9)
-        if not thirds > halves + bound2 + bound3:
-            counterexamples.append((masses, node % w.size, k, halves, thirds))
+        (g_low, b_low), (g_high, b_high) = (halves, bound2) if low == 2 else gain(low), gain(high)
+        if not g_high > g_low + b_low + b_high:
+            counterexamples.append((masses, node % w.size, k, g_low, g_high))
 
     search()
+    return seen[0], counterexamples
+
+
+def test_14_k_above_2_equal_split_gain_rises_from_2_to_3_parts():
+    # a node whose halves gain is positive gains more from three equal parts
+    start = time.perf_counter()
+    seen, counterexamples = _equal_split_search(2, 3)
     elapsed = time.perf_counter() - start
-    ok = seen[0] >= 100 and not counterexamples and elapsed < 60.0
+    ok = seen >= 100 and not counterexamples and elapsed < 60.0
     _report(14, "at k > 2, a positive halves gain rises with three equal parts",
-            ok, f"{seen[0]} networks with a positive halves gain, "
+            ok, f"{seen} networks with a positive halves gain, "
+                f"counterexamples={counterexamples[:1]}, {elapsed:.1f}s")
+
+
+def test_15_k_above_2_equal_split_gain_rises_from_3_to_6_parts():
+    # a node whose halves gain is positive gains more from six equal parts
+    # than from three
+    start = time.perf_counter()
+    seen, counterexamples = _equal_split_search(3, 6)
+    elapsed = time.perf_counter() - start
+    ok = seen >= 100 and not counterexamples and elapsed < 60.0
+    _report(15, "at k > 2, a positive halves gain rises from three to six equal parts",
+            ok, f"{seen} networks with a positive halves gain, "
                 f"counterexamples={counterexamples[:1]}, {elapsed:.1f}s")

@@ -511,6 +511,19 @@ class TestSplitGain:
                 split_gain(w, IDENTITY, 2, SplitSpec.equal(0, 2), epsilon)
         assert passes == []
 
+    def test_post_split_grid_refused_before_any_pass(self, monkeypatch):
+        # 20 equal nodes at k = 4 fill a 56 560-cell grid; their halves, 21
+        # nodes, a 59 388-cell one
+        def no_pass(s):
+            raise AssertionError("a voting power pass ran")
+
+        monkeypatch.setattr(exact, "_exp_e1", no_pass)
+        monkeypatch.setattr(exact, "MAX_CELLS", 56_560)
+        w = WeightDistribution.from_raw(np.ones(20))
+        with pytest.raises(ResourceLimitError,
+                           match="21 nodes x k=4 x 707 grid points = 59388 cells"):
+            split_gain(w, IDENTITY, 4, SplitSpec.equal(0, 2), 1e-9)
+
     def test_epsilon_below_the_bound_is_a_resource_limit(self):
         w = WeightDistribution.from_raw([0.6, 0.3, 0.1])
         split = SplitSpec.equal(0, 2)

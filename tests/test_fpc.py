@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from conftest import chisquare_gof_pvalue, counts_of
 from greedyvote import fpc
+from greedyvote.cli import main
 from greedyvote.errors import DegenerateSampleError, InvalidParameterError
 from greedyvote.exact import exact_v_distribution
 from greedyvote.fpc import FpcConfig, majority_initial_opinions, run_fpc
@@ -14,6 +16,7 @@ from greedyvote.weights import (
     sampling_distribution,
     zipf_weights,
 )
+from reference import fpc_chain
 
 
 class TestMeanOpinion:
@@ -117,14 +120,32 @@ class TestRunFpc:
         w = zipf_weights(ZipfParams(0.0, 40))
         config = FpcConfig(k=5, beta=0.5, max_rounds=10, finality_l=100)
         trace = run_fpc(config, w, majority_initial_opinions(40, 0.5), seed=2)
-        assert trace.thresholds.size > 0
-        assert (trace.thresholds == 0.5).all()
+        assert trace.thresholds.size > 1
+        assert (trace.thresholds[1:] == 0.5).all()
 
     def test_thresholds_stay_in_band(self):
         w = zipf_weights(ZipfParams(1.0, 25))
         config = FpcConfig(k=5, beta=0.3, max_rounds=12, finality_l=100)
         trace = run_fpc(config, w, majority_initial_opinions(25, 0.5), seed=3)
-        assert ((trace.thresholds >= 0.3) & (trace.thresholds <= 0.7)).all()
+        shared = trace.thresholds[1:]
+        assert ((shared >= 0.3) & (shared <= 0.7)).all()
+
+    def test_round_thresholds_one_per_round(self, tmp_path):
+        # theta first, then the shared thresholds; the CLI writes them as its
+        # u_t column unchanged
+        w = zipf_weights(ZipfParams(0.0, 40))
+        config = FpcConfig(k=5, theta=0.6, beta=0.2, max_rounds=6, finality_l=100)
+        trace = run_fpc(config, w, majority_initial_opinions(40, 0.9), seed=7)
+        assert trace.n_rounds == 6
+        assert trace.thresholds.shape == (trace.n_rounds,)
+        assert trace.thresholds[0] == 0.6
+        assert ((trace.thresholds[1:] >= 0.2) & (trace.thresholds[1:] <= 0.8)).all()
+        out = tmp_path / "fpc.csv"
+        assert main(["fpc", "--s", "0", "--n", "40", "--k", "5", "--theta", "0.6",
+                     "--beta", "0.2", "--max-rounds", "6", "--finality-l", "100",
+                     "--seed", "7", "-o", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [float(row[1]) for row in rows] == trace.thresholds.tolist()
 
     def test_opinions_stay_binary(self):
         w = zipf_weights(ZipfParams(1.1, 25))
@@ -200,3 +221,33 @@ class TestRunFpc:
         assert trace.consensus_round is None
         assert trace.n_rounds == 2
         assert 0.5 <= trace.final_agreement <= 1.0
+
+
+class TestFpcChain:
+    """run_fpc on a uniform network of 30 nodes, 15 of them ones, at k = 8
+    against the exact chain on the count of ones."""
+
+    def test_chain_consensus_rounds(self):
+        law = fpc_chain(30, 8, 0.5, 0.3, 15, 2, 12)
+        by_round = [law.probs[law.index[1] == t].sum() for t in range(3, 8)]
+        assert np.allclose(by_round, [0.0784, 0.4092, 0.2884, 0.1310, 0.0548], rtol=0, atol=1e-4)
+
+    def test_final_opinion_and_consensus_round_match_the_chain(self):
+        w, runs, pvalues = WeightDistribution.from_raw(np.ones(30)), 400, []
+        initial = majority_initial_opinions(30, 0.5)
+        for setting in (dict(theta=0.5, beta=0.3, finality_l=2),
+                        dict(theta=0.5, beta=0.3, finality_l=3),
+                        dict(theta=0.5, beta=0.0, finality_l=2)):
+            config = FpcConfig(k=8, max_rounds=12, **setting)
+            law = fpc_chain(30, 8, setting["theta"], setting["beta"], 15,
+                            setting["finality_l"], 12)
+            observed = []
+            for seed in range(runs):
+                trace = run_fpc(config, w, initial, seed)
+                last = trace.opinions_by_round[-1]
+                final = int(last[0]) if (last == last[0]).all() else 2
+                observed.append((final, trace.consensus_round or 0))
+            pvalues.append(chisquare_gof_pvalue(counts_of(observed), law.index, law.probs,
+                                                runs, residual=law.residual))
+        fisher = chi2.sf(-2.0 * np.log(pvalues).sum(), 2 * len(pvalues))
+        assert fisher >= 1e-3, pvalues
