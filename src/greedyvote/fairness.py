@@ -134,6 +134,7 @@ def estimate_split_gain(w: WeightDistribution, f: WeightFunction, k: int,
         split.check(w.weights)  # a bad split is refused before any draw
         pre = _per_run(sampling_distribution(w, f), k, chunks, split.node)
         p_hat = sampling_distribution(apply_split(w, split)[0], f)
+        del w  # a sweep's point weights go before the post-split table is built
         values = _per_run(p_hat, k, chunks, split.parts) - pre
     return _summarize(values, rng)
 

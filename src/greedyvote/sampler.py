@@ -4,8 +4,9 @@ pre/post-split variant.
 Draws come from an alias table (O(1) per draw after a loop-free O(N log N)
 build, cached per distribution) fed by counter-based Philox streams, so identical
 (seed, stream_id) inputs replay bit-identical sequences.  `greedy_runs` is
-the block-vectorized kernel behind every Monte Carlo path, and
-`AliasTable.draw` its one draw layout.  The stream plan (`as_stream` and the
+the block-vectorized kernel behind every Monte Carlo path, finishing each
+block's rows in one loop over a stack of row groups, and `AliasTable.draw`
+its one draw layout.  The stream plan (`as_stream` and the
 `*_stream` derivations) is the one place that says which stream each chunk,
 sweep point, FPC round and subsample draws from.  A split-node draw takes
 its part by `SplitSpec.part`.
@@ -246,9 +247,11 @@ def greedy_runs(p: SamplingDistribution, k: int, rng: RngStream, n_runs: int,
     order.  Rows short of k distinct nodes are extended with further draws
     from the same stream, never redrawn, so every run sees an i.i.d.
     sequence whatever the width, which follows the previous block's 90th
-    percentile draw count.  Blocks hold up to BLOCK_ROWS rows and, like the
-    groups of rows extended together, at most BLOCK_CELLS draws unless a
-    single row needs more.
+    percentile draw count.  A block holds up to BLOCK_ROWS rows and at most
+    BLOCK_CELLS draws unless a single row needs more.  Its short rows, kept on
+    a stack of groups, double their width, or go on in parts of
+    max(1, BLOCK_CELLS // (2 * width)) rows if that would pass BLOCK_CELLS,
+    each part finished, extensions included, before the next.
 
     `track` is a node index or range of nodes counted into y.  With a split,
     each in-run split-node draw takes a part by its own uniform, in row-major
@@ -270,70 +273,55 @@ def greedy_runs(p: SamplingDistribution, k: int, rng: RngStream, n_runs: int,
         raise InvalidParameterError(f"totals must hold one value per node ({p.size})")
     counts = [np.empty(n_runs, dtype=np.int64) for _ in range(2 if split is None else 6)]
     out = GreedyRuns(*counts, totals=np.empty((len(values), n_runs)))
-    blocks = _Blocks(_alias_table(p), k, rng.generator, track, split, values, out)
+    table, gen = _alias_table(p), rng.generator
     width = k + k // 2 + 8
     start = 0
     while start < n_runs:
         size = max(1, min(BLOCK_ROWS, BLOCK_CELLS // width))
-        rows = np.arange(start, min(start + size, n_runs))
-        blocks.finish(rows, blocks.table.draw(blocks.gen, (rows.size, width)))
-        width = _p90(out.v[rows])
-        start += rows.size
+        block = np.arange(start, min(start + size, n_runs))
+        stack = [(block, table.draw(gen, (block.size, width)))]
+        while stack:  # groups of rows, the one to finish next on top
+            rows, draws = stack.pop()
+            first = _first_columns(draws, table.size)
+            v = _kth_stop(first, k)
+            done = v > 0
+            _record(out, rows[done], v[done], draws[done], first[done], k, gen, track, split,
+                    values)
+            rows, draws = rows[~done], draws[~done]
+            group = max(1, BLOCK_CELLS // (2 * draws.shape[1]))
+            if group < rows.size:  # too wide to double: parts, first on top
+                stack += [(rows[i:i + group], draws[i:i + group])
+                          for i in range(0, rows.size, group)][::-1]
+            elif rows.size:
+                stack.append((rows, np.concatenate([draws, table.draw(gen, draws.shape)], axis=1)))
+        width = _p90(out.v[block])
+        start += block.size
     return out
 
 
-class _Blocks:
-    """What the blocks of one greedy_runs call share: table, stream, options
-    and the output arrays their rows are recorded into.  A class, not closures
-    in greedy_runs: a recursive closure `finish` is a reference cycle, which
-    would keep the alias table alive past the call."""
-
-    def __init__(self, table, k, gen, track, split, values, out):
-        self.table, self.k, self.gen = table, k, gen
-        self.track, self.split, self.values, self.out = track, split, values, out
-
-    def finish(self, rows, draws):
-        """Record every row once it has k distinct nodes, doubling the width
-        of the others; a group too wide for BLOCK_CELLS goes on in parts."""
-        while True:
-            first = _first_columns(draws, self.table.size)
-            v = _kth_stop(first, self.k)
-            done = v > 0
-            self.record(rows[done], v[done], draws[done], first[done])
-            if done.all():
-                return
-            rows, draws = rows[~done], draws[~done]
-            group = max(1, BLOCK_CELLS // (2 * draws.shape[1]))
-            if group < rows.size:
-                for i in range(0, rows.size, group):
-                    self.finish(rows[i:i + group], draws[i:i + group])
-                return
-            more = self.table.draw(self.gen, draws.shape)
-            draws = np.concatenate([draws, more], axis=1)
-
-    def record(self, rows, v, draws, first):
-        """Store finished rows' outcomes, checking the coupling on the way."""
-        out, split, t = self.out, self.split, self.track
-        in_run = np.arange(draws.shape[1]) < v[:, None]
-        out.v[rows] = v
-        for j, value in enumerate(self.values):
-            out.totals[j, rows] = np.where(in_run, value[draws], 0.0).sum(axis=1)
-        if split is None or t != range(split.node, split.node + 1):
-            out.y[rows] = np.count_nonzero(in_run & (draws >= t.start) & (draws < t.stop), axis=1)
-        if split is None:
-            return
-        v_post, hr, hc = _post_split(in_run, draws, first, self.k, split, self.gen)
-        out.v_post[rows] = v_post
-        if not ((v_post > 0) & (v_post <= v)).all():
-            raise SamplingError("a post-split run outlasted its pre-split run")
-        before = hc < v_post[hr]
-        out.K[rows] = K = v - v_post
-        out.L[rows] = L = np.bincount(hr[~before], minlength=rows.size)
-        if not ((L >= 0) & (L <= K)).all():
-            raise SamplingError("coupled runs broke 0 <= L <= K")
-        out.y_post[rows] = y_post = np.bincount(hr[before], minlength=rows.size)
-        if t == range(split.node, split.node + 1):
-            out.y[rows] = y_post + L  # every in-run draw of the split node
+def _record(out, rows, v, draws, first, k, gen, t, split, values):
+    """Store finished rows' outcomes, y counting the draws in the tracked range
+    t, checking the coupling on the way."""
+    in_run = np.arange(draws.shape[1]) < v[:, None]
+    out.v[rows] = v
+    for j, value in enumerate(values):
+        out.totals[j, rows] = np.where(in_run, value[draws], 0.0).sum(axis=1)
+    if split is None or t != range(split.node, split.node + 1):
+        out.y[rows] = np.count_nonzero(in_run & (draws >= t.start) & (draws < t.stop), axis=1)
+    if split is None:
+        return
+    v_post, hr, hc = _post_split(in_run, draws, first, k, split, gen)
+    out.v_post[rows] = v_post
+    if not ((v_post > 0) & (v_post <= v)).all():
+        raise SamplingError("a post-split run outlasted its pre-split run")
+    before = hc < v_post[hr]
+    out.K[rows] = K = v - v_post
+    out.L[rows] = L = np.bincount(hr[~before], minlength=rows.size)
+    if not ((L >= 0) & (L <= K)).all():
+        raise SamplingError("coupled runs broke 0 <= L <= K")
+    out.y_post[rows] = y_post = np.bincount(hr[before], minlength=rows.size)
+    if t == range(split.node, split.node + 1):
+        out.y[rows] = y_post + L  # every in-run draw of the split node
 
 
 def _post_split(in_run, draws, first, k, split, gen):

@@ -365,3 +365,22 @@ def test_15_k_above_2_equal_split_gain_rises_from_3_to_6_parts():
     _report(15, "at k > 2, a positive halves gain rises from three to six equal parts",
             ok, f"{seen} networks with a positive halves gain, "
                 f"counterexamples={counterexamples[:1]}, {elapsed:.1f}s")
+
+
+_DECAY_PINS = {(0.8, 100): 1.109164e-3, (0.8, 1000): 7.990724e-4,  # Zipf s, N -> halves gain
+               (2.0, 100): -3.114143e-4, (2.0, 1000): -3.251863e-4}  # k=20, node 1
+
+
+def test_16_exact_halves_split_gain_decays_with_network_size():
+    # criterion 6's trend with no sampling: a light tail's halves gain falls
+    # from N=100 to N=1000, while a heavy tail's halves lose at both sizes
+    start = time.perf_counter()
+    gains = {(s, n): split_gain(zipf_weights(ZipfParams(s, n)), IDENTITY, 20,
+                                SplitSpec.equal(0, 2), 1e-9)[0] for s, n in _DECAY_PINS}
+    elapsed = time.perf_counter() - start
+    ok = all(math.isclose(gains[key], pin, rel_tol=1e-5) for key, pin in _DECAY_PINS.items())
+    ok &= gains[0.8, 100] > gains[0.8, 1000] > 0 > gains[2.0, 100] and gains[2.0, 1000] < 0
+    ok = ok and elapsed < 30.0
+    _report(16, "light-tail (s=0.8) exact halves gain decays with N; heavy-tail halves lose",
+            ok, ", ".join(f"s={s} N={n}: {g:.6e}" for (s, n), g in gains.items())
+                + f", {elapsed:.1f}s")

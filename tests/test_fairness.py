@@ -1,13 +1,14 @@
 import hashlib
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from greedyvote import fairness
+from greedyvote import fairness, sampler
 from greedyvote.errors import InvalidParameterError
 from greedyvote.exact import split_gain, voting_power_exact
 from greedyvote.fairness import (
@@ -216,6 +217,27 @@ class TestSweepGain:
                                      5_000, seed=5)
         assert sweep.points[0][1].mean == direct.mean
         assert sweep.points[0][1].std_error == direct.std_error
+
+    def test_point_weights_released_before_post_split_build(self, monkeypatch):
+        # an independent point drops its weights once both distributions
+        # exist, so they are gone when the post-split alias table is built
+        refs, dead = [], []
+        make_weights, build = fairness.zipf_weights, sampler.AliasTable.__init__
+
+        def weights(zipf):
+            w = make_weights(zipf)
+            refs.append(weakref.ref(w))
+            return w
+
+        def init(table, probs):
+            dead.append(refs[-1]() is None)
+            build(table, probs)
+
+        monkeypatch.setattr(fairness, "zipf_weights", weights)
+        monkeypatch.setattr(sampler.AliasTable, "__init__", init)
+        base = GainExperiment(n_nodes=1000, k=5, n_runs=100, coupled=False)
+        sweep_gain(base, "network_size", [1000], seed=9)
+        assert dead == [False, True]
 
     def test_network_size_sweep_decreases_for_light_tail(self):
         base = GainExperiment(zipf_s=0.8, k=20, n_runs=20_000)

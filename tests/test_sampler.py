@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -680,6 +682,23 @@ class TestGreedyRuns:
         for kernel, lockstep in ((runs.v_post, ref.v_post), (runs.v, ref.v_pre)):
             se = (kernel.var() / n + lockstep.var() / n) ** 0.5
             assert abs(kernel.mean() - lockstep.mean()) <= 4 * se
+
+    def test_no_alias_table_cycle(self):
+        # with the collector off, a distribution's cached alias table goes
+        # with its last reference: the kernel leaves no reference cycle that
+        # keeps it alive (a sweep holds one network's table at a time)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            p = sampling_distribution(zipf_weights(ZipfParams(1.1, 50)))
+            greedy_runs(p, 5, RngStream(77), 2_000)
+            greedy_runs(p, 5, RngStream(78), 2_000, track=0, split=SplitSpec.equal(0, 2))
+            table = weakref.ref(sampler._alias_table(p))
+            del p
+            assert table() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_short_rows_are_extended_not_redrawn(self):
         # a uniform coupon collector over 30 nodes needs 30 * H_30 ~ 120 draws
