@@ -1,20 +1,22 @@
 """Monte Carlo estimation of voting power and split gain, sweeps, and
 distributional diagnostics (KDE, QQ).
 
-Runs are partitioned into fixed-size chunks, each driven by its own derived
-random stream and sampled by the block kernel `sampler.greedy_runs`; chunk
-results are merged in chunk order, so a seed reproduces an estimate bit for
-bit within one stream layout (`sampler.STREAM_LAYOUT`).
+Runs are partitioned into fixed-size chunks, each on its own derived random
+stream, sampled by the block kernel `sampler.greedy_runs` in forked workers of
+two or more chunks each and merged in chunk order: a seed reproduces an
+estimate bit for bit at any CPU count within one layout (`STREAM_LAYOUT`).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, SamplingError
 from .weights import (
     IDENTITY,
     SamplingDistribution,
@@ -29,7 +31,8 @@ from .weights import (
     sampling_distribution,
     zipf_weights,
 )
-from .sampler import RngStream, as_stream, chunk_stream, greedy_runs, retained_stream, sweep_stream
+from .sampler import (RngStream, _alias_table, as_stream, chunk_stream, greedy_runs,
+                      retained_stream, sweep_stream)
 
 CHUNK_RUNS = 10_000
 RETAINED_CAP = 1_000_000
@@ -71,6 +74,52 @@ def _chunks(n_runs: int, rng: RngStream) -> list:
             for ci, start in enumerate(range(0, n_runs, CHUNK_RUNS))]
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if can_fork else 1
+
+
+def _map_chunks(fn, chunks: list) -> list:
+    """fn(stream, count) of every chunk, in chunk order.  The chunks are cut
+    into min(_cpus(), len(chunks) // 2) contiguous slices; the caller runs the
+    first, and a child forked for each other pipes back its results and its
+    streams' end states.  Every child is reaped before an error is raised."""
+    n = max(1, min(_cpus(), len(chunks) // 2))
+    parts = [chunks[len(chunks) * j // n:len(chunks) * (j + 1) // n] for j in range(n)]
+    children, replies = [], []
+    try:
+        for part in parts[1:]:
+            r, w = os.pipe()
+            children.append([None, r])
+            with open(w, "wb") as pipe:  # the caller's end closes even if the fork fails
+                if (pid := os.fork()) == 0:  # leaves by os._exit: no stdio flush, no hooks
+                    try:
+                        out = [(fn(s, c), s.generator.bit_generator.state) for s, c in part]
+                    except BaseException as exc:
+                        out = exc
+                    try:
+                        pipe.write(pickle.dumps(out))
+                        pipe.flush()
+                    finally:
+                        os._exit(0)
+            children[-1][0] = pid
+        results = [fn(s, c) for s, c in parts[0]]
+    finally:
+        for pid, r in children:
+            with open(r, "rb") as pipe:
+                reply = pipe.read()
+            replies.append(reply if pid and os.waitpid(pid, 0)[1] == 0 else b"")  # 0 unless killed
+    for part, reply in zip(parts[1:], replies):  # the first error in chunk order
+        out = pickle.loads(reply) if reply else SamplingError("a chunk worker sent no result")
+        if isinstance(out, BaseException):
+            raise out
+        for (stream, _), (result, state) in zip(part, out):
+            results.append(result)
+            stream.generator.bit_generator.state = state
+    return results
+
+
 def _per_run(p: SamplingDistribution, k: int, chunks: list, track, split=None) -> np.ndarray:
     """Per run, chunk by chunk: the share of its draws that hit the tracked
     nodes, or with a split the coupled post-split run's share less that."""
@@ -79,7 +128,8 @@ def _per_run(p: SamplingDistribution, k: int, chunks: list, track, split=None) -
         share = runs.y / runs.v
         return share if split is None else runs.y_post / runs.v_post - share
 
-    return np.concatenate([chunk(chunk_rng, count) for chunk_rng, count in chunks])
+    _alias_table(p)  # built before the fork, so the workers share it
+    return np.concatenate(_map_chunks(chunk, chunks))
 
 
 def _summarize(values: np.ndarray, rng: RngStream) -> GainEstimate:
@@ -90,14 +140,8 @@ def _summarize(values: np.ndarray, rng: RngStream) -> GainEstimate:
     if n > RETAINED_CAP:
         keep = retained_stream(rng).generator.choice(n, RETAINED_CAP, replace=False)
         retained = values[np.sort(keep)]
-    return GainEstimate(
-        mean=mean,
-        std_error=se,
-        ci_low=mean - _CI_Z * se,
-        ci_high=mean + _CI_Z * se,
-        n_runs=n,
-        retained_samples=retained,
-    )
+    return GainEstimate(mean=mean, std_error=se, ci_low=mean - _CI_Z * se,
+                        ci_high=mean + _CI_Z * se, n_runs=n, retained_samples=retained)
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +295,13 @@ def kde_density(samples, bandwidth=None, points: int = 512) -> np.ndarray:
     each side, which keeps the trapezoid integral within about 1e-3 of 1.
     """
     h = check_kde_args(bandwidth, points)
-    x = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples,
-                   dtype=float)
+    x = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples), dtype=float)
     if x.size == 0:
         raise InvalidParameterError("cannot estimate a density from no samples")
     if h is None:
         h = silverman_bandwidth(x)
         if not h > 0:
-            raise InvalidParameterError(
-                "samples have zero variance; pass an explicit bandwidth"
-            )
+            raise InvalidParameterError("samples have zero variance; pass an explicit bandwidth")
     grid = np.linspace(float(x.min()) - 5.0 * h, float(x.max()) + 5.0 * h, _check_count(points))
     density = np.empty(grid.size)
     norm = 1.0 / (x.size * h * _SQRT_2PI)
@@ -280,8 +321,7 @@ def qq_points(samples) -> np.ndarray:
     """
     from scipy.special import ndtri  # deferred: importing it dominates CLI start-up
 
-    x = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples,
-                   dtype=float)
+    x = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples), dtype=float)
     if x.size < 2:
         raise InvalidParameterError("QQ plot needs at least two samples")
     sd = float(x.std(ddof=1))

@@ -1,5 +1,8 @@
+import errno
 import hashlib
 import math
+import os
+import signal
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -9,7 +12,8 @@ import numpy as np
 import pytest
 
 from greedyvote import fairness, sampler
-from greedyvote.errors import InvalidParameterError
+from greedyvote.cli import main
+from greedyvote.errors import InvalidParameterError, SamplingError
 from greedyvote.exact import split_gain, voting_power_exact
 from greedyvote.fairness import (
     GainExperiment,
@@ -367,6 +371,130 @@ class TestSweepGain:
         a = sweep_gain(base, "sample_k", [2, 4], seed=12)
         b = sweep_gain(base, "sample_k", [2, 4], seed=12)
         assert [e.mean for _, e in a.points] == [e.mean for _, e in b.points]
+
+
+class TestChunkWorkers:
+    # 45 001 runs: five chunks, the last one short, so two workers at most
+    N_RUNS = 45_001
+
+    @classmethod
+    def _estimates(cls):
+        w, n = zipf_weights(ZipfParams(1.1, 100)), cls.N_RUNS
+        split = SplitSpec.equal(0, 2)
+        base = GainExperiment(zipf_s=1.1, n_nodes=50, k=5, n_runs=n)
+        sweep = sweep_gain(base, "network_size", [50, 100], seed=13).points
+        return [
+            estimate_voting_power(sampling_distribution(w), 5, 0, n, seed=11),
+            estimate_split_gain(w, IDENTITY, 5, split, n, seed=12),
+            estimate_split_gain(w, WeightFunction.parse("power:0.5"), 5, split, n, seed=12,
+                                coupled=False),
+        ] + [est for _, est in sweep]
+
+    @staticmethod
+    def _assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _break_kernel(monkeypatch, where):
+        # two CPUs, and greedy_runs raising in the parent or in a child, or
+        # killing the child
+        parent, kernel = os.getpid(), fairness.greedy_runs
+
+        def failing(*args, **kwargs):
+            side = "parent" if os.getpid() == parent else "child"
+            if side == "child" and where == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if side == where:
+                raise SamplingError(f"broken in the {where}")
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(fairness, "_cpus", lambda: 2)
+        monkeypatch.setattr(fairness, "greedy_runs", failing)
+
+    def test_one_answer_at_any_worker_count(self, monkeypatch):
+        # every chunk has its own stream, and a worker hands its streams' end
+        # states back, so the independent post-split pass goes on from them
+        answers = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(fairness, "_cpus", lambda: cpus)
+            answers.append(self._estimates())
+            self._assert_no_child_left()
+        for got in answers[1:]:
+            for a, b in zip(answers[0], got):
+                for name in ("mean", "std_error", "ci_low", "ci_high", "n_runs"):
+                    assert getattr(a, name) == getattr(b, name)
+                assert a.retained_samples.tobytes() == b.retained_samples.tobytes()
+
+    def test_contiguous_slices_one_process_each(self, monkeypatch):
+        # seven chunks on three workers: slices of 2, 2 and 3 chunks, the
+        # first run by the caller, and every stream left where its chunk ended
+        def fn(stream, count):
+            return os.getpid(), count, stream.generator.random(3)
+
+        serial_chunks, chunks = (fairness._chunks(65_000, RngStream(3, 0)) for _ in range(2))
+        serial = [fn(*c) for c in serial_chunks]
+        monkeypatch.setattr(fairness, "_cpus", lambda: 3)
+        got = fairness._map_chunks(fn, chunks)
+        self._assert_no_child_left()
+        pids = [pid for pid, _, _ in got]
+        assert pids[:2] == [os.getpid()] * 2
+        assert pids[2] == pids[3] != pids[4] == pids[5] == pids[6] != os.getpid()
+        for (_, n_a, a), (_, n_b, b) in zip(serial, got):
+            assert n_a == n_b and a.tobytes() == b.tobytes()
+        assert ([s.generator.random() for s, _ in chunks]
+                == [s.generator.random() for s, _ in serial_chunks])
+
+    @pytest.mark.parametrize("where, message", [
+        ("child", "broken in the child"),
+        ("parent", "broken in the parent"),
+        ("killed", "a chunk worker sent no result"),
+    ])
+    def test_error_typed_and_every_child_reaped(self, where, message, monkeypatch):
+        self._break_kernel(monkeypatch, where)
+        w = zipf_weights(ZipfParams(1.1, 100))
+        with pytest.raises(SamplingError, match=message):
+            estimate_split_gain(w, IDENTITY, 5, SplitSpec.equal(0, 2), self.N_RUNS, seed=1)
+        self._assert_no_child_left()
+
+    def test_child_error_exits_1_from_the_cli(self, monkeypatch, capsys):
+        self._break_kernel(monkeypatch, "child")
+        argv = ["gain", "--n", "100", "--k", "5", "--n-runs", str(self.N_RUNS)]
+        assert main(argv) == 1
+        assert "broken in the child" in capsys.readouterr().err
+        self._assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors")
+    def test_refused_fork_leaves_no_descriptor_and_no_child(self, monkeypatch):
+        # seven chunks on three CPUs: the first fork succeeds, the second is
+        # refused, and the error comes out once the first child is reaped
+        fork, forks = os.fork, []
+
+        def second_refused():
+            if forks:
+                raise BlockingIOError(errno.EAGAIN, "fork refused")
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(fairness, "_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", second_refused)
+        w, descriptors = zipf_weights(ZipfParams(1.1, 100)), len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError, match="fork refused"):
+            estimate_split_gain(w, IDENTITY, 5, SplitSpec.equal(0, 2), 65_000, seed=1)
+        self._assert_no_child_left()
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+
+    def test_two_chunks_never_fork(self, monkeypatch):
+        # one chunk per process costs more than it saves: sweep-wide's
+        # 20 000-run estimates stay in the caller
+        def no_fork():
+            raise AssertionError("forked for a two-chunk estimate")
+
+        monkeypatch.setattr(fairness, "_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        w = zipf_weights(ZipfParams(1.1, 100))
+        estimate_split_gain(w, WeightFunction.parse("power:0.5"), 5, SplitSpec.equal(0, 2),
+                            20_000, seed=2, coupled=False)
 
 
 class TestKdeDensity:
