@@ -8,8 +8,8 @@ j, hit c >= 1 times, adds C(d, c) p_j^c E[u - 1, d - c] to E[u, d], and M the
 same sum over M plus p_j E[u, d].  Every term is >= 0, so nothing cancels:
 P(V = v) = M[k - 1, v - 1], P(V >= v) = sum_{u < k} E[u, v - 1], and E[1..k, k]
 is the distinct-count law of k draws.  Voting power, `voting_power_exact`, is
-the same pass in continuous time, and r + 1 of its passes give the split gain
-`split_gain`, both at any k.  At k = 2 the module adds the limit curve
+the same pass in continuous time, and the split gain `split_gain` needs one such
+pass per network, both at any k.  At k = 2 the module adds the limit curve
 `tau_limit` and its maximum `tau_argmax`.  MAX_CELLS is the one budget.
 """
 
@@ -247,6 +247,37 @@ def _power_grid(p: SamplingDistribution, k, epsilon: float) -> tuple:
     return k, np.exp(-40.0 + np.arange(fine_steps + 1) / 16)
 
 
+def _fold(state: np.ndarray, probs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Add the nodes of the positive probs, in order, to state = (pi, mu) in place."""
+    pi, mu = state  # row 0 stays zero, so one shifted update covers order 0
+    for p_j in probs[probs > 0].tolist():
+        miss, seen = np.exp(-p_j * s), -np.expm1(-p_j * s)
+        mu[1:] = miss * (mu[1:] + p_j * pi[1:]) + seen * mu[:-1]
+        pi[1:] = miss * pi[1:] + seen * pi[:-1]
+    return state
+
+
+def _poisson_state(q: SamplingDistribution, slot: range, k: int, s: np.ndarray) -> np.ndarray:
+    """(pi, mu) on the grid s of q's nodes outside slot; row m + 1 holds order m < k."""
+    state = np.zeros((2, k + 1, s.size))
+    state[0, 1] = 1.0
+    return _fold(state, np.delete(q.probs, slot), s)
+
+
+def _read_power(state: np.ndarray, s: np.ndarray, q: SamplingDistribution, i: int, epsilon: float):
+    """`voting_power_exact` of node i of q from the state of q's other nodes."""
+    (pi, mu), p_i = state, float(q.probs[i])  # orders k - 2 and k - 1: the last two rows
+    f = p_i * s * _exp_e1(s) * (s * mu[-2] + np.exp(-p_i * s) * pi[-1])
+    ends = (f[0] + f[-1]) / 2
+    value, coarse = (_fsum(f) - ends) / 16, (_fsum(f[::2]) - ends) / 8
+    error_bound = (abs(value - coarse) + (8 * q.support_size + 32) * sys.float_info.epsilon
+                   * value + 2e-16 * p_i)
+    if error_bound > epsilon:
+        raise ResourceLimitError(f"quadrature and rounding bound {error_bound:.3e} of the exact "
+                                 f"voting power exceeds epsilon={epsilon:.3e}")
+    return value, error_bound
+
+
 def voting_power_exact(p: SamplingDistribution, k: int, i: int, epsilon: float):
     """Voting power E[A_i / V] of node i, exact and untruncated.
 
@@ -266,43 +297,27 @@ def voting_power_exact(p: SamplingDistribution, k: int, i: int, epsilon: float):
     """
     k, s = _power_grid(p, k, epsilon)
     i = _check_node(i, p.size)
-    n, p_i = p.support_size, float(p.probs[i])
-    # row m + 1 holds order m; row 0 stays zero, so one shifted update covers m = 0
-    pi, mu = np.zeros((2, k + 1, s.size))
-    pi[1] = 1.0
-    others = np.delete(p.probs, i)
-    for p_j in others[others > 0].tolist():
-        miss, seen = np.exp(-p_j * s), -np.expm1(-p_j * s)
-        mu[1:] = miss * (mu[1:] + p_j * pi[1:]) + seen * mu[:-1]
-        pi[1:] = miss * pi[1:] + seen * pi[:-1]
-    f = p_i * s * _exp_e1(s) * (s * mu[k - 1] + np.exp(-p_i * s) * pi[k])
-    ends = (f[0] + f[-1]) / 2
-    value = (_fsum(f) - ends) / 16
-    coarse = (_fsum(f[::2]) - ends) / 8
-    error_bound = (abs(value - coarse) + (8 * n + 32) * sys.float_info.epsilon * value
-                   + 2e-16 * p_i)
-    if error_bound > epsilon:
-        raise ResourceLimitError(f"quadrature and rounding bound {error_bound:.3e} of the exact "
-                                 f"voting power exceeds epsilon={epsilon:.3e}")
-    return value, error_bound
+    return _read_power(_poisson_state(p, range(i, i + 1), k, s), s, p, i, epsilon)
 
 
 def split_gain(w: WeightDistribution, f: WeightFunction, k: int, split: SplitSpec,
                epsilon: float) -> tuple:
     """The exact counterpart of `fairness.estimate_split_gain`, at any k, f and
-    fractions: the parts' summed `voting_power_exact` on sampling_distribution(
+    fractions: the parts' summed voting power on sampling_distribution(
     apply_split(w, split)[0], f) less the node's on sampling_distribution(w, f),
-    each at epsilon / (r + 1), the pre-split one first: a bad split, k, epsilon or
-    either grid past MAX_CELLS is refused before any pass.  Returns (gain,
-    error_bound), their bounds' sum <= epsilon."""
+    each within epsilon / (r + 1).  One pass per network folds the nodes outside
+    the node or its parts; each part adds its r - 1 siblings to a copy.  A bad
+    split, k, epsilon or either grid past MAX_CELLS is refused before any pass.
+    Returns (gain, error_bound), their bounds' sum <= epsilon."""
     pre = sampling_distribution(w, f)
     post = sampling_distribution(apply_split(w, split)[0], f)
-    for q in (pre, post):
-        _power_grid(q, k, epsilon)
-    share = epsilon / (split.r + 1)
-    before, bound = voting_power_exact(pre, k, split.node, share)
-    parts = [voting_power_exact(post, k, j, share) for j in split.parts]
-    return _fsum([v for v, _ in parts]) - before, math.fsum([bound, *(b for _, b in parts)])
+    (k, s), (_, t) = [_power_grid(q, k, epsilon) for q in (pre, post)]
+    share, node = epsilon / (split.r + 1), range(split.node, split.node + 1)
+    before, bound = _read_power(_poisson_state(pre, node, k, s), s, pre, split.node, share)
+    state, parts = _poisson_state(post, split.parts, k, t), post.probs[split.parts]
+    after = [_read_power(_fold(state.copy(), np.delete(parts, j), t), t, post, split.node + j,
+                         share) for j in range(split.r)]
+    return _fsum([v for v, _ in after]) - before, math.fsum([bound, *(b for _, b in after)])
 
 
 def split_gain_k2(p: SamplingDistribution, split: SplitSpec) -> float:

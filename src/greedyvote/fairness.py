@@ -84,16 +84,21 @@ def _map_chunks(fn, chunks: list) -> list:
     """fn(stream, count) of every chunk, in chunk order.  The chunks are cut
     into min(_cpus(), len(chunks) // 2) contiguous slices; the caller runs the
     first, and a child forked for each other pipes back its results and its
-    streams' end states.  Every child is reaped before an error is raised."""
+    streams' end states.  Every child is reaped before an error is raised.  If
+    a fork is refused, the caller runs that slice and the rest after merging."""
     n = max(1, min(_cpus(), len(chunks) // 2))
     parts = [chunks[len(chunks) * j // n:len(chunks) * (j + 1) // n] for j in range(n)]
     children, replies = [], []
     try:
         for part in parts[1:]:
             r, w = os.pipe()
-            children.append([None, r])
             with open(w, "wb") as pipe:  # the caller's end closes even if the fork fails
-                if (pid := os.fork()) == 0:  # leaves by os._exit: no stdio flush, no hooks
+                try:
+                    pid = os.fork()
+                except OSError:  # out of processes or memory: no further forks
+                    os.close(r)
+                    break
+                if pid == 0:  # leaves by os._exit: no stdio flush, no hooks
                     try:
                         out = [(fn(s, c), s.generator.bit_generator.state) for s, c in part]
                     except BaseException as exc:
@@ -103,13 +108,13 @@ def _map_chunks(fn, chunks: list) -> list:
                         pipe.flush()
                     finally:
                         os._exit(0)
-            children[-1][0] = pid
+            children.append((pid, r))
         results = [fn(s, c) for s, c in parts[0]]
     finally:
         for pid, r in children:
             with open(r, "rb") as pipe:
                 reply = pipe.read()
-            replies.append(reply if pid and os.waitpid(pid, 0)[1] == 0 else b"")  # 0 unless killed
+            replies.append(reply if os.waitpid(pid, 0)[1] == 0 else b"")  # 0 unless killed
     for part, reply in zip(parts[1:], replies):  # the first error in chunk order
         out = pickle.loads(reply) if reply else SamplingError("a chunk worker sent no result")
         if isinstance(out, BaseException):
@@ -117,7 +122,7 @@ def _map_chunks(fn, chunks: list) -> list:
         for (stream, _), (result, state) in zip(part, out):
             results.append(result)
             stream.generator.bit_generator.state = state
-    return results
+    return results + [fn(s, c) for part in parts[1 + len(replies):] for s, c in part]
 
 
 def _per_run(p: SamplingDistribution, k: int, chunks: list, track, split=None) -> np.ndarray:

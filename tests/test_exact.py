@@ -486,12 +486,18 @@ class TestSplitGain:
             gain, bound = split_gain(w, CONSTANT_ONE, k, SplitSpec.equal(1, r), 1e-9)
             assert abs(gain - (r / (n + r - 1) - 1 / n)) <= bound
 
+    @staticmethod
+    def _forbid_passes(monkeypatch):
+        # the node loop and the readout's kernel: a refusal comes before both
+        def no_pass(*args):
+            raise AssertionError("a voting power pass ran")
+
+        monkeypatch.setattr(exact, "_fold", no_pass)
+        monkeypatch.setattr(exact, "_exp_e1", no_pass)
+
     @pytest.mark.parametrize("node, message", [(3, "out of range"), (1, "zero mass")])
     def test_bad_split_refused_before_any_pass(self, monkeypatch, node, message):
-        def no_pass(*args):
-            raise AssertionError("voting_power_exact ran")
-
-        monkeypatch.setattr(exact, "voting_power_exact", no_pass)
+        self._forbid_passes(monkeypatch)
         w = WeightDistribution.from_raw([0.5, 0.0, 0.5])
         with pytest.raises(InvalidParameterError, match=message):
             split_gain(w, IDENTITY, 2, SplitSpec.equal(node, 2), 1e-9)
@@ -499,17 +505,13 @@ class TestSplitGain:
     def test_k_and_epsilon_refused_before_any_pass(self, monkeypatch):
         # the parts add a node of positive mass, but k is read against the
         # unsplit network, whose pass runs first
-        passes = []
-        monkeypatch.setattr(exact, "voting_power_exact",
-                            lambda *args: passes.append(voting_power_exact(*args)))
+        self._forbid_passes(monkeypatch)
         w = WeightDistribution.from_raw([0.5, 0.5, 0.0])
         with pytest.raises(InvalidParameterError, match="k=3 exceeds support size 2"):
             split_gain(w, IDENTITY, 3, SplitSpec.equal(0, 2), 1e-9)
-        assert passes == []
         for epsilon in (0.0, -1.0, math.nan):
             with pytest.raises(InvalidParameterError, match="epsilon must be > 0"):
                 split_gain(w, IDENTITY, 2, SplitSpec.equal(0, 2), epsilon)
-        assert passes == []
 
     def test_post_split_grid_refused_before_any_pass(self, monkeypatch):
         # 20 equal nodes at k = 4 fill a 56 560-cell grid; their halves, 21
@@ -523,6 +525,40 @@ class TestSplitGain:
         with pytest.raises(ResourceLimitError,
                            match="21 nodes x k=4 x 707 grid points = 59388 cells"):
             split_gain(w, IDENTITY, 4, SplitSpec.equal(0, 2), 1e-9)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("f", [IDENTITY, WeightFunction.parse("power:0.5")],
+                             ids=["identity", "power:0.5"])
+    def test_one_node_loop_per_network(self, monkeypatch, r, f):
+        # the N - 1 nodes outside the node, then outside its parts, once each;
+        # then each part's r - 1 siblings on a copy of the split network's state
+        fold, updates = exact._fold, []
+
+        def counted(state, probs, s):
+            updates.append(int(np.count_nonzero(probs > 0)))
+            return fold(state, probs, s)
+
+        monkeypatch.setattr(exact, "_fold", counted)
+        n = 50
+        split_gain(zipf_weights(ZipfParams(1.1, n)), f, 5, SplitSpec.equal(2, r), 1e-9)
+        assert updates == [n - 1, n - 1] + [r - 1] * r  # 2(N - 1) + r(r - 1) in all
+
+    @pytest.mark.parametrize("f, split", [
+        (IDENTITY, SplitSpec(0, [0.5, 0.5])),
+        (IDENTITY, SplitSpec(0, [0.2, 0.8])),
+        (WeightFunction.parse("power:0.5"), SplitSpec.equal(0, 3)),
+    ], ids=["halves", "0.2-0.8", "thirds-power"])
+    def test_matches_one_pass_per_part(self, f, split):
+        # the r + 1 passes of voting_power_exact, each folding every other node
+        w, k = zipf_weights(ZipfParams(1.1, 300)), 20
+        pre = sampling_distribution(w, f)
+        post = sampling_distribution(apply_split(w, split)[0], f)
+        parts = [voting_power_exact(post, k, j, 1e-9) for j in split.parts]
+        before, before_bound = voting_power_exact(pre, k, split.node, 1e-9)
+        gain, bound = split_gain(w, f, k, split, 1e-9)
+        assert bound <= 1e-9
+        assert abs(gain - (math.fsum(v for v, _ in parts) - before)) <= (
+            bound + before_bound + math.fsum(b for _, b in parts))
 
     def test_epsilon_below_the_bound_is_a_resource_limit(self):
         w = WeightDistribution.from_raw([0.6, 0.3, 0.1])

@@ -464,25 +464,76 @@ class TestChunkWorkers:
         assert "broken in the child" in capsys.readouterr().err
         self._assert_no_child_left()
 
+    @staticmethod
+    def _refuse_forks(monkeypatch, allowed: int) -> list:
+        # the first `allowed` forks succeed and every later one is refused;
+        # returns the list of attempts
+        fork, attempts = os.fork, []
+
+        def refused():
+            attempts.append(1)
+            if len(attempts) > allowed:
+                raise BlockingIOError(errno.EAGAIN, "fork refused")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", refused)
+        return attempts
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors")
     def test_refused_fork_leaves_no_descriptor_and_no_child(self, monkeypatch):
         # seven chunks on three CPUs: the first fork succeeds, the second is
-        # refused, and the error comes out once the first child is reaped
-        fork, forks = os.fork, []
+        # refused, and the caller runs that slice: the one-CPU estimate
+        w = zipf_weights(ZipfParams(1.1, 100))
 
-        def second_refused():
-            if forks:
-                raise BlockingIOError(errno.EAGAIN, "fork refused")
-            forks.append(1)
-            return fork()
+        def estimate():
+            return estimate_split_gain(w, IDENTITY, 5, SplitSpec.equal(0, 2), 65_000, seed=1)
 
+        monkeypatch.setattr(fairness, "_cpus", lambda: 1)
+        serial = estimate()
         monkeypatch.setattr(fairness, "_cpus", lambda: 3)
-        monkeypatch.setattr(os, "fork", second_refused)
-        w, descriptors = zipf_weights(ZipfParams(1.1, 100)), len(os.listdir("/proc/self/fd"))
-        with pytest.raises(BlockingIOError, match="fork refused"):
-            estimate_split_gain(w, IDENTITY, 5, SplitSpec.equal(0, 2), 65_000, seed=1)
+        attempts = self._refuse_forks(monkeypatch, 1)
+        descriptors = len(os.listdir("/proc/self/fd"))
+        got = estimate()
+        assert len(attempts) == 2
         self._assert_no_child_left()
         assert len(os.listdir("/proc/self/fd")) == descriptors
+        for name in ("mean", "std_error", "ci_low", "ci_high", "n_runs"):
+            assert getattr(got, name) == getattr(serial, name)
+        assert got.retained_samples.tobytes() == serial.retained_samples.tobytes()
+
+    def test_refused_fork_forks_no_further_slice(self, monkeypatch):
+        # eight chunks on four CPUs: slices 2/2/2/2; the second fork is refused,
+        # the third is never tried, and the caller runs the last two slices
+        # after the child's, every stream left where a serial run leaves it
+        def fn(stream, count):
+            return os.getpid(), count, stream.generator.random(3)
+
+        serial_chunks, chunks = (fairness._chunks(80_000, RngStream(5, 0)) for _ in range(2))
+        serial = [fn(*c) for c in serial_chunks]
+        monkeypatch.setattr(fairness, "_cpus", lambda: 4)
+        attempts = self._refuse_forks(monkeypatch, 1)
+        got = fairness._map_chunks(fn, chunks)
+        assert len(attempts) == 2
+        self._assert_no_child_left()
+        pids = [pid for pid, _, _ in got]
+        assert pids[:2] + pids[4:] == [os.getpid()] * 6 and pids[2] == pids[3] != os.getpid()
+        for (_, n_a, a), (_, n_b, b) in zip(serial, got):
+            assert n_a == n_b and a.tobytes() == b.tobytes()
+        assert ([s.generator.random() for s, _ in chunks]
+                == [s.generator.random() for s, _ in serial_chunks])
+
+    def test_refused_fork_exits_0_from_the_cli(self, monkeypatch, capsys):
+        # five chunks on two CPUs, the one fork refused: the caller runs both slices
+        argv = ["gain", "--n", "100", "--k", "5", "--n-runs", str(self.N_RUNS)]
+        monkeypatch.setattr(fairness, "_cpus", lambda: 1)
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        monkeypatch.setattr(fairness, "_cpus", lambda: 2)
+        attempts = self._refuse_forks(monkeypatch, 0)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == serial
+        assert len(attempts) == 1
+        self._assert_no_child_left()
 
     def test_two_chunks_never_fork(self, monkeypatch):
         # one chunk per process costs more than it saves: sweep-wide's
