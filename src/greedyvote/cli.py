@@ -48,26 +48,39 @@ _count = weights._check_count  # the library's count rule casts every count key
 
 
 # one row per key: caster, default
-_SOURCE_KEYS = {
+_KEYS = {
     "generator": (str, "zipf"),
     "s": (float, 1.0),
     "n": (_count, 1000),
     "weights": (str, None),
     "weights_csv": (str, None),
     "f": (str, "identity"),
-}
-
-# keys of the subcommands that run a split-gain estimate (gain, kde, qq)
-_GAIN_KEYS = {
-    **_SOURCE_KEYS,
+    "g": (str, "constant-one"),
+    "dist": (str, "v"),
     "k": (_count, 20),
+    "v_max": (_count, 16),
     "node": (_count, 1),
     "fractions": (str, "0.5,0.5"),
+    "split_r": (_count, 2),
+    "axis": (str, "network_size"),
+    "axis_values": (str, None),
     "n_runs": (_count, 10_000),
     "seed": (_count, 0),
     "coupled": (_parse_bool, True),
+    "epsilon": (float, None),
+    "bandwidth": (float, None),
+    "grid_points": (_count, 512),
+    "theta": (float, 0.5),
+    "beta": (float, 0.3),
+    "max_rounds": (_count, 100),
+    "finality_l": (_count, 2),
+    "ones_fraction": (float, 0.9),
     "output": (str, None),
 }
+
+# the weight source's keys, and those of a split-gain estimate (gain, kde, qq)
+_SOURCE = ("generator", "s", "n", "weights", "weights_csv", "f")
+_GAIN = (*_SOURCE, "k", "node", "fractions", "n_runs", "seed", "coupled", "output")
 
 
 def resolve(subcommand: str, flag_values: dict, config_path=None) -> dict:
@@ -76,8 +89,8 @@ def resolve(subcommand: str, flag_values: dict, config_path=None) -> dict:
     increasing precedence, unknown keys rejected, and the subcommand named."""
     if subcommand not in _COMMANDS:
         raise InvalidParameterError(f"unknown subcommand {subcommand!r}")
-    schema = _COMMANDS[subcommand].schema
-    resolved = {key: default for key, (_, default) in schema.items()}
+    command = _COMMANDS[subcommand]
+    resolved = {key: command.defaults.get(key, _KEYS[key][1]) for key in command.keys}
     if config_path is not None:
         try:
             with open(config_path) as fh:
@@ -96,20 +109,20 @@ def resolve(subcommand: str, flag_values: dict, config_path=None) -> dict:
                     f"version uses layout {sampler.STREAM_LAYOUT} and cannot reproduce it")
             if key in ("subcommand", "stream_layout", "greedyvote_version"):
                 continue
-            if key not in schema:
+            if key not in resolved:
                 raise InvalidParameterError(f"unknown config key {key!r} for {subcommand}")
             resolved[key] = value
     for key, value in flag_values.items():
-        if key not in schema:
+        if key not in resolved:
             raise InvalidParameterError(f"unknown config key {key!r} for {subcommand}")
         if value is not None:
             resolved[key] = value
-    # cast everything through the schema so file- and flag-supplied values
+    # cast everything through _KEYS so file- and flag-supplied values
     # end up with identical types
-    for key, (caster, _) in schema.items():
+    for key in command.keys:
         if resolved[key] is not None:
             try:
-                resolved[key] = caster(resolved[key])
+                resolved[key] = _KEYS[key][0](resolved[key])
             except (TypeError, ValueError) as exc:
                 raise InvalidParameterError(f"bad value for {key!r}: {resolved[key]!r}") from exc
     output = resolved.get("output")  # refused before any work, not after it
@@ -343,73 +356,29 @@ def _cmd_fpc(cfg: dict):
 class _Command(NamedTuple):
     run: Callable[[dict], None]
     help: str
-    schema: dict  # one row per key: caster, default; the flags follow its order
+    keys: tuple  # its flags, in order; _KEYS casts each key and gives its default
+    defaults: dict = {}  # the defaults it changes
 
 
 # in `greedyvote -h` order
 _COMMANDS = {
-    "exact": _Command(_cmd_exact, "exact draw-count / occupancy / distinct-count distributions", {
-        **_SOURCE_KEYS,
-        "dist": (str, "v"),
-        "k": (_count, 2),
-        "v_max": (_count, 16),
-        "node": (_count, 1),
-        "output": (str, None),
-    }),
-    "sample": _Command(_cmd_sample, "raw greedy sampling runs", {
-        **_SOURCE_KEYS,
-        "k": (_count, 20),
-        "node": (_count, 1),
-        "n_runs": (_count, 1000),
-        "seed": (_count, 0),
-        "output": (str, None),
-    }),
-    "power": _Command(_cmd_power, "Monte Carlo voting-power estimate for one node", {
-        **_SOURCE_KEYS,
-        "k": (_count, 20),
-        "node": (_count, 1),
-        "n_runs": (_count, 10_000),
-        "seed": (_count, 0),
-        "epsilon": (float, None),
-        "output": (str, None),
-    }),
-    "gain": _Command(_cmd_gain, "Monte Carlo split-gain estimate (coupled by default)",
-                     _GAIN_KEYS),
-    "sweep": _Command(_cmd_sweep, "split-gain sweep over network size, k, split arity or Zipf s", {
-        "s": (float, 1.0),
-        "n": (_count, 1000),
-        "f": (str, "identity"),
-        "k": (_count, 20),
-        "node": (_count, 1),
-        "split_r": (_count, 2),
-        "axis": (str, "network_size"),
-        "axis_values": (str, None),
-        "n_runs": (_count, 10_000),
-        "seed": (_count, 0),
-        "coupled": (_parse_bool, True),
-        "output": (str, None),
-    }),
-    "kde": _Command(_cmd_kde, "Gaussian kernel density of per-run split gains", {
-        **_GAIN_KEYS,
-        "bandwidth": (float, None),
-        "grid_points": (_count, 512),
-    }),
-    "qq": _Command(_cmd_qq, "normal QQ points of per-run split gains", _GAIN_KEYS),
-    "fpc": _Command(_cmd_fpc, "fast probabilistic consensus simulation", {
-        **_SOURCE_KEYS,
-        "g": (str, "constant-one"),
-        "k": (_count, 20),
-        "theta": (float, 0.5),
-        "beta": (float, 0.3),
-        "max_rounds": (_count, 100),
-        "finality_l": (_count, 2),
-        "ones_fraction": (float, 0.9),
-        "seed": (_count, 0),
-        "output": (str, None),
-    }),
-    "tau": _Command(_cmd_tau, "maximum of the limiting equal-split gain curve", {
-        "output": (str, None),
-    }),
+    "exact": _Command(_cmd_exact, "exact draw-count / occupancy / distinct-count distributions",
+                      (*_SOURCE, "dist", "k", "v_max", "node", "output"), {"k": 2}),
+    "sample": _Command(_cmd_sample, "raw greedy sampling runs",
+                       (*_SOURCE, "k", "node", "n_runs", "seed", "output"), {"n_runs": 1000}),
+    "power": _Command(_cmd_power, "Monte Carlo voting-power estimate for one node",
+                      (*_SOURCE, "k", "node", "n_runs", "seed", "epsilon", "output")),
+    "gain": _Command(_cmd_gain, "Monte Carlo split-gain estimate (coupled by default)", _GAIN),
+    "sweep": _Command(_cmd_sweep, "split-gain sweep over network size, k, split arity or Zipf s",
+                      ("s", "n", "f", "k", "node", "split_r", "axis", "axis_values", "n_runs",
+                       "seed", "coupled", "output")),
+    "kde": _Command(_cmd_kde, "Gaussian kernel density of per-run split gains",
+                    (*_GAIN, "bandwidth", "grid_points")),
+    "qq": _Command(_cmd_qq, "normal QQ points of per-run split gains", _GAIN),
+    "fpc": _Command(_cmd_fpc, "fast probabilistic consensus simulation",
+                    (*_SOURCE, "g", "k", "theta", "beta", "max_rounds", "finality_l",
+                     "ones_fraction", "seed", "output")),
+    "tau": _Command(_cmd_tau, "maximum of the limiting equal-split gain curve", ("output",)),
 }
 
 
@@ -428,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=command.help)
         sp.add_argument("--config", default=None, metavar="PATH",
                         help="JSON config file; explicit flags override it")
-        for key in command.schema:
+        for key in command.keys:
             flag = "--" + key.replace("_", "-")
             if key == "output":
                 sp.add_argument("-o", flag, default=None, dest=key)
@@ -441,7 +410,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     command = _COMMANDS[args.subcommand]
-    flag_values = {key: getattr(args, key) for key in command.schema}
+    flag_values = {key: getattr(args, key) for key in command.keys}
     try:
         command.run(resolve(args.subcommand, flag_values, args.config))
     except (ResourceLimitError, MemoryError) as exc:

@@ -34,6 +34,9 @@ MAX_CELLS = 1 << 28
 # weights alive at once in the draw pass: 2 MB an array at any number of draw counts
 _BLOCK = 1 << 18
 
+# the largest log s a grid point can take and stay a finite float
+_LOG_MAX = math.log(sys.float_info.max)
+
 
 class Law(NamedTuple):
     """An exact law with its cells in output order: one integer array per index
@@ -235,13 +238,17 @@ def _exp_e1(s: np.ndarray) -> np.ndarray:
 
 def _power_grid(p: SamplingDistribution, k, epsilon: float) -> tuple:
     """k, checked against the support, and the grid s of `voting_power_exact`,
-    after checking epsilon and charging nodes x k x grid points to MAX_CELLS."""
+    after checking epsilon, refusing a grid that ends past the float range and
+    charging nodes x k x grid points to MAX_CELLS."""
     if not (epsilon > 0.0):
         raise InvalidParameterError("epsilon must be > 0")
     k = _check_k(k, p.support_size)
     r, log_c = _outside(p.probs, k)
-    s_max = (log_c - math.log(r) + 40.0) / r
-    fine_steps = 2 * math.ceil(8 * (math.log(s_max) + 40.0))  # even: 1/8 shares the ends
+    s_max = (log_c - math.log(r) + 40.0) / r  # inf when r is tiny; min keeps ceil finite
+    fine_steps = 2 * math.ceil(8 * (min(math.log(s_max), _LOG_MAX) + 40.0))  # even: 1/8 steps too
+    if fine_steps / 16 - 40.0 > _LOG_MAX:
+        raise ResourceLimitError(f"the voting power grid would end past the float range: the mass "
+                                 f"{r:.3e} outside the k - 1 heaviest nodes is too small")
     n = p.support_size
     _check_cells(f"{n} nodes x k={k} x {fine_steps + 1} grid points", n * k * (fine_steps + 1))
     return k, np.exp(-40.0 + np.arange(fine_steps + 1) / 16)
@@ -272,7 +279,7 @@ def _read_power(state: np.ndarray, s: np.ndarray, q: SamplingDistribution, i: in
     value, coarse = (_fsum(f) - ends) / 16, (_fsum(f[::2]) - ends) / 8
     error_bound = (abs(value - coarse) + (8 * q.support_size + 32) * sys.float_info.epsilon
                    * value + 2e-16 * p_i)
-    if error_bound > epsilon:
+    if not error_bound <= epsilon:  # a NaN bound too
         raise ResourceLimitError(f"quadrature and rounding bound {error_bound:.3e} of the exact "
                                  f"voting power exceeds epsilon={epsilon:.3e}")
     return value, error_bound
@@ -293,7 +300,7 @@ def voting_power_exact(p: SamplingDistribution, k: int, i: int, epsilon: float):
     the grid, where e^s E1(s) <= min(1/s, log(1 + 1/s)) and the bracket is at
     most 1 + s times P(fewer than k nodes seen) <= C(N, k-1) e^(-r s), r the
     mass outside the k - 1 heaviest nodes; s_max puts the tail at e^-40.
-    Returns (value, error_bound); raises ResourceLimitError above epsilon or a budget.
+    Returns (value, error_bound); raises ResourceLimitError past epsilon, MAX_CELLS or float64.
     """
     k, s = _power_grid(p, k, epsilon)
     i = _check_node(i, p.size)

@@ -285,12 +285,14 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
 
 def check_kde_args(bandwidth, points: int):
     """The bandwidth as a float (None kept: Silverman's rule), refused unless
-    finite and > 0, and the grid size, a count refused below 1 point."""
+    finite and > 0 with a finite kernel peak 1 / (h sqrt(2 pi)), which bounds
+    every density, and the grid size, a count refused below 1 point."""
     if _check_count(points, "grid points") < 1:
         raise InvalidParameterError(f"the density grid needs at least 1 point, not {points}")
     h = None if bandwidth is None else float(bandwidth)
-    if h is not None and not 0 < h < np.inf:
-        raise InvalidParameterError(f"bandwidth must be finite and > 0, not {h}")
+    if h is not None and not (0 < h < np.inf and 1.0 / (h * _SQRT_2PI) < np.inf):
+        raise InvalidParameterError(f"bandwidth must be finite and > 0 with a finite kernel "
+                                    f"peak 1 / (h sqrt(2 pi)), not {h}")
     return h
 
 

@@ -351,7 +351,7 @@ def _p90(v: np.ndarray) -> int:
 def _first_columns(draws: np.ndarray, n: int) -> np.ndarray:
     """Per row, each node's first column, and the width w in the other cells.
 
-    Draws are nodes below n, or -1 past a run.  The draw d in column c of a
+    Draws are alias draws, nodes below n.  The draw d in column c of a
     width-w row becomes the key d * w + c: one plain sort lines a row up by
     node, then column, and a key whose node key // w is new is a first one."""
     w = draws.shape[1]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -42,6 +43,51 @@ def test_help_for_every_subcommand(name, capsys):
     assert exc.value.code == 0
     listing = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
     assert f" {name} {HELP_LINES[name]} " in listing
+
+
+_SOURCE_DEFAULTS = {"generator": "zipf", "s": 1.0, "n": 1000, "weights": None,
+                    "weights_csv": None, "f": "identity"}
+_GAIN_DEFAULTS = {**_SOURCE_DEFAULTS, "k": 20, "node": 1, "fractions": "0.5,0.5",
+                  "n_runs": 10000, "seed": 0, "coupled": True, "output": None}
+
+# every subcommand's resolved configuration with no flag and no file, in key order
+DEFAULTS = {
+    "exact": {**_SOURCE_DEFAULTS, "dist": "v", "k": 2, "v_max": 16, "node": 1, "output": None},
+    "sample": {**_SOURCE_DEFAULTS, "k": 20, "node": 1, "n_runs": 1000, "seed": 0,
+               "output": None},
+    "power": {**_SOURCE_DEFAULTS, "k": 20, "node": 1, "n_runs": 10000, "seed": 0,
+              "epsilon": None, "output": None},
+    "gain": _GAIN_DEFAULTS,
+    "sweep": {"s": 1.0, "n": 1000, "f": "identity", "k": 20, "node": 1, "split_r": 2,
+              "axis": "network_size", "axis_values": None, "n_runs": 10000, "seed": 0,
+              "coupled": True, "output": None},
+    "kde": {**_GAIN_DEFAULTS, "bandwidth": None, "grid_points": 512},
+    "qq": _GAIN_DEFAULTS,
+    "fpc": {**_SOURCE_DEFAULTS, "g": "constant-one", "k": 20, "theta": 0.5, "beta": 0.3,
+            "max_rounds": 100, "finality_l": 2, "ones_fraction": 0.9, "seed": 0,
+            "output": None},
+    "tau": {"output": None},
+}
+
+
+class TestSubcommandSchemas:
+    @pytest.mark.parametrize("name", list(DEFAULTS))
+    def test_resolved_defaults_pinned(self, name):
+        want = {**DEFAULTS[name], "subcommand": name}
+        got = resolve(name, {})
+        assert got == want
+        assert list(got) == list(want)
+        assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+    @pytest.mark.parametrize("name", list(DEFAULTS))
+    def test_flag_order_pinned(self, name):
+        (sub,) = [a for a in cli._build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        flags = [s for a in sub.choices[name]._actions for s in a.option_strings]
+        want = ["-h", "--help", "--config"]
+        for key in DEFAULTS[name]:  # the flags follow the key order; -o spells output too
+            want += ["-o", "--output"] if key == "output" else ["--" + key.replace("_", "-")]
+        assert flags == want
 
 
 class TestTau:
@@ -447,6 +493,17 @@ class TestKdeAndQq:
         assert rc == 2
         assert "bandwidth must be finite" in capsys.readouterr().err
 
+    def test_kde_refuses_a_subnormal_bandwidth_before_sampling(self, monkeypatch, capsys):
+        # 1 / (h sqrt(2 pi)) overflows: the densities would be inf and nan
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sampled a refused kde request")
+
+        monkeypatch.setattr(fairness, "estimate_split_gain", unreachable)
+        assert main(["kde", "--n", "20", "--k", "3", "--n-runs", "100",
+                     "--bandwidth", "1e-320", "--grid-points", "4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "finite kernel peak" in err
+
     def test_qq_rows(self, tmp_path):
         out = tmp_path / "qq.csv"
         rc = main(["qq", "--s", "1.0", "--n", "50", "--k", "3",
@@ -518,6 +575,22 @@ class TestSampleAndPower:
         node, value, bound = capsys.readouterr().out.strip().splitlines()[1].split(",")
         assert node == "1" and float(bound) <= 1e-6
         assert abs(float(value) - 0.1732738674) <= 1e-9
+
+    @pytest.mark.parametrize("weights, row", [
+        ("1,1e-300", "2,6.9027552789821374e-298,7.3572539303158732e-312"),
+        ("1,5e-306", "2,3.5124080027187191e-303,3.7436737369199606e-317"),
+        ("1,4.2e-306", None),  # a finite s_max, but the grid's last point is inf
+        ("1,1e-306", None),  # s_max itself is inf
+    ])
+    def test_power_exact_grid_end_at_the_float_range(self, weights, row, capsys):
+        rc = main(["power", "--weights", weights, "--k", "2", "--node", "2", "--epsilon", "1e-6"])
+        out, err = capsys.readouterr()
+        if row is not None:
+            assert rc == 0 and out.splitlines() == ["node,value,error_bound", row]
+        else:
+            assert rc == 3 and out == ""
+            assert err.startswith("error (resource limit): the voting power grid would end "
+                                  "past the float range")
 
     def test_power_exact_over_a_lowered_cell_budget(self, monkeypatch, capsys):
         monkeypatch.setattr("greedyvote.exact.MAX_CELLS", 10 ** 6)

@@ -513,6 +513,17 @@ class TestSplitGain:
             with pytest.raises(InvalidParameterError, match="epsilon must be > 0"):
                 split_gain(w, IDENTITY, 2, SplitSpec.equal(0, 2), epsilon)
 
+    @pytest.mark.parametrize("tiny", [1e-306, 4.2e-306])
+    def test_grid_past_the_float_range_refused_before_any_pass(self, monkeypatch, tiny):
+        # at 1e-306 s_max overflows; at 4.2e-306 it is finite but the grid's
+        # last point, e^(s_max's log rounded up to 1/8), is not
+        self._forbid_passes(monkeypatch)
+        w = WeightDistribution.from_raw([1.0, tiny])
+        with pytest.raises(ResourceLimitError, match="past the float range"):
+            voting_power_exact(sampling_distribution(w, IDENTITY), 2, 1, 1e-6)
+        with pytest.raises(ResourceLimitError, match="past the float range"):
+            split_gain(w, IDENTITY, 2, SplitSpec.equal(1, 2), 1e-6)
+
     def test_post_split_grid_refused_before_any_pass(self, monkeypatch):
         # 20 equal nodes at k = 4 fill a 56 560-cell grid; their halves, 21
         # nodes, a 59 388-cell one
@@ -737,6 +748,15 @@ class TestVotingPowerPositiveTerms:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+    def test_readout_refuses_a_nan_bound(self):
+        # a NaN bound is not within epsilon, though it is not above it either
+        p = SamplingDistribution.from_probs([0.5, 0.5])
+        k, s = exact._power_grid(p, 2, 1e-6)
+        state = np.full((2, k + 1, s.size), np.nan)
+        with pytest.raises(ResourceLimitError, match="bound nan .* exceeds epsilon"):
+            exact._read_power(state, s, p, 0, 1e-6)
 
 
 def _mp_subsets(mpmath, p, k):

@@ -608,6 +608,19 @@ class TestKdeDensity:
         assert fairness.check_kde_args(None, 1) is None
         assert fairness.check_kde_args(2, 1) == 2.0
 
+    @pytest.mark.parametrize("h", [1e-320, 5e-324, 2.2e-309])
+    def test_bandwidth_with_an_infinite_kernel_peak_refused(self, h):
+        with pytest.raises(InvalidParameterError, match="finite kernel peak"):
+            fairness.check_kde_args(h, 4)
+        with pytest.raises(InvalidParameterError, match="finite kernel peak"):
+            kde_density([0.0, 1.0], bandwidth=h, points=4)
+
+    def test_smallest_bandwidths_give_finite_densities(self):
+        # 1 / (h sqrt(2 pi)) is finite at 3e-309, and every density is below it
+        with np.errstate(over="ignore"):
+            points = kde_density([0.0, 1.0], bandwidth=3e-309, points=4)
+        assert np.isfinite(points).all()
+
     def test_grid_points_read_by_the_count_rule(self):
         samples = [0.1, 0.4, 0.45, 0.9]
         want = kde_density(samples, points=20).tobytes()
