@@ -324,7 +324,7 @@ def split_gain(w: WeightDistribution, f: WeightFunction, k: int, split: SplitSpe
     state, parts = _poisson_state(post, split.parts, k, t), post.probs[split.parts]
     after = [_read_power(_fold(state.copy(), np.delete(parts, j), t), t, post, split.node + j,
                          share) for j in range(split.r)]
-    return _fsum([v for v, _ in after]) - before, math.fsum([bound, *(b for _, b in after)])
+    return _fsum([v for v, _ in after]) - before, _fsum([bound, *(b for _, b in after)])
 
 
 def split_gain_k2(p: SamplingDistribution, split: SplitSpec) -> float:

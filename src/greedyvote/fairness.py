@@ -31,8 +31,8 @@ from .weights import (
     sampling_distribution,
     zipf_weights,
 )
-from .sampler import (RngStream, _alias_table, as_stream, chunk_stream, greedy_runs,
-                      retained_stream, sweep_stream)
+from .sampler import (RngStream, as_stream, chunk_stream, greedy_runs, retained_stream,
+                      sweep_stream)
 
 CHUNK_RUNS = 10_000
 RETAINED_CAP = 1_000_000
@@ -133,7 +133,8 @@ def _per_run(p: SamplingDistribution, k: int, chunks: list, track, split=None) -
         share = runs.y / runs.v
         return share if split is None else runs.y_post / runs.v_post - share
 
-    _alias_table(p)  # built before the fork, so the workers share it
+    # zero runs: the kernel's checks, then the alias table the workers share
+    greedy_runs(p, k, chunks[0][0], 0, track=track, split=split)
     return np.concatenate(_map_chunks(chunk, chunks))
 
 
@@ -284,15 +285,15 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
 
 
 def check_kde_args(bandwidth, points: int):
-    """The bandwidth as a float (None kept: Silverman's rule), refused unless
-    finite and > 0 with a finite kernel peak 1 / (h sqrt(2 pi)), which bounds
-    every density, and the grid size, a count refused below 1 point."""
+    """The bandwidth as a float (None kept: Silverman's rule), refused unless > 0
+    with a finite grid width 10 h (gains lie in [-1, 1]) and kernel peak
+    1 / (h sqrt(2 pi)), which bounds every density; and the grid size, a count >= 1."""
     if _check_count(points, "grid points") < 1:
         raise InvalidParameterError(f"the density grid needs at least 1 point, not {points}")
     h = None if bandwidth is None else float(bandwidth)
-    if h is not None and not (0 < h < np.inf and 1.0 / (h * _SQRT_2PI) < np.inf):
-        raise InvalidParameterError(f"bandwidth must be finite and > 0 with a finite kernel "
-                                    f"peak 1 / (h sqrt(2 pi)), not {h}")
+    if h is not None and not (0 < 10.0 * h < np.inf and 1.0 / (h * _SQRT_2PI) < np.inf):
+        raise InvalidParameterError(f"bandwidth must be finite and > 0 with a finite grid width "
+                                    f"10 h and a finite kernel peak 1 / (h sqrt(2 pi)), not {h}")
     return h
 
 
@@ -313,10 +314,11 @@ def kde_density(samples, bandwidth=None, points: int = 512) -> np.ndarray:
     density = np.empty(grid.size)
     norm = 1.0 / (x.size * h * _SQRT_2PI)
     step = max(1, int(4_000_000 // max(1, x.size)))  # bound the outer-product size
-    for start in range(0, grid.size, step):
-        block = grid[start:start + step, None]
-        z = (block - x[None, :]) / h
-        density[start:start + step] = np.exp(-0.5 * z * z).sum(axis=1) * norm
+    with np.errstate(over="ignore"):  # a z past sqrt(float max) has density 0 either way
+        for start in range(0, grid.size, step):
+            block = grid[start:start + step, None]
+            z = (block - x[None, :]) / h
+            density[start:start + step] = np.exp(-0.5 * z * z).sum(axis=1) * norm
     return np.column_stack([grid, density])
 
 

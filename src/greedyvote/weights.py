@@ -25,7 +25,6 @@ import numpy as np
 from .errors import InvalidParameterError
 
 NORM_TOL = 1e-12
-_FSUM_MIN = 2048  # shorter vectors go to math.fsum, which is faster there
 _FSUM_SLICE = 1 << 16  # values per extraction slice: bounds its temporaries
 
 
@@ -33,20 +32,17 @@ def _fsum(values) -> float:
     """Exactly rounded sum of a 1-d vector, with the bits of `math.fsum` over
     a list of its values; keeps Zipf tails from losing mass.
 
-    From _FSUM_MIN values on it sums by error-free extraction (Rump, Ogita
-    and Oishi, "Accurate floating-point summation part I", SIAM J. Sci.
-    Comput. 31(1), 2008): in a slice of n values below 2**e in magnitude,
-    sigma = 2**(e + bit_length(n)) splits x exactly into q = (x + sigma) -
-    sigma and x - q.  The q are multiples of ulp(sigma) / 2 that sum below
-    sigma, so numpy sums them exactly; the remainders go round again, and
-    `math.fsum` rounds the partial sums once.  `math.fsum` itself sums short
-    vectors, those with a non-finite value or large enough to overflow, and
-    zero totals, whose sign it decides.
+    It sums by error-free extraction (Rump, Ogita and Oishi, "Accurate
+    floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008): in
+    a slice of n values below 2**e in magnitude, sigma = 2**(e +
+    bit_length(n)) splits x exactly into q = (x + sigma) - sigma and x - q.
+    The q are multiples of ulp(sigma) / 2 that sum below sigma, so numpy sums
+    them exactly; the remainders go round again, and `math.fsum` rounds the
+    partial sums once.  `math.fsum` itself sums vectors with a non-finite
+    value or large enough to overflow, and zero totals, whose sign it decides.
     """
     x = np.ascontiguousarray(values, dtype=float)
-    if x.size < _FSUM_MIN:
-        return math.fsum(memoryview(x))
-    limit, parts = 2.0 ** 1000 / x.size, []
+    limit, parts = 2.0 ** 1000 / max(1, x.size), []
     buf = np.empty((2, min(x.size, _FSUM_SLICE)))  # r and q of every slice
     for start in range(0, x.size, _FSUM_SLICE):
         n = min(_FSUM_SLICE, x.size - start)

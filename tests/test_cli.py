@@ -504,6 +504,24 @@ class TestKdeAndQq:
         out, err = capsys.readouterr()
         assert out == "" and "finite kernel peak" in err
 
+    def test_kde_refuses_an_overflowing_grid_before_sampling(self, monkeypatch, capsys):
+        # 10 h overflows: the grid would hold inf and nan rows
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sampled a refused kde request")
+
+        monkeypatch.setattr(fairness, "estimate_split_gain", unreachable)
+        assert main(["kde", "--n", "20", "--k", "3", "--n-runs", "100",
+                     "--bandwidth", "1e308", "--grid-points", "4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "finite grid width" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_kde_smallest_bandwidth_prints_no_warning(self, capsys):
+        assert main(["kde", "--n", "20", "--k", "3", "--n-runs", "100",
+                     "--bandwidth", "1e-300", "--grid-points", "4", "--seed", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and len(out.strip().splitlines()) == 5
+
     def test_qq_rows(self, tmp_path):
         out = tmp_path / "qq.csv"
         rc = main(["qq", "--s", "1.0", "--n", "50", "--k", "3",

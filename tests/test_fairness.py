@@ -402,6 +402,8 @@ class TestChunkWorkers:
         parent, kernel = os.getpid(), fairness.greedy_runs
 
         def failing(*args, **kwargs):
+            if args[3] == 0:  # the caller's zero-run check and table build, before any fork
+                return kernel(*args, **kwargs)
             side = "parent" if os.getpid() == parent else "child"
             if side == "child" and where == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
@@ -535,6 +537,33 @@ class TestChunkWorkers:
         assert len(attempts) == 1
         self._assert_no_child_left()
 
+    @pytest.mark.parametrize("argv", [
+        "gain --n 50 --k 3 --f power:0.5 --n-runs 100000",
+        "gain --weights 1,1,0,0 --k 3 --n-runs 100000",
+        "power --n 50 --k 60 --n-runs 100000",
+        "qq --n 50 --k 3 --f power:0.5 --n-runs 100000",
+        "sweep --axis network_size --axis-values 10000,100000 --f power:0.5 --k 5 "
+        "--n-runs 40000",
+    ])
+    def test_refused_estimate_builds_no_table_and_forks_no_worker(self, argv, monkeypatch,
+                                                                  capsys):
+        # the kernel refuses k, the split's f or the node before its table
+        fork, build, calls = os.fork, sampler.AliasTable.__init__, []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fairness, "_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", counted("fork", fork))
+        monkeypatch.setattr(sampler.AliasTable, "__init__", counted("build", build))
+        assert main(argv.split()) == 2
+        assert "error (invalid configuration)" in capsys.readouterr().err
+        assert calls == []
+        self._assert_no_child_left()
+
     def test_two_chunks_never_fork(self, monkeypatch):
         # one chunk per process costs more than it saves: sweep-wide's
         # 20 000-run estimates stay in the caller
@@ -615,10 +644,25 @@ class TestKdeDensity:
         with pytest.raises(InvalidParameterError, match="finite kernel peak"):
             kde_density([0.0, 1.0], bandwidth=h, points=4)
 
+    @pytest.mark.filterwarnings("error")
     def test_smallest_bandwidths_give_finite_densities(self):
         # 1 / (h sqrt(2 pi)) is finite at 3e-309, and every density is below it
-        with np.errstate(over="ignore"):
-            points = kde_density([0.0, 1.0], bandwidth=3e-309, points=4)
+        points = kde_density([0.0, 1.0], bandwidth=3e-309, points=4)
+        assert np.isfinite(points).all()
+
+    @pytest.mark.parametrize("h", [1e308, 2e307])
+    def test_bandwidth_with_an_infinite_grid_width_refused(self, h):
+        # 10 h past float64: the grid's span would overflow into inf and nan rows
+        with pytest.raises(InvalidParameterError, match="finite grid width"):
+            fairness.check_kde_args(h, 4)
+        with pytest.raises(InvalidParameterError, match="finite kernel peak"):
+            kde_density([0.0, 1.0], bandwidth=h, points=4)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", [1e-300, 1.7e307])
+    def test_extreme_bandwidths_warn_nothing(self, h):
+        # z * z overflows for the far grid points, whose density is 0 either way
+        points = kde_density([0.0, 1.0, -0.5], bandwidth=h, points=4)
         assert np.isfinite(points).all()
 
     def test_grid_points_read_by_the_count_rule(self):

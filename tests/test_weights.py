@@ -89,11 +89,18 @@ class TestFsum:
     ).map(np.array))
     @settings(max_examples=500, deadline=None)
     def test_extraction_matches_list_fsum_bit_for_bit(self, x):
-        # extraction from 4 values on, in slices of 16: many slices and rounds
+        # slices of 16: many slices and rounds
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(weights, "_FSUM_MIN", 4)
             mp.setattr(weights, "_FSUM_SLICE", 16)
             _assert_list_fsum_bits(x)
+
+    @pytest.mark.parametrize("values", [
+        [], [-0.0], [0.0, -0.0], [-0.0, -0.0, -0.0], [5e-324], [5e-324, -5e-324, 1.0],
+        [1e308, 1e308], [math.inf, -math.inf], [math.nan], [1.0, 1e-16, 1e-16],
+    ])
+    def test_short_vectors_match_list_fsum(self, values):
+        # 0 to 3 values go through extraction like any other length
+        _assert_list_fsum_bits(np.array(values, dtype=float))
 
     def test_sweep_wide_sums_match_list_fsum_bit_for_bit(self):
         # the raw Zipf 0.8 stakes at N = 10^6 and the power:0.5 image of their
