@@ -5,6 +5,8 @@ Runs are partitioned into fixed-size chunks, each on its own derived random
 stream, sampled by the block kernel `sampler.greedy_runs` in forked workers of
 two or more chunks each and merged in chunk order: a seed reproduces an
 estimate bit for bit at any CPU count within one layout (`STREAM_LAYOUT`).
+A sweep whose points are too small to fork hands the workers its points
+instead, each on its own stream, and joins them in point order.
 """
 
 from __future__ import annotations
@@ -80,14 +82,12 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if can_fork else 1
 
 
-def _map_chunks(fn, chunks: list) -> list:
-    """fn(stream, count) of every chunk, in chunk order.  The chunks are cut
-    into min(_cpus(), len(chunks) // 2) contiguous slices; the caller runs the
-    first, and a child forked for each other pipes back its results and its
-    streams' end states.  Every child is reaped before an error is raised.  If
-    a fork is refused, the caller runs that slice and the rest after merging."""
-    n = max(1, min(_cpus(), len(chunks) // 2))
-    parts = [chunks[len(chunks) * j // n:len(chunks) * (j + 1) // n] for j in range(n)]
+def _map_slices(fn, parts: list) -> list:
+    """fn(item) of every item of every slice, in order.  The caller runs the
+    first slice, and a child forked for each other one pipes back its
+    results.  Every child is reaped before an error is raised, the first in
+    item order.  If a fork is refused, the caller runs that slice and the
+    rest after merging."""
     children, replies = [], []
     try:
         for part in parts[1:]:
@@ -100,7 +100,7 @@ def _map_chunks(fn, chunks: list) -> list:
                     break
                 if pid == 0:  # leaves by os._exit: no stdio flush, no hooks
                     try:
-                        out = [(fn(s, c), s.generator.bit_generator.state) for s, c in part]
+                        out = [fn(item) for item in part]
                     except BaseException as exc:
                         out = exc
                     try:
@@ -109,20 +109,31 @@ def _map_chunks(fn, chunks: list) -> list:
                     finally:
                         os._exit(0)
             children.append((pid, r))
-        results = [fn(s, c) for s, c in parts[0]]
+        results = [fn(item) for item in parts[0]]
     finally:
         for pid, r in children:
             with open(r, "rb") as pipe:
                 reply = pipe.read()
             replies.append(reply if os.waitpid(pid, 0)[1] == 0 else b"")  # 0 unless killed
-    for part, reply in zip(parts[1:], replies):  # the first error in chunk order
+    for reply in replies:
         out = pickle.loads(reply) if reply else SamplingError("a chunk worker sent no result")
         if isinstance(out, BaseException):
             raise out
-        for (stream, _), (result, state) in zip(part, out):
-            results.append(result)
-            stream.generator.bit_generator.state = state
-    return results + [fn(s, c) for part in parts[1 + len(replies):] for s, c in part]
+        results += out
+    return results + [fn(item) for part in parts[1 + len(replies):] for item in part]
+
+
+def _map_chunks(fn, chunks: list) -> list:
+    """fn(stream, count) of every chunk, in chunk order, by `_map_slices` over
+    min(_cpus(), len(chunks) // 2) contiguous slices, the later ones taking
+    the remainder.  Each chunk hands back its stream's end state with its
+    result, so a stream a child ran goes on where the child left it."""
+    n = max(1, min(_cpus(), len(chunks) // 2))
+    parts = [chunks[len(chunks) * j // n:len(chunks) * (j + 1) // n] for j in range(n)]
+    out = _map_slices(lambda c: (fn(*c), c[0].generator.bit_generator.state), parts)
+    for (stream, _), (_, state) in zip(chunks, out):
+        stream.generator.bit_generator.state = state
+    return [result for result, _ in out]
 
 
 def _per_run(p: SamplingDistribution, k: int, chunks: list, track, split=None) -> np.ndarray:
@@ -220,6 +231,9 @@ def sweep_values(axis: str, values) -> list:
     return [_check_count(value, f"sweep axis {axis}") for value in values]
 
 
+_LOG_NORMAL = -1022 * math.log(2)  # the log of the smallest normal float64
+
+
 def _support(zipf: ZipfParams, f: WeightFunction) -> int:
     """The support size of a Zipf network under f.  Every weight is at least
     N^-s / N and its image at least (N^-s / N)^alpha / N; while both are normal
@@ -227,7 +241,7 @@ def _support(zipf: ZipfParams, f: WeightFunction) -> int:
     node to 1, so the support is N.  Past that the network is built and counted."""
     log_n = math.log(zipf.n)
     log_w = -(zipf.s + 1.0) * log_n
-    if f.alpha == 0 or min(log_w, f.alpha * log_w - log_n) >= -1022 * math.log(2):
+    if f.alpha == 0 or min(log_w, f.alpha * log_w - log_n) >= _LOG_NORMAL:
         return zipf.n
     return sampling_distribution(zipf_weights(zipf), f).support_size
 
@@ -236,13 +250,20 @@ def _plan(cfg: GainExperiment) -> tuple:
     """A sweep point's Zipf parameters and split, refused if the point cannot
     run: bad Zipf parameters or split, a split node beyond the network's
     nodes, weights too large to allocate (np.empty touches no page, so a
-    network past the address space fails at once), or k beyond the support
-    (`_support`, which builds no network where a bound settles it)."""
+    network past the address space fails at once), k beyond the support
+    (`_support`, which builds no network where a bound settles it), a coupled
+    split under a non-identity f, or a split node of zero mass.  The node of
+    rank j weighs at least j^-s / N, so only where that is below the normal
+    floats are the weights built to look."""
     zipf = ZipfParams(s=cfg.zipf_s, n=cfg.n_nodes)
     split = SplitSpec.equal(cfg.node, cfg.split_r)
     _check_node(split.node, zipf.n, "split node")
     np.empty(zipf.n)
     _check_k(cfg.k, _support(zipf, cfg.f))
+    if cfg.coupled:
+        SplitSpec.check_in_place(cfg.f)
+    if -zipf.s * math.log(split.node + 1) - math.log(zipf.n) < _LOG_NORMAL:
+        split.check(zipf_weights(zipf).weights)
     return zipf, split
 
 
@@ -250,9 +271,13 @@ def sweep_gain(base: GainExperiment, axis: str, values, seed) -> SweepResult:
     """One gain estimate per axis value, all derived from a single master seed.
 
     Every point is planned before the first one runs, so a refused point
-    costs no estimate, and each runs from its plan.  Point j runs on stream
-    id offset j, so a one-point sweep reproduces a plain estimate_split_gain
-    call bit for bit.
+    costs no estimate and forks no worker, and each runs from its plan.
+    Point j runs on stream id offset j, so a one-point sweep reproduces a
+    plain estimate_split_gain call bit for bit, whichever process runs it.
+    Points of under four chunks keep their chunks in one process
+    (`_map_chunks`), so their sweep hands `_map_slices` the points instead,
+    in min(_cpus(), points, all chunks // 2) contiguous slices, the earlier
+    ones taking the remainder: a point costs more further along the axis.
     """
     vals = sweep_values(axis, list(values))
     if not vals:
@@ -262,12 +287,16 @@ def sweep_gain(base: GainExperiment, axis: str, values, seed) -> SweepResult:
     configs = [replace(base, **{SWEEP_AXES[axis][0]: value}) for value in vals]
     plans = [_plan(cfg) for cfg in configs]
     master = as_stream(seed)
-    points = []
-    for j, (value, cfg, (zipf, split)) in enumerate(zip(vals, configs, plans)):
-        est = estimate_split_gain(zipf_weights(zipf), cfg.f, cfg.k, split, cfg.n_runs,
-                                  sweep_stream(master, j), coupled=cfg.coupled)
-        points.append((value, est))
-    return SweepResult(points=points)
+    per_point = len(_chunks(base.n_runs, master))  # a bad n_runs is refused here
+
+    def point(j: int) -> GainEstimate:
+        (zipf, split), cfg = plans[j], configs[j]
+        return estimate_split_gain(zipf_weights(zipf), cfg.f, cfg.k, split, cfg.n_runs,
+                                   sweep_stream(master, j), coupled=cfg.coupled)
+
+    n = 1 if per_point >= 4 else max(1, min(_cpus(), len(vals), len(vals) * per_point // 2))
+    parts = [part.tolist() for part in np.array_split(np.arange(len(vals)), n)]
+    return SweepResult(points=list(zip(vals, _map_slices(point, parts))))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +339,11 @@ def kde_density(samples, bandwidth=None, points: int = 512) -> np.ndarray:
         h = silverman_bandwidth(x)
         if not h > 0:
             raise InvalidParameterError("samples have zero variance; pass an explicit bandwidth")
-    grid = np.linspace(float(x.min()) - 5.0 * h, float(x.max()) + 5.0 * h, _check_count(points))
+    low, high = float(x.min()) - 5.0 * h, float(x.max()) + 5.0 * h
+    if not math.isfinite(high - low):  # np.linspace would fill the grid with inf and nan
+        raise InvalidParameterError(f"the density grid span [{low}, {high}] is not a finite "
+                                    "float64; samples must be finite and within range")
+    grid = np.linspace(low, high, _check_count(points))
     density = np.empty(grid.size)
     norm = 1.0 / (x.size * h * _SQRT_2PI)
     step = max(1, int(4_000_000 // max(1, x.size)))  # bound the outer-product size

@@ -283,18 +283,22 @@ class SplitSpec:
         """Offset (0 .. r-1) of the part that each uniform in [0, 1) selects."""
         return np.searchsorted(self.cum, u, side="right")
 
-    def check(self, masses: np.ndarray, f: WeightFunction = IDENTITY) -> float:
-        """The split node's mass, refusing a node out of range or of zero mass.
-
-        Sampling probabilities made by f and split in place keep the fractions
-        only if f.alpha is 1: only a linear f keeps the pre- and post-split
-        normalizers equal.  Weights themselves split under the default.
-        """
+    @staticmethod
+    def check_in_place(f: WeightFunction) -> None:
+        """Refuse f unless sampling probabilities made by f and split in place
+        keep the fractions: only a linear f (alpha 1) keeps the pre- and
+        post-split normalizers equal."""
         if f.alpha != 1:
             raise InvalidParameterError(
                 "splitting sampling probabilities in place requires the identity "
                 f"weight function (got {f.name}); use independent estimation instead"
             )
+
+    def check(self, masses: np.ndarray, f: WeightFunction = IDENTITY) -> float:
+        """The split node's mass, refusing an f that `check_in_place` refuses
+        or a node out of range or of zero mass.  Weights themselves split
+        under the default."""
+        self.check_in_place(f)
         _check_node(self.node, masses.size, "split node")
         mass = float(masses[self.node])
         if mass <= 0.0:

@@ -346,7 +346,7 @@ class TestSweepGain:
                             lambda zipf: calls.append(("build", zipf.n)) or build(zipf))
         monkeypatch.setattr(fairness, "estimate_split_gain",
                             lambda w, *args, **kwargs: calls.append(("estimate", w.size)))
-        base = GainExperiment(zipf_s=0.8, k=20, n_runs=10, f=WeightFunction(0.5))
+        base = GainExperiment(zipf_s=0.8, k=20, n_runs=10, coupled=False, f=WeightFunction(0.5))
         sweep_gain(base, "network_size", [100, 1000], seed=0)  # sweep-wide's kind of point
         assert calls == [("build", 100), ("estimate", 100), ("build", 1000), ("estimate", 1000)]
 
@@ -544,6 +544,12 @@ class TestChunkWorkers:
         "qq --n 50 --k 3 --f power:0.5 --n-runs 100000",
         "sweep --axis network_size --axis-values 10000,100000 --f power:0.5 --k 5 "
         "--n-runs 40000",
+        "sweep --axis network_size --axis-values 10000,100000 --f power:0.5 --k 5 "
+        "--n-runs 20000",
+        "sweep --axis zipf_s --axis-values 1,200 --n 100 --node 50 --k 3 --n-runs 20000",
+        "sweep --axis zipf_s --axis-values 1,200 --n 100 --node 50 --k 3 --coupled false "
+        "--f power:0.5 --n-runs 20000",
+        "sweep --axis network_size --axis-values 100,200,400 --k 3 --n-runs 1",
     ])
     def test_refused_estimate_builds_no_table_and_forks_no_worker(self, argv, monkeypatch,
                                                                   capsys):
@@ -565,8 +571,9 @@ class TestChunkWorkers:
         self._assert_no_child_left()
 
     def test_two_chunks_never_fork(self, monkeypatch):
-        # one chunk per process costs more than it saves: sweep-wide's
-        # 20 000-run estimates stay in the caller
+        # one chunk per process costs more than it saves: a 20 000-run
+        # estimate stays in the caller (sweep-wide hands its points to the
+        # workers instead, TestPointWorkers)
         def no_fork():
             raise AssertionError("forked for a two-chunk estimate")
 
@@ -575,6 +582,120 @@ class TestChunkWorkers:
         w = zipf_weights(ZipfParams(1.1, 100))
         estimate_split_gain(w, WeightFunction.parse("power:0.5"), 5, SplitSpec.equal(0, 2),
                             20_000, seed=2, coupled=False)
+
+
+class TestPointWorkers:
+    # 20 000 runs: two chunks a point, too few for a point to fork its own
+    N_RUNS = 20_000
+
+    @classmethod
+    def _sweep(cls, n_points: int, coupled: bool):
+        f = IDENTITY if coupled else WeightFunction.parse("power:0.5")
+        base = GainExperiment(zipf_s=1.1, k=5, n_runs=cls.N_RUNS, coupled=coupled, f=f)
+        values = [40 + 10 * j for j in range(n_points)]
+        return [est for _, est in sweep_gain(base, "network_size", values, seed=17).points]
+
+    @staticmethod
+    def _stub_points(monkeypatch, fail=(), kill=()):
+        # each point's estimate, by network size, as (value, pid): raising at
+        # the points in `fail`, killing its child process at those in `kill`
+        caller = os.getpid()
+
+        def estimate(w, *args, **kwargs):
+            if w.size in kill:
+                assert os.getpid() != caller, "a point to kill ran in the caller"
+                os.kill(os.getpid(), signal.SIGKILL)
+            if w.size in fail:
+                raise SamplingError(f"broken at N={w.size}")
+            return w.size, os.getpid()
+
+        monkeypatch.setattr(fairness, "estimate_split_gain", estimate)
+
+    @classmethod
+    def _stubbed_sweep(cls, values):
+        base = GainExperiment(zipf_s=1.1, k=3, n_runs=cls.N_RUNS)
+        return [est for _, est in sweep_gain(base, "network_size", values, seed=3).points]
+
+    @pytest.mark.parametrize("coupled", [True, False])
+    @pytest.mark.parametrize("n_points", [2, 3, 5])
+    def test_one_answer_at_any_worker_count(self, n_points, coupled, monkeypatch):
+        answers = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(fairness, "_cpus", lambda: cpus)
+            answers.append(self._sweep(n_points, coupled))
+            TestChunkWorkers._assert_no_child_left()
+        for got in answers[1:]:
+            for a, b in zip(answers[0], got, strict=True):
+                for name in ("mean", "std_error", "ci_low", "ci_high", "n_runs"):
+                    assert getattr(a, name) == getattr(b, name)
+                assert a.retained_samples.tobytes() == b.retained_samples.tobytes()
+
+    @pytest.mark.parametrize("cpus, n_points, slices", [
+        (2, 3, [[0, 1], [2]]),  # the earlier slice takes the remainder
+        (3, 5, [[0, 1], [2, 3], [4]]),
+        (3, 2, [[0], [1]]),  # no more slices than points
+        (4, 3, [[0], [1], [2]]),
+    ])
+    def test_contiguous_slices_remainder_first(self, cpus, n_points, slices, monkeypatch):
+        self._stub_points(monkeypatch)
+        monkeypatch.setattr(fairness, "_cpus", lambda: cpus)
+        values = [100 + j for j in range(n_points)]
+        got = self._stubbed_sweep(values)
+        TestChunkWorkers._assert_no_child_left()
+        assert [size for size, _ in got] == values
+        groups = [{got[j][1] for j in part} for part in slices]  # the pids of each slice
+        assert all(len(pids) == 1 for pids in groups) and groups[0] == {os.getpid()}
+        assert len(set().union(*groups)) == len(slices)
+
+    @pytest.mark.parametrize("n_runs", [10_000, 40_000])
+    def test_no_point_fork_below_two_chunks_or_at_four(self, n_runs, monkeypatch):
+        # 10 000 runs: one chunk a point, so three points make one process's
+        # worth; 40 000 runs: four chunks a point, which fork by themselves
+        def no_fork():
+            raise AssertionError("forked the points of a sweep")
+
+        self._stub_points(monkeypatch)
+        monkeypatch.setattr(fairness, "_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        base = GainExperiment(zipf_s=1.1, k=3, n_runs=n_runs)
+        got = [est for _, est in sweep_gain(base, "network_size", [100, 101, 102], seed=3).points]
+        assert got == [(100, os.getpid()), (101, os.getpid()), (102, os.getpid())]
+
+    @pytest.mark.parametrize("cpus, fail, kill, message", [
+        (2, {102}, (), "broken at N=102"),  # in the child
+        (2, {101}, (), "broken at N=101"),  # in the caller
+        (2, {101, 102}, (), "broken at N=101"),  # the caller's point comes first
+        (2, (), {102}, "a chunk worker sent no result"),
+        (2, {100}, {102}, "broken at N=100"),
+        (3, {104}, {102}, "a chunk worker sent no result"),
+        (3, {103, 104}, (), "broken at N=103"),
+    ], ids=["child", "caller", "caller-first", "killed", "caller-before-killed",
+            "killed-before-child", "children-in-order"])
+    def test_error_typed_in_point_order_and_every_child_reaped(self, cpus, fail, kill,
+                                                               message, monkeypatch):
+        self._stub_points(monkeypatch, fail, kill)
+        monkeypatch.setattr(fairness, "_cpus", lambda: cpus)
+        with pytest.raises(SamplingError, match=message):
+            self._stubbed_sweep([100, 101, 102, 103, 104][:3 if cpus == 2 else 5])
+        TestChunkWorkers._assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors")
+    @pytest.mark.parametrize("cpus, n_points, allowed", [(2, 3, 0), (3, 5, 1)])
+    def test_refused_fork_gives_the_one_cpu_answer(self, cpus, n_points, allowed,
+                                                    monkeypatch):
+        monkeypatch.setattr(fairness, "_cpus", lambda: 1)
+        serial = self._sweep(n_points, coupled=False)
+        monkeypatch.setattr(fairness, "_cpus", lambda: cpus)
+        attempts = TestChunkWorkers._refuse_forks(monkeypatch, allowed)
+        descriptors = len(os.listdir("/proc/self/fd"))
+        got = self._sweep(n_points, coupled=False)
+        assert len(attempts) == allowed + 1
+        TestChunkWorkers._assert_no_child_left()
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+        for a, b in zip(serial, got, strict=True):
+            for name in ("mean", "std_error", "ci_low", "ci_high", "n_runs"):
+                assert getattr(a, name) == getattr(b, name)
+            assert a.retained_samples.tobytes() == b.retained_samples.tobytes()
 
 
 class TestKdeDensity:
@@ -664,6 +785,14 @@ class TestKdeDensity:
         # z * z overflows for the far grid points, whose density is 0 either way
         points = kde_density([0.0, 1.0, -0.5], bandwidth=h, points=4)
         assert np.isfinite(points).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("samples, h", [([1e308, -1e308], 1e306), ([1.7e308, 0.0], 1e307),
+                                            ([np.inf, 0.0], 1.0), ([np.nan, 0.0], 1.0)])
+    def test_grid_span_past_float64_refused(self, samples, h):
+        # np.linspace over an infinite span gives inf and nan rows
+        with pytest.raises(InvalidParameterError, match="grid span"):
+            kde_density(samples, bandwidth=h, points=3)
 
     def test_grid_points_read_by_the_count_rule(self):
         samples = [0.1, 0.4, 0.45, 0.9]
